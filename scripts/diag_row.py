@@ -4,23 +4,16 @@ differences actually come from."""
 
 import argparse
 from dataclasses import replace
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
 import pvlevels as pv
 from pvlevels.narnet import make_training_set, predict_closed_loop, train, init_network
 from pvlevels.pipeline import (
-    _LEVELS,
-    _TAG_FIT,
     _TAG_NARX,
-    _baseline_report,
-    _day_window,
     _fit_channel,
-    _preprocess_level,
-    _shared_day_mask,
     CASE_LEVELS,
-    build_fitting_models,
     select_best_fitting,
 )
 from pvlevels.preprocess import day_run_lengths
@@ -92,11 +85,8 @@ def main() -> None:
         baseline_net=net,
     )
 
-    day = date.fromisoformat(args.day)
-    i0, _ = _day_window(dataset, day)
-    threshold = config.day_threshold_fraction * float(profile.power_kw.max())
-    mask = _shared_day_mask(profile, threshold)
-    mask_day = mask[i0 : i0 + 24]
+    context = pv.ForecastDay.at(dataset, profile, date.fromisoformat(args.day), config)
+    day, i0, mask, mask_day = context.day, context.i0, context.mask, context.day_hours
     horizon = int(np.count_nonzero(mask_day))
 
     drift = _site_drift(scfg, dataset.n)
@@ -112,17 +102,15 @@ def main() -> None:
     print(f"drift yesterday: mean {drift[prev_idx].mean():+.4f}")
 
     # measured target index for the day, and oracle errors
-    day_profile = profile.scaled(config.fraction(config.target_level)).sliced(i0, i0 + 24)
     measured = pv.normalize_and_mask(
         dataset.series(config.target_level).sliced(i0, i0 + 24),
-        day_profile, kappa_max=config.kappa_max, day_mask=mask_day,
+        context.day_profile, kappa_max=config.kappa_max, day_mask=mask_day,
     )
     actual_idx = measured.index_values
     mu = scfg.regime_mean(sched[local_day])
-    actual_kw = dataset.series(config.target_level).values[i0 : i0 + 24][mask_day]
-    prof_kw = day_profile.power_kw[mask_day]
-    eps_kw = config.epsilon_fraction * dataset.site.ac_rating_kw * config.fraction(
-        config.target_level)
+    actual_kw = context.actual[mask_day]
+    prof_kw = context.day_profile.power_kw[mask_day]
+    eps_kw = context.epsilon_kw[config.target_level]
 
     def mape_of_index_path(path: np.ndarray) -> float:
         pred_kw = path * prof_kw
@@ -134,13 +122,9 @@ def main() -> None:
     print(f"actual idx: {np.array2string(actual_idx, precision=3)}")
 
     # shared infrastructure, as forecast_day_ahead builds it
-    involved = sorted(_LEVELS, key=int)
-    pre = {lv: _preprocess_level(dataset, profile, lv, mask, 0, i0, config)
-           for lv in involved}
-    all_fits = build_fitting_models(
-        dataset.sliced(0, i0), profile.sliced(0, i0), config,
-        levels=tuple(involved), day_mask=mask[:i0],
-    )
+    involved = list(pv.MeasurementLevel)
+    pre = {lv: context.history(lv) for lv in involved}
+    all_fits = context.fitting_models(involved)
     by_level = {m.level: m for m in all_fits}
     print("fit r2:", {m.level.label: round(m.fit_r2, 4) for m in all_fits})
 

@@ -16,14 +16,11 @@ bit-identical to what compare_cases produces on the same day list.
 
 import argparse
 from collections import defaultdict
-from datetime import timedelta
 
 import pvlevels as pv
-from pvlevels.pipeline import _day_window, _shared_day_mask
-from pvlevels.preprocess import normalize_and_mask
 
 # the fitting nets need 360 day hours; 36 days clears that comfortably
-MIN_HISTORY_DAYS = 36
+SURVEY_HISTORY_DAYS = 36
 
 
 def block_schedule(days: int, block: int) -> tuple:
@@ -96,33 +93,11 @@ def main() -> None:
         baseline_net=net,
     )
 
-    site = dataset.site
-    first_local = (dataset.start + timedelta(hours=site.tz_offset)).date()
-    threshold = config.day_threshold_fraction * float(profile.power_kw.max())
-    mask = _shared_day_mask(profile, threshold)
-    day_profile_full = profile.scaled(config.fraction(config.target_level))
-
-    def day_class(a: int, b: int):
-        measured = normalize_and_mask(
-            dataset.series(config.target_level).sliced(a, b),
-            day_profile_full.sliced(a, b),
-            kappa_max=config.kappa_max,
-            day_mask=mask[a:b],
-        )
-        return pv.classify_weather_day(
-            measured.index_values, config.sunny_threshold, config.cloudy_threshold
-        )
-
-    candidates = []
-    for k in range(args.days):
-        day = first_local + timedelta(days=k + 1)
-        try:
-            i0, _ = _day_window(dataset, day)
-        except pv.PvlevelsError:
-            continue
-        if i0 < 24 * MIN_HISTORY_DAYS or i0 + 24 > dataset.n:
-            continue
-        candidates.append((day, day_class(i0, i0 + 24)))
+    candidates = [
+        pv.ForecastDay.at(dataset, profile, day, config)
+        for day in pv.valid_forecast_days(dataset)
+    ]
+    candidates = [c for c in candidates if c.i0 >= 24 * SURVEY_HISTORY_DAYS]
     if args.max_days:
         candidates = candidates[-args.max_days:]
 
@@ -130,15 +105,13 @@ def main() -> None:
     totals = defaultdict(int)
     order = [pv.CaseStudy.CASE1, pv.CaseStudy.CASE2, pv.CaseStudy.CASE3,
              pv.CaseStudy.CASE4]
-    for day, w in candidates:
-        cache: dict = {}
+    for context in candidates:
+        day, w = context.day, context.weather
         mapes = {}
         met = False
         try:
             for cid in order:
-                res = pv.run_case(
-                    cid, dataset, profile, day, config, _baseline_cache=cache
-                )
+                res = pv.run_case(cid, context)
                 mapes[cid] = res.mape * 100
                 if cid is pv.CaseStudy.CASE2:
                     met = res.level_errors.target_met

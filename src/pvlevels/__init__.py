@@ -21,6 +21,7 @@ from .clearsky import (
 )
 from .core import (
     HOUR,
+    MIN_HISTORY_DAYS,
     MIN_USABLE_HOURS,
     HourlyPowerSeries,
     MeasurementLevel,
@@ -28,7 +29,6 @@ from .core import (
     SiteConfig,
     ValidationReport,
     Weather,
-    align_levels,
     derive_seed,
     make_generator,
     utc_datetime,
@@ -82,14 +82,17 @@ from .pipeline import (
     CaseResult,
     CaseRow,
     CaseStudy,
+    ForecastDay,
     LevelErrors,
     PipelineConfig,
     build_fitting_models,
     classify_weather_day,
     compare_cases,
+    day_mask,
     forecast_day_ahead,
     run_case,
     select_best_fitting,
+    valid_forecast_days,
 )
 from .preprocess import (
     DAY_THRESHOLD_FRACTION,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +37,11 @@ import numpy as np
 from .clearsky import ClearSkyProfile, clearsky_profile
 from .core import (
     HOUR,
+    MIN_HISTORY_DAYS,
     HourlyPowerSeries,
     MeasurementLevel,
     MultiLevelDataset,
     SiteConfig,
-    align_levels,
     utc_datetime,
 )
 from .errors import (
@@ -53,22 +53,20 @@ from .errors import (
 )
 from .narnet import NetworkConfig
 from .pipeline import (
+    DEFAULT_NET,
     CaseStudy,
+    ForecastDay,
     PipelineConfig,
     build_fitting_models,
     compare_cases,
+    day_mask,
     run_case,
+    valid_forecast_days,
 )
 from .preprocess import preprocess
 from .synth import DEFAULT_SITE, SynthConfig, capacity_fractions, gen_dataset
 
 CSV_HEADER = "timestamp_utc,level,series_id,power_kw"
-
-_LEVELS = (
-    MeasurementLevel.CUSTOMER,
-    MeasurementLevel.FEEDER,
-    MeasurementLevel.SUBSTATION,
-)
 
 
 class ConfigError(PvlevelsError):
@@ -86,43 +84,54 @@ class RunConfig:
     out_dir: str | None
 
 
+_PIPELINE = PipelineConfig()
+_SYNTH = SynthConfig()
+
+#: Keys whose default and type come from a dataclass field: the key's
+#: default instance and the field's name.
+_FIELD_KEYS = {
+    "site.latitude": (DEFAULT_SITE, "latitude"),
+    "site.longitude": (DEFAULT_SITE, "longitude"),
+    "site.tz_offset": (DEFAULT_SITE, "tz_offset"),
+    "site.dc_rating_kw": (DEFAULT_SITE, "dc_rating_kw"),
+    "site.ac_rating_kw": (DEFAULT_SITE, "ac_rating_kw"),
+    "site.system_efficiency": (DEFAULT_SITE, "system_efficiency"),
+    "net.delay_d": (DEFAULT_NET, "delay_d"),
+    "net.hidden_width": (DEFAULT_NET, "hidden_width"),
+    "net.max_epochs": (DEFAULT_NET, "max_epochs"),
+    "net.step_size": (DEFAULT_NET, "step_size"),
+    "net.patience": (DEFAULT_NET, "early_stop_patience"),
+    "net.delta": (DEFAULT_NET, "early_stop_delta"),
+    "pipeline.kappa_max": (_PIPELINE, "kappa_max"),
+    "pipeline.epsilon_fraction": (_PIPELINE, "epsilon_fraction"),
+    "pipeline.day_threshold_fraction": (_PIPELINE, "day_threshold_fraction"),
+    "pipeline.max_retries": (_PIPELINE, "max_retries"),
+    "pipeline.sunny_threshold": (_PIPELINE, "sunny_threshold"),
+    "pipeline.cloudy_threshold": (_PIPELINE, "cloudy_threshold"),
+    "synth.n_customers": (_SYNTH, "n_customers"),
+    "synth.n_feeders": (_SYNTH, "n_feeders"),
+    "synth.days": (_SYNTH, "days"),
+    "synth.ar_rho": (_SYNTH, "ar_rho"),
+    "synth.loss_fraction": (_SYNTH, "loss_fraction"),
+    "synth.meter_noise_sd": (_SYNTH, "meter_noise_sd"),
+    "synth.shared_fraction": (_SYNTH, "shared_fraction"),
+    "synth.drift_sd": (_SYNTH, "shared_drift_sd"),
+    "synth.drift_rho": (_SYNTH, "shared_drift_rho"),
+    "synth.stay_prob": (_SYNTH, "regime_stay_prob"),
+}
+
+# an empty baseline.* or pipeline.fractions inherits (from net.*, or 1.0
+# per level); empty paths are unset
 _CONFIG_DEFAULTS = {
-    "site.latitude": "39.74",
-    "site.longitude": "-105.0",
-    "site.tz_offset": "-7",
-    "site.dc_rating_kw": "100",
-    "site.ac_rating_kw": "100",
-    "site.system_efficiency": "0.96",
-    "net.delay_d": "6",
-    "net.hidden_width": "6",
-    "net.max_epochs": "2000",
-    "net.step_size": "0.005",
-    "net.patience": "200",
-    "net.delta": "1e-9",
+    **{key: repr(getattr(obj, attr)) for key, (obj, attr) in _FIELD_KEYS.items()},
     "baseline.delay_d": "",
     "baseline.max_epochs": "",
-    "pipeline.target_level": "customer",
-    "pipeline.kappa_max": "1.5",
-    "pipeline.epsilon_fraction": "0.05",
-    "pipeline.day_threshold_fraction": "0.1",
-    "pipeline.max_retries": "5",
-    "pipeline.sunny_threshold": "0.8",
-    "pipeline.cloudy_threshold": "0.4",
+    "pipeline.target_level": _PIPELINE.target_level.label,
     "pipeline.fractions": "",
-    "synth.n_customers": "24",
-    "synth.n_feeders": "3",
-    "synth.days": "90",
-    "synth.ar_rho": "0.3",
-    "synth.loss_fraction": "0.04",
-    "synth.meter_noise_sd": "0.1",
-    "synth.shared_fraction": "0.0",
-    "synth.drift_sd": "0.0",
-    "synth.drift_rho": "0.995",
-    "synth.stay_prob": "0.7",
-    "synth.start": "2023-03-01",
+    "synth.start": _SYNTH.start_utc.date().isoformat(),
     "paths.input": "",
     "paths.out": "",
-    "seed": "0",
+    "seed": str(_PIPELINE.seed),
 }
 
 
@@ -171,24 +180,18 @@ def build_run_config(
         except ValueError as exc:
             raise ConfigError(f"{key} must be an integer, got {raw[key]!r}") from exc
 
+    def fields_of(default) -> dict:
+        """The parsed values of the keys backed by ``default``'s fields."""
+        return {
+            attr: (ival if isinstance(getattr(default, attr), int) else fval)(key)
+            for key, (obj, attr) in _FIELD_KEYS.items()
+            if obj is default
+        }
+
     seed = ival("seed") if seed_override is None else seed_override
     try:
-        site = SiteConfig(
-            latitude=fval("site.latitude"),
-            longitude=fval("site.longitude"),
-            tz_offset=fval("site.tz_offset"),
-            dc_rating_kw=fval("site.dc_rating_kw"),
-            ac_rating_kw=fval("site.ac_rating_kw"),
-            system_efficiency=fval("site.system_efficiency"),
-        )
-        net = NetworkConfig(
-            delay_d=ival("net.delay_d"),
-            hidden_width=ival("net.hidden_width"),
-            max_epochs=ival("net.max_epochs"),
-            step_size=fval("net.step_size"),
-            early_stop_patience=ival("net.patience"),
-            early_stop_delta=fval("net.delta"),
-        )
+        site = SiteConfig(**fields_of(DEFAULT_SITE))
+        net = NetworkConfig(**fields_of(DEFAULT_NET))
         baseline = replace(
             net,
             delay_d=(
@@ -200,16 +203,7 @@ def build_run_config(
         )
         start = _parse_date(raw["synth.start"], "synth.start")
         synth = SynthConfig(
-            n_customers=ival("synth.n_customers"),
-            n_feeders=ival("synth.n_feeders"),
-            days=ival("synth.days"),
-            ar_rho=fval("synth.ar_rho"),
-            loss_fraction=fval("synth.loss_fraction"),
-            meter_noise_sd=fval("synth.meter_noise_sd"),
-            shared_fraction=fval("synth.shared_fraction"),
-            shared_drift_sd=fval("synth.drift_sd"),
-            shared_drift_rho=fval("synth.drift_rho"),
-            regime_stay_prob=fval("synth.stay_prob"),
+            **fields_of(_SYNTH),
             seed=seed,
             start_utc=utc_datetime(start.year, start.month, start.day),
         )
@@ -221,17 +215,13 @@ def build_run_config(
                 )
             fractions = tuple(float(p) for p in parts)
         else:
-            fractions = (1.0, 1.0, 1.0)
+            fractions = _PIPELINE.capacity_fractions
+        target_level = MeasurementLevel.from_label(raw["pipeline.target_level"])
         pipeline = PipelineConfig(
+            **fields_of(_PIPELINE),
             seed=seed,
-            target_level=MeasurementLevel.from_label(raw["pipeline.target_level"]),
+            target_level=target_level,
             capacity_fractions=fractions,
-            kappa_max=fval("pipeline.kappa_max"),
-            epsilon_fraction=fval("pipeline.epsilon_fraction"),
-            day_threshold_fraction=fval("pipeline.day_threshold_fraction"),
-            max_retries=ival("pipeline.max_retries"),
-            sunny_threshold=fval("pipeline.sunny_threshold"),
-            cloudy_threshold=fval("pipeline.cloudy_threshold"),
             fit_net=net,
             narx_net=net,
             baseline_net=baseline,
@@ -363,14 +353,14 @@ def _dataset_from_csv(run: RunConfig, trim: bool) -> MultiLevelDataset:
                 f"need exactly one series per level; several at {s.level.label}"
             )
         per_level[s.level] = s
-    for level in _LEVELS:
+    for level in MeasurementLevel:
         if level not in per_level:
             raise ParseError(f"no series at the {level.label} level")
-    return align_levels(
-        per_level[MeasurementLevel.CUSTOMER],
-        per_level[MeasurementLevel.FEEDER],
-        per_level[MeasurementLevel.SUBSTATION],
-        run.site,
+    return MultiLevelDataset(
+        customer=per_level[MeasurementLevel.CUSTOMER],
+        feeder=per_level[MeasurementLevel.FEEDER],
+        substation=per_level[MeasurementLevel.SUBSTATION],
+        site=run.site,
     )
 
 
@@ -484,11 +474,10 @@ def cmd_preprocess(run: RunConfig, args) -> int:
     dataset = _dataset_from_csv(run, args.trim_to_overlap)
     profile = _profile_for(run, dataset)
     cfg = run.pipeline
-    threshold = 0.01 * float(profile.power_kw.max())
-    mask = profile.power_kw >= threshold
+    mask = day_mask(profile, cfg)
     index_rows = []
     summary_rows = []
-    for level in _LEVELS:
+    for level in MeasurementLevel:
         scaled = profile.scaled(cfg.fraction(level))
         pre = preprocess(
             dataset.series(level), scaled, kappa_max=cfg.kappa_max, day_mask=mask
@@ -555,7 +544,9 @@ def cmd_forecast(run: RunConfig, args) -> int:
     human = []
     full = []
     for cid in _case_ids(args.case):
-        result = run_case(cid, dataset, profile, day, run.pipeline)
+        # one context per case, so no case reuses another's nets: the
+        # benchmark's day-ahead-cli workload pins these train counts
+        result = run_case(cid, ForecastDay.at(dataset, profile, day, run.pipeline))
         forecast = result.forecast
         rows = [
             (_format_ts(forecast.timestamp(i)), f"{forecast.values[i]:.17g}")
@@ -605,22 +596,13 @@ def cmd_forecast(run: RunConfig, args) -> int:
 def cmd_cases(run: RunConfig, args) -> int:
     dataset = _dataset_from_csv(run, args.trim_to_overlap)
     profile = _profile_for(run, dataset)
-    # A forecast day is valid when its local-midnight window [w0, w0 + 24h)
-    # starts with at least 30 days of history and ends inside the dataset.
-    first_local = (dataset.start + timedelta(hours=run.site.tz_offset)).date()
-    valid = []
-    for k in range(dataset.n // 24 + 2):
-        day = first_local + timedelta(days=k)
-        w0 = utc_datetime(day.year, day.month, day.day) - timedelta(
-            hours=run.site.tz_offset
-        )
-        i0, rem = divmod(int((w0 - dataset.start).total_seconds()), 3600)
-        if rem == 0 and 30 * 24 <= i0 and i0 + 24 <= dataset.n:
-            valid.append(day)
+    valid = valid_forecast_days(dataset)
     if args.days is not None:
         valid = valid[-args.days :]
     if not valid:
-        raise MisalignedRange("no forecast day has 30 days of history")
+        raise MisalignedRange(
+            f"no forecast day has {MIN_HISTORY_DAYS} days of history"
+        )
     comparison = compare_cases(dataset, profile, valid, run.pipeline)
     out = _out_dir(run)
     human = [
@@ -685,7 +667,7 @@ def cmd_plotdata(run: RunConfig, args) -> int:
     profile = _profile_for(run, dataset)
     day = _parse_date(args.day, "--day")
     (cid,) = _case_ids(args.case or "case2")
-    result = run_case(cid, dataset, profile, day, run.pipeline)
+    result = run_case(cid, ForecastDay.at(dataset, profile, day, run.pipeline))
     text = _day_series_file(result, dataset, run.pipeline.target_level)
     _emit(run, f"plot_{cid.label}_{day.isoformat()}.csv", text)
     return 0

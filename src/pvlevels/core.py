@@ -17,8 +17,11 @@ from .errors import LengthMismatch, LevelTagMismatch, MisalignedRange
 
 HOUR = timedelta(hours=1)
 
-#: Minimum history considered usable for model fitting: 30 days of hours.
-MIN_USABLE_HOURS = 30 * 24
+#: Minimum history ahead of a forecast day, in days.
+MIN_HISTORY_DAYS = 30
+
+#: Minimum history considered usable for model fitting, in hours.
+MIN_USABLE_HOURS = MIN_HISTORY_DAYS * 24
 
 
 class MeasurementLevel(enum.IntEnum):
@@ -213,20 +216,6 @@ class MultiLevelDataset:
         )
 
 
-def align_levels(
-    c: HourlyPowerSeries,
-    f: HourlyPowerSeries,
-    s: HourlyPowerSeries,
-    site: SiteConfig,
-) -> MultiLevelDataset:
-    """Bundle three per-level series after checking tags, starts and lengths.
-
-    The positions are fixed (customer, feeder, substation); a series whose
-    level tag disagrees with its position is rejected rather than reordered.
-    """
-    return MultiLevelDataset(customer=c, feeder=f, substation=s, site=site)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Counts of suspicious readings in one series; never raises."""
@@ -234,7 +223,6 @@ class ValidationReport:
     n_total: int
     negative_count: int
     over_rating_count: int
-    nan_count: int
     usable: bool
 
 
@@ -242,19 +230,15 @@ def validate_series(series: HourlyPowerSeries, site: SiteConfig) -> ValidationRe
     """Report data-quality counters for one series.
 
     Negative readings are allowed (sensor bias before offset removal) and
-    only counted. ``usable`` requires a NaN-free series of at least 30 days.
+    only counted. ``usable`` requires at least MIN_USABLE_HOURS; a series
+    never holds NaN, since ``HourlyPowerSeries`` rejects non-finite values.
     """
     v = series.values
-    negative = int(np.count_nonzero(v < 0.0))
-    over = int(np.count_nonzero(v > 1.1 * site.ac_rating_kw))
-    nan = int(np.count_nonzero(~np.isfinite(v)))
-    usable = nan == 0 and series.n >= MIN_USABLE_HOURS
     return ValidationReport(
         n_total=series.n,
-        negative_count=negative,
-        over_rating_count=over,
-        nan_count=nan,
-        usable=usable,
+        negative_count=int(np.count_nonzero(v < 0.0)),
+        over_rating_count=int(np.count_nonzero(v > 1.1 * site.ac_rating_kw)),
+        usable=series.n >= MIN_USABLE_HOURS,
     )
 
 

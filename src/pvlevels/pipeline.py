@@ -28,14 +28,14 @@ customer only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 
 from .clearsky import ClearSkyProfile
 from .core import (
-    HOUR,
+    MIN_HISTORY_DAYS,
     HourlyPowerSeries,
     MeasurementLevel,
     MultiLevelDataset,
@@ -73,15 +73,6 @@ _TAG_FIT = 101
 _TAG_NARX = 102
 _TAG_BASELINE = 103
 
-#: Minimum history ahead of a forecast day, in days.
-MIN_HISTORY_DAYS = 30
-
-_LEVELS = (
-    MeasurementLevel.CUSTOMER,
-    MeasurementLevel.FEEDER,
-    MeasurementLevel.SUBSTATION,
-)
-
 
 class CaseStudy(enum.Enum):
     """The four benchmark configurations."""
@@ -98,7 +89,7 @@ class CaseStudy(enum.Enum):
 
 #: Measurement levels each NARX case feeds on.
 CASE_LEVELS = {
-    CaseStudy.CASE2: frozenset(_LEVELS),
+    CaseStudy.CASE2: frozenset(MeasurementLevel),
     CaseStudy.CASE3: frozenset(
         {MeasurementLevel.CUSTOMER, MeasurementLevel.FEEDER}
     ),
@@ -219,7 +210,7 @@ class CaseResult:
         if self.case_id is CaseStudy.CASE1:
             if self.per_level_reports is None or self.report is not None:
                 raise ValueError("case 1 carries per-level reports only")
-            if set(self.per_level_reports) != set(_LEVELS):
+            if set(self.per_level_reports) != set(MeasurementLevel):
                 raise ValueError("case 1 needs a report for every level")
         else:
             if self.report is None or self.per_level_reports is not None:
@@ -262,10 +253,18 @@ def select_best_fitting(models: list[FittingModel]) -> FittingModel:
     return min(models, key=lambda m: (-m.fit_r2, m.fit_mape, int(m.level)))
 
 
-def _day_window(
-    dataset: MultiLevelDataset, forecast_day: date
-) -> tuple[int, datetime]:
-    """Start index and UTC start instant of the site-local forecast day."""
+def day_mask(profile: ClearSkyProfile, config: PipelineConfig) -> np.ndarray:
+    """The hours every level counts as day: clear-sky power at or above
+    day_threshold_fraction of the profile's peak."""
+    return profile.power_kw >= config.day_threshold_fraction * float(profile.power_kw.max())
+
+
+def _window_start(dataset: MultiLevelDataset, forecast_day: date) -> int:
+    """Hour index of the site-local midnight that starts ``forecast_day``.
+
+    The day must lie fully inside the dataset, after MIN_HISTORY_DAYS of
+    history.
+    """
     tz = dataset.site.tz_offset
     if (tz * 60.0) % 60.0 != 0.0:
         raise MisalignedRange(
@@ -284,11 +283,43 @@ def _day_window(
         raise InsufficientHistory(
             f"forecast day {forecast_day} is not fully inside the dataset"
         )
-    return i0, w0
+    return i0
 
 
-def _shared_day_mask(profile: ClearSkyProfile, threshold_kw: float) -> np.ndarray:
-    return profile.power_kw >= threshold_kw
+def valid_forecast_days(dataset: MultiLevelDataset) -> list[date]:
+    """The site-local days whose window ``ForecastDay.at`` accepts, in order."""
+    first_local = (dataset.start + timedelta(hours=dataset.site.tz_offset)).date()
+    days = []
+    for k in range(dataset.n // 24 + 2):
+        day = first_local + timedelta(days=k)
+        try:
+            _window_start(dataset, day)
+        except (InsufficientHistory, MisalignedRange):
+            continue
+        days.append(day)
+    return days
+
+
+def _measured_weather(
+    dataset: MultiLevelDataset,
+    profile: ClearSkyProfile,
+    mask: np.ndarray,
+    a: int,
+    config: PipelineConfig,
+) -> tuple[Weather, float]:
+    """Weather class and mean clear-sky index the target level measured
+    over the 24 hours from ``a``."""
+    target = config.target_level
+    measured = normalize_and_mask(
+        dataset.series(target).sliced(a, a + 24),
+        profile.sliced(a, a + 24).scaled(config.fraction(target)),
+        kappa_max=config.kappa_max,
+        day_mask=mask[a : a + 24],
+    )
+    weather = classify_weather_day(
+        measured.index_values, config.sunny_threshold, config.cloudy_threshold
+    )
+    return weather, float(measured.index_values.mean())
 
 
 def _preprocess_level(
@@ -296,16 +327,13 @@ def _preprocess_level(
     profile: ClearSkyProfile,
     level: MeasurementLevel,
     mask: np.ndarray,
-    a: int,
-    b: int,
     config: PipelineConfig,
 ) -> PreprocessedSeries:
-    scaled = profile.scaled(config.fraction(level)).sliced(a, b)
     return preprocess(
-        dataset.series(level).sliced(a, b),
-        scaled,
+        dataset.series(level),
+        profile.scaled(config.fraction(level)),
         kappa_max=config.kappa_max,
-        day_mask=mask[a:b],
+        day_mask=mask,
     )
 
 
@@ -313,37 +341,23 @@ def build_fitting_models(
     dataset: MultiLevelDataset,
     profile: ClearSkyProfile,
     config: PipelineConfig,
-    levels: tuple[MeasurementLevel, ...] = _LEVELS,
-    day_mask: np.ndarray | None = None,
-    _cache: dict | None = None,
+    levels: tuple[MeasurementLevel, ...] = tuple(MeasurementLevel),
+    mask: np.ndarray | None = None,
 ) -> list[FittingModel]:
     """One NAR fitting model per requested level, fixed (C, F, S) order.
 
-    All levels share one day mask (computed from the profile unless
-    supplied) so their index series stay sample-aligned. ``_cache``
-    (keyed by level and history length) skips retraining a fit model
-    that an earlier case of the same comparison already built; it never
-    changes results because the training is seed-deterministic.
+    All levels share one day mask (``day_mask`` of the profile unless
+    supplied) so their index series stay sample-aligned.
     """
     if dataset.n != profile.n or dataset.start != profile.start:
         raise MisalignedRange("dataset and clear-sky profile are not aligned")
-    if day_mask is None:
-        threshold = config.day_threshold_fraction * float(profile.power_kw.max())
-        mask = _shared_day_mask(profile, threshold)
-    else:
-        mask = np.asarray(day_mask, dtype=bool)
+    if mask is None:
+        mask = day_mask(profile, config)
     models = []
     for level in sorted(levels, key=int):
-        key = ("fit", int(level), dataset.n)
-        if _cache is not None and key in _cache:
-            models.append(_cache[key])
-            continue
-        pre = _preprocess_level(dataset, profile, level, mask, 0, dataset.n, config)
+        pre = _preprocess_level(dataset, profile, level, mask, config)
         cfg = replace(config.fit_net, seed=derive_seed(config.seed, _TAG_FIT, int(level)))
-        model = fit_nar(pre, cfg)
-        if _cache is not None:
-            _cache[key] = model
-        models.append(model)
+        models.append(fit_nar(pre, cfg))
     return models
 
 
@@ -358,99 +372,182 @@ def _fit_channel(model: FittingModel, own_index: np.ndarray) -> np.ndarray:
     return np.concatenate([own_index[:d], preds])
 
 
-def _baseline_report(
-    dataset: MultiLevelDataset,
-    profile: ClearSkyProfile,
-    level: MeasurementLevel,
-    i0: int,
-    mask_day: np.ndarray,
-    config: PipelineConfig,
-    cache: dict | None = None,
-) -> tuple[MetricReport, HourlyPowerSeries]:
-    """Raw-kW NAR baseline for one level on one forecast day.
+@dataclass(frozen=True, eq=False)
+class ForecastDay:
+    """What every case on one forecast day shares, derived once.
 
-    No preprocessing: the net sees the measured series scaled by the
-    level's full index-domain range (kappa_max times its share of the AC
-    rating) purely to keep tanh inputs in a sane band. The architecture
-    is deliberately the same as the forecasting nets so the comparison
-    isolates what actually differs between the cases: normalization and
-    the extra measurement channels, not network capacity.
+    ``i0`` is the hour index of the day's local midnight; ``mask`` is the
+    day mask all levels share, over the whole dataset; ``day_profile``
+    and ``actual`` are the target level's clear-sky profile and measured
+    kW over the day's 24 hours; ``epsilon_kw`` is each level's MAPE
+    exclusion floor; ``weather`` and ``mean_index`` are the class and
+    mean clear-sky index the target level measured that day.
 
-    ``cache`` (keyed by level and day) only avoids retraining the same
-    baseline within one comparison run; it never changes results.
+    The baselines and fitting models trained for the day are kept as
+    they are first asked for, so the cases run on one context train each
+    of them once. Training is seed-deterministic, so sharing never
+    changes a result.
     """
-    key = (int(level), i0)
-    if cache is not None and key in cache:
-        return cache[key]
-    site = dataset.site
-    scale = config.kappa_max * site.ac_rating_kw * config.fraction(level)
-    series = dataset.series(level)
-    u = series.values[:i0] / scale
-    cfg = replace(
-        config.baseline_net,
-        n_exo_channels=0,
-        seed=derive_seed(config.seed, _TAG_BASELINE, int(level), i0),
-    )
-    inputs, targets = make_training_set(u, (), cfg.delay_d)
-    net = train(init_network(cfg), inputs, targets)
-    pred_u = predict_closed_loop(
-        net, u[-cfg.delay_d :], horizon=24, clamp=(0.0, 1.0)
-    )
-    forecast = HourlyPowerSeries(
-        site_id=f"baseline-{level.label}",
-        level=level,
-        start=series.timestamp(i0),
-        values=pred_u * scale,
-    )
-    actual = series.values[i0 : i0 + 24]
-    eps = config.epsilon_fraction * site.ac_rating_kw * config.fraction(level)
-    rep = report(
-        actual[mask_day], forecast.values[mask_day], epsilon_kw=eps, partial=True
-    )
-    if cache is not None:
-        cache[key] = (rep, forecast)
-    return rep, forecast
+
+    dataset: MultiLevelDataset
+    profile: ClearSkyProfile
+    config: PipelineConfig
+    day: date
+    i0: int
+    mask: np.ndarray
+    day_profile: ClearSkyProfile
+    actual: np.ndarray
+    epsilon_kw: dict[MeasurementLevel, float]
+    weather: Weather
+    mean_index: float
+    _baselines: dict = field(default_factory=dict, init=False, repr=False)
+    _fits: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def at(
+        cls,
+        dataset: MultiLevelDataset,
+        profile: ClearSkyProfile,
+        forecast_day: date,
+        config: PipelineConfig,
+    ) -> ForecastDay:
+        """The context of ``forecast_day``.
+
+        Raises InsufficientHistory or MisalignedRange for a day outside
+        ``valid_forecast_days``, or for a profile not aligned with the data.
+        """
+        if dataset.n != profile.n or dataset.start != profile.start:
+            raise MisalignedRange("dataset and clear-sky profile are not aligned")
+        i0 = _window_start(dataset, forecast_day)
+        mask = day_mask(profile, config)
+        weather, mean_index = _measured_weather(dataset, profile, mask, i0, config)
+        target = config.target_level
+        rating = dataset.site.ac_rating_kw
+        return cls(
+            dataset=dataset,
+            profile=profile,
+            config=config,
+            day=forecast_day,
+            i0=i0,
+            mask=mask,
+            day_profile=profile.sliced(i0, i0 + 24).scaled(config.fraction(target)),
+            actual=dataset.series(target).values[i0 : i0 + 24],
+            epsilon_kw={
+                lv: config.epsilon_fraction * rating * config.fraction(lv)
+                for lv in MeasurementLevel
+            },
+            weather=weather,
+            mean_index=mean_index,
+        )
+
+    @property
+    def day_hours(self) -> np.ndarray:
+        """The day mask over the forecast day's 24 hours."""
+        return self.mask[self.i0 : self.i0 + 24]
+
+    def history(self, level: MeasurementLevel) -> PreprocessedSeries:
+        """The level's clear-sky-index series before the forecast day."""
+        i0 = self.i0
+        return _preprocess_level(
+            self.dataset.sliced(0, i0),
+            self.profile.sliced(0, i0),
+            level,
+            self.mask[:i0],
+            self.config,
+        )
+
+    def fitting_models(self, levels) -> list[FittingModel]:
+        """The history's fitting models of ``levels``, in (C, F, S) order."""
+        levels = sorted(levels, key=int)
+        missing = tuple(lv for lv in levels if lv not in self._fits)
+        if missing:
+            i0 = self.i0
+            for model in build_fitting_models(
+                self.dataset.sliced(0, i0),
+                self.profile.sliced(0, i0),
+                self.config,
+                levels=missing,
+                mask=self.mask[:i0],
+            ):
+                self._fits[model.level] = model
+        return [self._fits[lv] for lv in levels]
+
+    def baseline(
+        self, level: MeasurementLevel
+    ) -> tuple[MetricReport, HourlyPowerSeries]:
+        """Raw-kW NAR baseline for one level: its report and forecast.
+
+        No preprocessing: the net sees the measured series scaled by the
+        level's full index-domain range (kappa_max times its share of the
+        AC rating) purely to keep tanh inputs in a sane band. The
+        architecture is deliberately the same as the forecasting nets so
+        the comparison isolates what actually differs between the cases:
+        normalization and the extra measurement channels, not network
+        capacity.
+        """
+        if level in self._baselines:
+            return self._baselines[level]
+        config, i0 = self.config, self.i0
+        scale = config.kappa_max * self.dataset.site.ac_rating_kw * config.fraction(level)
+        series = self.dataset.series(level)
+        u = series.values[:i0] / scale
+        cfg = replace(
+            config.baseline_net,
+            n_exo_channels=0,
+            seed=derive_seed(config.seed, _TAG_BASELINE, int(level), i0),
+        )
+        inputs, targets = make_training_set(u, (), cfg.delay_d)
+        net = train(init_network(cfg), inputs, targets)
+        pred_u = predict_closed_loop(
+            net, u[-cfg.delay_d :], horizon=24, clamp=(0.0, 1.0)
+        )
+        forecast = HourlyPowerSeries(
+            site_id=f"baseline-{level.label}",
+            level=level,
+            start=series.timestamp(i0),
+            values=pred_u * scale,
+        )
+        mask_day = self.day_hours
+        rep = report(
+            series.values[i0 : i0 + 24][mask_day],
+            forecast.values[mask_day],
+            epsilon_kw=self.epsilon_kw[level],
+            partial=True,
+        )
+        self._baselines[level] = (rep, forecast)
+        return rep, forecast
 
 
 def forecast_day_ahead(
-    dataset: MultiLevelDataset,
-    profile: ClearSkyProfile,
+    day: ForecastDay,
     levels_used: frozenset[MeasurementLevel] | set[MeasurementLevel],
-    target_level: MeasurementLevel,
-    forecast_day: date,
-    config: PipelineConfig,
-    _baseline_cache: dict | None = None,
 ) -> tuple[HourlyPowerSeries, LevelErrors, CaseResult]:
     """The full multi-level recipe for one day. See the module docstring.
 
-    Each attempt trains narx_committee identically configured nets from
-    different derived seeds and takes the pointwise median of their
-    closed-loop index paths. Attempts repeat with fresh seeds (up to
-    max_retries total) while the error is not below the smallest
-    per-level baseline error, and the best attempt is kept either way.
+    The target is ``config.target_level``. Each attempt trains
+    narx_committee identically configured nets from different derived
+    seeds and takes the pointwise median of their closed-loop index
+    paths. Attempts repeat with fresh seeds (up to max_retries total)
+    while the error is not below the smallest per-level baseline error,
+    and the best attempt is kept either way.
     """
     levels_used = frozenset(levels_used)
-    if dataset.n != profile.n or dataset.start != profile.start:
-        raise MisalignedRange("dataset and clear-sky profile are not aligned")
-    i0, w0 = _day_window(dataset, forecast_day)
-    threshold = config.day_threshold_fraction * float(profile.power_kw.max())
-    mask = _shared_day_mask(profile, threshold)
-    mask_day = mask[i0 : i0 + 24]
+    case_id = next(
+        (cid for cid, lvls in CASE_LEVELS.items() if lvls == levels_used), None
+    )
+    if case_id is None:
+        raise ValueError(
+            f"level set {sorted(l.label for l in levels_used)} "
+            "matches no case study"
+        )
+    config = day.config
+    target_level = config.target_level
+    i0, mask_day = day.i0, day.day_hours
 
     involved = sorted(levels_used | {target_level}, key=int)
-    pre = {
-        lv: _preprocess_level(dataset, profile, lv, mask, 0, i0, config)
-        for lv in involved
-    }
+    pre = {lv: day.history(lv) for lv in involved}
 
-    fit_models = build_fitting_models(
-        dataset.sliced(0, i0),
-        profile.sliced(0, i0),
-        config,
-        levels=tuple(sorted(levels_used, key=int)),
-        day_mask=mask[:i0],
-        _cache=_baseline_cache,
-    )
+    fit_models = day.fitting_models(levels_used)
     by_level = {m.level: m for m in fit_models}
     best = select_best_fitting(fit_models)
 
@@ -480,7 +577,7 @@ def forecast_day_ahead(
     )
     # per-day stretches only: a sample must never regress across the
     # overnight gap, where the weather regime can silently turn over
-    segs = day_run_lengths(mask[:i0])
+    segs = day_run_lengths(day.mask[:i0])
     if config.train_window_days is not None:
         segs = segs[-config.train_window_days :]
     tail = sum(segs)
@@ -490,20 +587,7 @@ def forecast_day_ahead(
     y_seed = y[-d:]
     exo_seed = [ch[-d:] for ch in exo_hist]
 
-    day_profile = profile.scaled(config.fraction(target_level)).sliced(i0, i0 + 24)
-    actual_day = dataset.series(target_level).values[i0 : i0 + 24]
-    eps = (
-        config.epsilon_fraction
-        * dataset.site.ac_rating_kw
-        * config.fraction(target_level)
-    )
-
-    reports = {
-        lv: _baseline_report(
-            dataset, profile, lv, i0, mask_day, config, cache=_baseline_cache
-        )[0]
-        for lv in _LEVELS
-    }
+    reports = {lv: day.baseline(lv)[0] for lv in MeasurementLevel}
     e_c = reports[MeasurementLevel.CUSTOMER].mape
     e_f = reports[MeasurementLevel.FEEDER].mape
     e_s = reports[MeasurementLevel.SUBSTATION].mape
@@ -538,14 +622,14 @@ def forecast_day_ahead(
         forecast = postprocess(
             pred_index,
             mask_day,
-            day_profile,
+            day.day_profile,
             site_id=f"forecast-{target_level.label}",
             level=target_level,
         )
         rep = report(
-            actual_day[mask_day],
+            day.actual[mask_day],
             forecast.values[mask_day],
-            epsilon_kw=eps,
+            epsilon_kw=day.epsilon_kw[target_level],
             partial=True,
         )
         if best_attempt is None or rep.mape < best_attempt[0]:
@@ -557,26 +641,9 @@ def forecast_day_ahead(
     errors = LevelErrors(
         e_c=e_c, e_f=e_f, e_s=e_s, e_n=e_n, target_met=e_n < floor
     )
-    case_id = next(
-        (cid for cid, lvls in CASE_LEVELS.items() if lvls == levels_used), None
-    )
-    if case_id is None:
-        raise ValueError(
-            f"level set {sorted(l.label for l in levels_used)} "
-            "matches no case study"
-        )
-    measured_index = normalize_and_mask(
-        dataset.series(target_level).sliced(i0, i0 + 24),
-        day_profile,
-        kappa_max=config.kappa_max,
-        day_mask=mask_day,
-    )
-    weather = classify_weather_day(
-        measured_index.index_values, config.sunny_threshold, config.cloudy_threshold
-    )
     result = CaseResult(
         case_id=case_id,
-        weather=weather,
+        weather=day.weather,
         levels_used=levels_used,
         forecast=final_forecast,
         seed=final_seed,
@@ -586,61 +653,21 @@ def forecast_day_ahead(
     return final_forecast, errors, result
 
 
-def run_case(
-    case_id: CaseStudy,
-    dataset: MultiLevelDataset,
-    profile: ClearSkyProfile,
-    forecast_day: date,
-    config: PipelineConfig,
-    _baseline_cache: dict | None = None,
-) -> CaseResult:
+def run_case(case_id: CaseStudy, day: ForecastDay) -> CaseResult:
     """One benchmark case on one day.
 
     Case 1 runs the raw-kW baseline at every level and reports each;
     cases 2-4 delegate to the multi-level recipe with their level sets.
     """
     if case_id is not CaseStudy.CASE1:
-        _, _, result = forecast_day_ahead(
-            dataset,
-            profile,
-            CASE_LEVELS[case_id],
-            config.target_level,
-            forecast_day,
-            config,
-            _baseline_cache=_baseline_cache,
-        )
-        return result
-    i0, _ = _day_window(dataset, forecast_day)
-    threshold = config.day_threshold_fraction * float(profile.power_kw.max())
-    mask = _shared_day_mask(profile, threshold)
-    mask_day = mask[i0 : i0 + 24]
-    reports = {}
-    target_forecast = None
-    for level in _LEVELS:
-        rep, forecast = _baseline_report(
-            dataset, profile, level, i0, mask_day, config, cache=_baseline_cache
-        )
-        reports[level] = rep
-        if level is config.target_level:
-            target_forecast = forecast
-    day_profile = profile.scaled(config.fraction(config.target_level)).sliced(
-        i0, i0 + 24
-    )
-    measured_index = normalize_and_mask(
-        dataset.series(config.target_level).sliced(i0, i0 + 24),
-        day_profile,
-        kappa_max=config.kappa_max,
-        day_mask=mask_day,
-    )
-    weather = classify_weather_day(
-        measured_index.index_values, config.sunny_threshold, config.cloudy_threshold
-    )
+        return forecast_day_ahead(day, CASE_LEVELS[case_id])[2]
+    reports = {lv: day.baseline(lv)[0] for lv in MeasurementLevel}
     return CaseResult(
         case_id=CaseStudy.CASE1,
-        weather=weather,
-        levels_used=frozenset(_LEVELS),
-        forecast=target_forecast,
-        seed=config.seed,
+        weather=day.weather,
+        levels_used=frozenset(MeasurementLevel),
+        forecast=day.baseline(day.config.target_level)[1],
+        seed=day.config.seed,
         per_level_reports=reports,
     )
 
@@ -701,29 +728,15 @@ def compare_cases(
     """
     if not days:
         raise EmptyList("no candidate forecast days")
-    threshold = config.day_threshold_fraction * float(profile.power_kw.max())
-    mask = _shared_day_mask(profile, threshold)
-    day_profile_full = profile.scaled(config.fraction(config.target_level))
-
-    def day_weather(a: int, b: int) -> tuple[Weather, float]:
-        measured = normalize_and_mask(
-            dataset.series(config.target_level).sliced(a, b),
-            day_profile_full.sliced(a, b),
-            kappa_max=config.kappa_max,
-            day_mask=mask[a:b],
-        )
-        mean_index = float(measured.index_values.mean())
-        weather = classify_weather_day(
-            measured.index_values, config.sunny_threshold, config.cloudy_threshold
-        )
-        return weather, mean_index
-
     candidates = []
     for day in days:
-        i0, _ = _day_window(dataset, day)
-        weather, mean_index = day_weather(i0, i0 + 24)
-        prev_weather, prev_mean = day_weather(i0 - 24, i0)
-        candidates.append((day, mean_index, weather, prev_weather, prev_mean))
+        context = ForecastDay.at(dataset, profile, day, config)
+        prev_weather, prev_mean = _measured_weather(
+            dataset, profile, context.mask, context.i0 - 24, config
+        )
+        candidates.append(
+            (day, context.mean_index, context.weather, prev_weather, prev_mean)
+        )
 
     rows = []
     missing = []
@@ -735,11 +748,10 @@ def compare_cases(
         stable = [c for c in matching if c[3] is weather]
         pool = stable if stable else matching
         chosen = min(pool, key=lambda c: (abs(c[1] - c[4]), c[0]))[0]
-        cache: dict = {}
-        results = {
-            cid: run_case(cid, dataset, profile, chosen, config, _baseline_cache=cache)
-            for cid in CaseStudy
-        }
+        # one context per row, shared by its four cases; the candidates'
+        # contexts are not kept, each holds a whole-dataset day mask
+        context = ForecastDay.at(dataset, profile, chosen, config)
+        results = {cid: run_case(cid, context) for cid in CaseStudy}
         rows.append(
             CaseRow(
                 weather=weather,

@@ -47,7 +47,6 @@ from .core import (
     MultiLevelDataset,
     SiteConfig,
     Weather,
-    align_levels,
     derive_seed,
     make_generator,
     utc_datetime,
@@ -399,5 +398,7 @@ def gen_dataset(
             customers[0].values, daylight, config.meter_noise_sd, meter_rng
         ),
     )
-    dataset = align_levels(measured_customer, feeders[0], substation, site)
+    dataset = MultiLevelDataset(
+        customer=measured_customer, feeder=feeders[0], substation=substation, site=site
+    )
     return dataset, profile

@@ -13,8 +13,11 @@ from pvlevels.cli import (
     trim_to_overlap,
     write_csv,
 )
+from pvlevels.clearsky import clearsky_profile
 from pvlevels.core import HourlyPowerSeries, MeasurementLevel, utc_datetime
 from pvlevels.errors import DuplicateRow, GapError, MisalignedRange, ParseError
+from pvlevels.pipeline import PipelineConfig, day_mask
+from pvlevels.synth import DEFAULT_SITE, SynthConfig
 
 C, F, S = (
     MeasurementLevel.CUSTOMER,
@@ -66,6 +69,12 @@ class TestBuildRunConfig:
         assert run.pipeline.max_retries == 5
         assert run.input_path is None
         assert run.out_dir is None
+
+    def test_defaults_come_from_the_dataclasses(self):
+        run = build_run_config({})
+        assert run.site == DEFAULT_SITE
+        assert run.pipeline == PipelineConfig()
+        assert run.synth == SynthConfig()
 
     def test_seed_flows_to_both_configs(self):
         run = build_run_config({"seed": "9"})
@@ -390,6 +399,19 @@ class TestPreprocessAndFit:
         ]
         n_day = int(summary[1].split(",")[3])
         assert len(index_lines) == 1 + 3 * n_day
+
+    def test_preprocess_uses_the_pipeline_day_mask(self, workspace, tmp_path):
+        _, config, data_dir = workspace
+        code = cmd_dispatch(
+            ["--config", str(config), "--out", str(tmp_path), "preprocess"]
+        )
+        assert code == 0
+        run = build_run_config(parse_config_text(config.read_text()))
+        customer = load_csv(data_dir / "dataset.csv")[0]
+        profile = clearsky_profile(run.site, customer.start, customer.n)
+        n_mask = int(day_mask(profile, run.pipeline).sum())
+        summary = (tmp_path / "preprocess_summary.csv").read_text().splitlines()
+        assert [int(line.split(",")[3]) for line in summary[1:]] == [n_mask] * 3
 
     def test_fit_outputs(self, workspace, tmp_path):
         _, config, _ = workspace

@@ -9,7 +9,6 @@ from pvlevels.core import (
     MultiLevelDataset,
     SiteConfig,
     Weather,
-    align_levels,
     derive_seed,
     make_generator,
     utc_datetime,
@@ -125,7 +124,9 @@ class TestMultiLevelDataset:
             s=make_series(level=MeasurementLevel.SUBSTATION),
         )
         kw.update(overrides)
-        return align_levels(kw["c"], kw["f"], kw["s"], SITE)
+        return MultiLevelDataset(
+            customer=kw["c"], feeder=kw["f"], substation=kw["s"], site=SITE
+        )
 
     def test_align_and_lookup(self):
         ds = self.build()

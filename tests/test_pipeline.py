@@ -292,53 +292,82 @@ class TestCaseLevels:
         assert CaseStudy.CASE1 not in CASE_LEVELS
 
 
+def context(dataset, profile, day, config):
+    return pv.ForecastDay.at(dataset, profile, day, config)
+
+
 class TestForecastWindowErrors:
     def test_too_little_history(self, data, fast):
         dataset, profile = data
         with pytest.raises(InsufficientHistory):
-            pv.forecast_day_ahead(
-                dataset, profile, CASE_LEVELS[CaseStudy.CASE4], C,
-                local_day(5), fast,
-            )
+            context(dataset, profile, local_day(5), fast)
 
     def test_day_past_dataset_end(self, data, fast):
         dataset, profile = data
         with pytest.raises(InsufficientHistory):
-            pv.forecast_day_ahead(
-                dataset, profile, CASE_LEVELS[CaseStudy.CASE4], C,
-                local_day(43), fast,
-            )
+            context(dataset, profile, local_day(43), fast)
 
     def test_profile_misaligned(self, data, fast):
         dataset, profile = data
         with pytest.raises(MisalignedRange):
-            pv.forecast_day_ahead(
-                dataset, profile.sliced(0, profile.n - 24),
-                CASE_LEVELS[CaseStudy.CASE4], C, local_day(39), fast,
-            )
+            context(dataset, profile.sliced(0, profile.n - 24), local_day(39), fast)
 
     def test_fractional_tz_rejected(self, data, fast):
         dataset, profile = data
         skewed = replace(dataset, site=replace(dataset.site, tz_offset=-6.5))
         with pytest.raises(MisalignedRange):
-            pv.forecast_day_ahead(
-                skewed, profile, CASE_LEVELS[CaseStudy.CASE4], C,
-                local_day(39), fast,
-            )
+            context(skewed, profile, local_day(39), fast)
+        assert pv.valid_forecast_days(skewed) == []
 
     def test_unknown_level_set(self, data, fast):
         dataset, profile = data
         with pytest.raises(ValueError):
             pv.forecast_day_ahead(
-                dataset, profile, frozenset((F,)), C, local_day(39), fast
+                context(dataset, profile, local_day(39), fast), frozenset((F,))
             )
+
+
+class TestForecastDay:
+    def test_valid_days_are_the_accepted_days(self, data, fast):
+        dataset, profile = data
+        accepted = []
+        for k in range(-2, 47):
+            try:
+                context(dataset, profile, local_day(k), fast)
+            except (InsufficientHistory, MisalignedRange):
+                continue
+            accepted.append(local_day(k))
+        assert pv.valid_forecast_days(dataset) == accepted
+        assert accepted[0] == local_day(pv.MIN_HISTORY_DAYS)
+
+    def test_fields(self, data, fast):
+        dataset, profile = data
+        day = context(dataset, profile, local_day(39), fast)
+        assert day.day == local_day(39)
+        assert dataset.customer.timestamp(day.i0) == utc_datetime(2023, 4, 9, 7)
+        threshold = fast.day_threshold_fraction * float(profile.power_kw.max())
+        assert np.array_equal(day.mask, profile.power_kw >= threshold)
+        assert np.array_equal(pv.day_mask(profile, fast), day.mask)
+        assert np.array_equal(
+            day.actual, dataset.customer.values[day.i0 : day.i0 + 24]
+        )
+        assert day.day_profile.start == dataset.customer.timestamp(day.i0)
+        assert day.epsilon_kw[F] == pytest.approx(
+            fast.epsilon_fraction
+            * dataset.site.ac_rating_kw
+            * fast.fraction(F)
+        )
+        assert day.weather is Weather.CLOUDY
+        assert pv.classify_weather_day(
+            [day.mean_index], fast.sunny_threshold, fast.cloudy_threshold
+        ) is day.weather
 
 
 @pytest.fixture(scope="module")
 def run(data, fast):
     dataset, profile = data
     return pv.forecast_day_ahead(
-        dataset, profile, CASE_LEVELS[CaseStudy.CASE2], C, local_day(39), fast
+        context(dataset, profile, local_day(39), fast), CASE_LEVELS[CaseStudy.CASE2]
     )
 
 
@@ -380,7 +409,8 @@ class TestForecastDayAhead:
     def test_deterministic(self, run, data, fast):
         dataset, profile = data
         again, errors, _ = pv.forecast_day_ahead(
-            dataset, profile, CASE_LEVELS[CaseStudy.CASE2], C, local_day(39), fast
+            context(dataset, profile, local_day(39), fast),
+            CASE_LEVELS[CaseStudy.CASE2],
         )
         assert np.array_equal(run[0].values, again.values)
         assert run[1] == errors
@@ -389,10 +419,10 @@ class TestForecastDayAhead:
         dataset, profile = data
         cfg = replace(fast, narx_committee=2)
         a = pv.forecast_day_ahead(
-            dataset, profile, CASE_LEVELS[CaseStudy.CASE4], C, local_day(39), cfg
+            context(dataset, profile, local_day(39), cfg), CASE_LEVELS[CaseStudy.CASE4]
         )
         b = pv.forecast_day_ahead(
-            dataset, profile, CASE_LEVELS[CaseStudy.CASE4], C, local_day(39), cfg
+            context(dataset, profile, local_day(39), cfg), CASE_LEVELS[CaseStudy.CASE4]
         )
         assert np.array_equal(a[0].values, b[0].values)
 
@@ -400,7 +430,7 @@ class TestForecastDayAhead:
         dataset, profile = data
         cfg = replace(fast, train_window_days=1000)
         forecast, _, _ = pv.forecast_day_ahead(
-            dataset, profile, CASE_LEVELS[CaseStudy.CASE2], C, local_day(39), cfg
+            context(dataset, profile, local_day(39), cfg), CASE_LEVELS[CaseStudy.CASE2]
         )
         assert np.array_equal(forecast.values, run[0].values)
 
@@ -408,7 +438,7 @@ class TestForecastDayAhead:
         dataset, profile = data
         cfg = replace(fast, train_window_days=5)
         forecast, errors, _ = pv.forecast_day_ahead(
-            dataset, profile, CASE_LEVELS[CaseStudy.CASE2], C, local_day(39), cfg
+            context(dataset, profile, local_day(39), cfg), CASE_LEVELS[CaseStudy.CASE2]
         )
         # same baselines (they ignore the window), different net
         assert errors.e_c == run[1].e_c
@@ -420,7 +450,7 @@ class TestForecastDayAhead:
 class TestRunCase:
     def test_case1_structure(self, data, fast):
         dataset, profile = data
-        r = pv.run_case(CaseStudy.CASE1, dataset, profile, local_day(39), fast)
+        r = pv.run_case(CaseStudy.CASE1, context(dataset, profile, local_day(39), fast))
         assert r.case_id is CaseStudy.CASE1
         assert set(r.per_level_reports) == {C, F, S}
         assert r.report is None
@@ -430,27 +460,28 @@ class TestRunCase:
 
     def test_case_delegates_to_forecast(self, data, fast):
         dataset, profile = data
-        r = pv.run_case(CaseStudy.CASE3, dataset, profile, local_day(39), fast)
+        r = pv.run_case(CaseStudy.CASE3, context(dataset, profile, local_day(39), fast))
         forecast, errors, _ = pv.forecast_day_ahead(
-            dataset, profile, CASE_LEVELS[CaseStudy.CASE3], C, local_day(39), fast
+            context(dataset, profile, local_day(39), fast), CASE_LEVELS[CaseStudy.CASE3]
         )
         assert np.array_equal(r.forecast.values, forecast.values)
         assert r.level_errors == errors
 
-    def test_shared_cache_does_not_change_results(self, data, fast):
+    def test_shared_context_does_not_change_results(self, data, fast):
         dataset, profile = data
-        cache: dict = {}
-        pv.run_case(
-            CaseStudy.CASE1, dataset, profile, local_day(39), fast,
-            _baseline_cache=cache,
-        )
-        warm = pv.run_case(
-            CaseStudy.CASE2, dataset, profile, local_day(39), fast,
-            _baseline_cache=cache,
-        )
-        cold = pv.run_case(CaseStudy.CASE2, dataset, profile, local_day(39), fast)
-        assert np.array_equal(warm.forecast.values, cold.forecast.values)
-        assert warm.level_errors == cold.level_errors
+        shared = context(dataset, profile, local_day(39), fast)
+        for cid in CaseStudy:
+            warm = pv.run_case(cid, shared)
+            cold = pv.run_case(cid, context(dataset, profile, local_day(39), fast))
+            assert np.array_equal(warm.forecast.values, cold.forecast.values)
+            assert warm.seed == cold.seed
+            assert warm.weather is cold.weather
+            assert warm.mape == cold.mape
+            assert warm.level_errors == cold.level_errors
+        # every level's baseline and fit model was trained once, then reused
+        first = shared.fitting_models((C, F, S))
+        assert all(a is b for a, b in zip(first, shared.fitting_models((C, F, S))))
+        assert shared.baseline(F) is shared.baseline(F)
 
 
 class TestCompareCases:
