@@ -95,7 +95,6 @@ from .pipeline import (
     valid_forecast_days,
 )
 from .preprocess import (
-    DAY_THRESHOLD_FRACTION,
     KAPPA_MAX,
     PreprocessedSeries,
     normalize_and_mask,

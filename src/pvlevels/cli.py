@@ -63,7 +63,7 @@ from .pipeline import (
     run_case,
     valid_forecast_days,
 )
-from .preprocess import preprocess
+from .preprocess import PreprocessedSeries, preprocess
 from .synth import DEFAULT_SITE, SynthConfig, capacity_fractions, gen_dataset
 
 CSV_HEADER = "timestamp_utc,level,series_id,power_kw"
@@ -470,30 +470,39 @@ def cmd_synth(run: RunConfig, args) -> int:
     return 0
 
 
-def cmd_preprocess(run: RunConfig, args) -> int:
+def _preprocessed_levels(run: RunConfig, args) -> list[PreprocessedSeries]:
+    """Every level of the input, preprocessed on the pipeline's day mask."""
     dataset = _dataset_from_csv(run, args.trim_to_overlap)
     profile = _profile_for(run, dataset)
     cfg = run.pipeline
     mask = day_mask(profile, cfg)
+    return [
+        preprocess(
+            dataset.series(level),
+            profile.scaled(cfg.fraction(level)),
+            kappa_max=cfg.kappa_max,
+            day_mask=mask,
+        )
+        for level in MeasurementLevel
+    ]
+
+
+def cmd_preprocess(run: RunConfig, args) -> int:
     index_rows = []
     summary_rows = []
-    for level in MeasurementLevel:
-        scaled = profile.scaled(cfg.fraction(level))
-        pre = preprocess(
-            dataset.series(level), scaled, kappa_max=cfg.kappa_max, day_mask=mask
-        )
+    for pre in _preprocessed_levels(run, args):
         hours = pre.day_hour_indices()
         for k, i in enumerate(hours):
             index_rows.append(
                 (
-                    _format_ts(dataset.start + int(i) * HOUR),
-                    level.label,
+                    _format_ts(pre.source_start + int(i) * HOUR),
+                    pre.level.label,
                     f"{pre.index_values[k]:.17g}",
                 )
             )
         summary_rows.append(
             (
-                level.label,
+                pre.level.label,
                 f"{pre.offset_kw:.17g}",
                 str(pre.clip_count),
                 str(pre.n_day),
@@ -512,9 +521,7 @@ def cmd_preprocess(run: RunConfig, args) -> int:
 
 
 def cmd_fit(run: RunConfig, args) -> int:
-    dataset = _dataset_from_csv(run, args.trim_to_overlap)
-    profile = _profile_for(run, dataset)
-    models = build_fitting_models(dataset, profile, run.pipeline)
+    models = build_fitting_models(_preprocessed_levels(run, args), run.pipeline)
     human = [
         (m.level.label, _pct(m.fit_mape), f"{m.fit_r2:.4f}") for m in models
     ]
@@ -598,6 +605,8 @@ def cmd_cases(run: RunConfig, args) -> int:
     profile = _profile_for(run, dataset)
     valid = valid_forecast_days(dataset)
     if args.days is not None:
+        if args.days < 1:
+            raise ConfigError("--days must be >= 1")
         valid = valid[-args.days :]
     if not valid:
         raise MisalignedRange(

@@ -270,6 +270,38 @@ def _unflatten(theta: np.ndarray, config: NetworkConfig):
     return w_hidden, b_hidden, w_out, float(theta[i])
 
 
+def _check_batch(
+    config: NetworkConfig, inputs, targets
+) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(inputs, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise EmptyBatch("need a non-empty 2-d batch of inputs")
+    if X.shape[1] != config.input_width or t.shape != (X.shape[0],):
+        raise DimensionMismatch(
+            f"batch shapes {X.shape}/{t.shape} do not fit the net"
+        )
+    return X, t
+
+
+def _loss_and_gradient(
+    theta: np.ndarray, config: NetworkConfig, X: np.ndarray, t: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The gradient kernel on flat parameters and a checked batch."""
+    w_hidden, b_hidden, w_out, b_out = _unflatten(theta, config)
+    preds, acts = _forward_batch(w_hidden, b_hidden, w_out, b_out, X)
+    n = X.shape[0]
+    resid = preds - t
+    loss = float(resid @ resid) / n
+    g_pred = 2.0 * resid / n
+    g_b_out = float(g_pred.sum())
+    g_w_out = acts.T @ g_pred
+    g_z = np.outer(g_pred, w_out) * (1.0 - acts**2)
+    g_b_hidden = g_z.sum(axis=0)
+    g_w_hidden = g_z.T @ X
+    return loss, _flatten(g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+
+
 def loss_and_gradient(
     model: NarxModel, inputs, targets
 ) -> tuple[float, np.ndarray]:
@@ -278,65 +310,43 @@ def loss_and_gradient(
     The gradient is flat, ordered [w_hidden row-major, b_hidden, w_out,
     b_out], matching the serialization order.
     """
-    X = np.asarray(inputs, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyBatch("need a non-empty 2-d batch of inputs")
-    if X.shape[1] != model.config.input_width or t.shape != (X.shape[0],):
-        raise DimensionMismatch(
-            f"batch shapes {X.shape}/{t.shape} do not fit the net"
-        )
-    preds, acts = _forward_batch(
-        model.w_hidden, model.b_hidden, model.w_out, model.b_out, X
-    )
-    n = X.shape[0]
-    resid = preds - t
-    loss = float(resid @ resid) / n
-    g_pred = 2.0 * resid / n
-    g_b_out = float(g_pred.sum())
-    g_w_out = acts.T @ g_pred
-    g_z = np.outer(g_pred, model.w_out) * (1.0 - acts**2)
-    g_b_hidden = g_z.sum(axis=0)
-    g_w_hidden = g_z.T @ X
-    return loss, _flatten(g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+    X, t = _check_batch(model.config, inputs, targets)
+    theta = _flatten(model.w_hidden, model.b_hidden, model.w_out, model.b_out)
+    return _loss_and_gradient(theta, model.config, X, t)
 
 
-def train(model: NarxModel, inputs, targets, config: NetworkConfig | None = None) -> NarxModel:
+def train(model: NarxModel, inputs, targets) -> NarxModel:
     """Full-batch adaptive-moment descent with early stopping.
 
-    Stops at max_epochs or when the best loss has not improved by
-    early_stop_delta for early_stop_patience consecutive epochs. The
-    returned parameters are the best snapshot seen, so the final loss
-    never exceeds the initial one. A zero-epoch budget returns the model
-    untouched.
+    Trains under ``model.config``. Stops at max_epochs or when the best
+    loss has not improved by early_stop_delta for early_stop_patience
+    consecutive epochs. The returned parameters are the best snapshot
+    seen, so the final loss never exceeds the initial one. A zero-epoch
+    budget returns the model untouched.
+
+    Raises EmptyBatch or DimensionMismatch for a batch that does not fit
+    the net, and DivergedLoss when the loss or an updated parameter
+    becomes non-finite.
     """
-    cfg = model.config if config is None else config
+    cfg = model.config
+    X, t = _check_batch(cfg, inputs, targets)
     if cfg.max_epochs == 0:
         return model
-    X = np.asarray(inputs, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
     theta = _flatten(model.w_hidden, model.b_hidden, model.w_out, model.b_out)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     history: list[float] = []
     best_loss = math.inf
-    best_theta = theta.copy()
+    best_theta = theta
     stall = 0
-    work = NarxModel(
-        config=model.config,
-        w_hidden=model.w_hidden,
-        b_hidden=model.b_hidden,
-        w_out=model.w_out,
-        b_out=model.b_out,
-    )
     for epoch in range(1, cfg.max_epochs + 1):
-        loss, grad = loss_and_gradient(work, X, t)
+        loss, grad = _loss_and_gradient(theta, cfg, X, t)
         if not math.isfinite(loss):
             raise DivergedLoss(f"loss became non-finite at epoch {epoch}")
         history.append(loss)
         if loss < best_loss - cfg.early_stop_delta:
             best_loss = loss
-            best_theta = theta.copy()
+            best_theta = theta
             stall = 0
         else:
             stall += 1
@@ -346,18 +356,13 @@ def train(model: NarxModel, inputs, targets, config: NetworkConfig | None = None
         v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad**2
         m_hat = m / (1.0 - _ADAM_BETA1**epoch)
         v_hat = v / (1.0 - _ADAM_BETA2**epoch)
+        # a new array each epoch, so best_theta is never written through
         theta = theta - cfg.step_size * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        w_hidden, b_hidden, w_out, b_out = _unflatten(theta, model.config)
-        work = NarxModel(
-            config=model.config,
-            w_hidden=w_hidden,
-            b_hidden=b_hidden,
-            w_out=w_out,
-            b_out=b_out,
-        )
-    w_hidden, b_hidden, w_out, b_out = _unflatten(best_theta, model.config)
+        if not np.isfinite(theta).all():
+            raise DivergedLoss(f"parameters became non-finite at epoch {epoch}")
+    w_hidden, b_hidden, w_out, b_out = _unflatten(best_theta, cfg)
     return NarxModel(
-        config=model.config,
+        config=cfg,
         w_hidden=w_hidden,
         b_hidden=b_hidden,
         w_out=w_out,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
+from typing import Iterable
 
 import numpy as np
 
@@ -119,9 +120,6 @@ class PipelineConfig:
     customer's clear-sky power sinks below the meter's absolute noise,
     and the measured index there is garbage (often an exact 0 after
     offset removal and clamping) that poisons the tapped-delay lags.
-    train_window_days, when set, restricts the day-ahead net's
-    regression rows to the trailing N days of index history (a rolling
-    window); None trains on everything available.
     """
 
     seed: int = 0
@@ -132,7 +130,6 @@ class PipelineConfig:
     day_threshold_fraction: float = 0.10
     max_retries: int = 5
     narx_committee: int = 3
-    train_window_days: int | None = None
     sunny_threshold: float = 0.8
     cloudy_threshold: float = 0.4
     fit_net: NetworkConfig = DEFAULT_NET
@@ -154,8 +151,6 @@ class PipelineConfig:
             raise ValueError("max_retries must be >= 1 (it counts attempts)")
         if self.narx_committee < 1:
             raise ValueError("narx_committee must be >= 1")
-        if self.train_window_days is not None and self.train_window_days < 2:
-            raise ValueError("train_window_days must be >= 2 when set")
         if not 0.0 < self.cloudy_threshold < self.sunny_threshold < 2.0:
             raise ValueError("need 0 < cloudy_threshold < sunny_threshold")
 
@@ -322,41 +317,17 @@ def _measured_weather(
     return weather, float(measured.index_values.mean())
 
 
-def _preprocess_level(
-    dataset: MultiLevelDataset,
-    profile: ClearSkyProfile,
-    level: MeasurementLevel,
-    mask: np.ndarray,
-    config: PipelineConfig,
-) -> PreprocessedSeries:
-    return preprocess(
-        dataset.series(level),
-        profile.scaled(config.fraction(level)),
-        kappa_max=config.kappa_max,
-        day_mask=mask,
-    )
-
-
 def build_fitting_models(
-    dataset: MultiLevelDataset,
-    profile: ClearSkyProfile,
-    config: PipelineConfig,
-    levels: tuple[MeasurementLevel, ...] = tuple(MeasurementLevel),
-    mask: np.ndarray | None = None,
+    series: Iterable[PreprocessedSeries], config: PipelineConfig
 ) -> list[FittingModel]:
-    """One NAR fitting model per requested level, fixed (C, F, S) order.
+    """One NAR fitting model per preprocessed level series, in (C, F, S) order.
 
-    All levels share one day mask (``day_mask`` of the profile unless
-    supplied) so their index series stay sample-aligned.
+    The series should share one day mask (``day_mask`` of the profile)
+    so their index series stay sample-aligned.
     """
-    if dataset.n != profile.n or dataset.start != profile.start:
-        raise MisalignedRange("dataset and clear-sky profile are not aligned")
-    if mask is None:
-        mask = day_mask(profile, config)
     models = []
-    for level in sorted(levels, key=int):
-        pre = _preprocess_level(dataset, profile, level, mask, config)
-        cfg = replace(config.fit_net, seed=derive_seed(config.seed, _TAG_FIT, int(level)))
+    for pre in sorted(series, key=lambda p: int(p.level)):
+        cfg = replace(config.fit_net, seed=derive_seed(config.seed, _TAG_FIT, int(pre.level)))
         models.append(fit_nar(pre, cfg))
     return models
 
@@ -383,10 +354,10 @@ class ForecastDay:
     exclusion floor; ``weather`` and ``mean_index`` are the class and
     mean clear-sky index the target level measured that day.
 
-    The baselines and fitting models trained for the day are kept as
-    they are first asked for, so the cases run on one context train each
-    of them once. Training is seed-deterministic, so sharing never
-    changes a result.
+    The level histories, baselines and fitting models of the day are kept
+    as they are first asked for, so the cases run on one context
+    preprocess and train each of them once. Preprocessing and training
+    are deterministic, so sharing never changes a result.
     """
 
     dataset: MultiLevelDataset
@@ -400,6 +371,7 @@ class ForecastDay:
     epsilon_kw: dict[MeasurementLevel, float]
     weather: Weather
     mean_index: float
+    _histories: dict = field(default_factory=dict, init=False, repr=False)
     _baselines: dict = field(default_factory=dict, init=False, repr=False)
     _fits: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -447,27 +419,23 @@ class ForecastDay:
 
     def history(self, level: MeasurementLevel) -> PreprocessedSeries:
         """The level's clear-sky-index series before the forecast day."""
-        i0 = self.i0
-        return _preprocess_level(
-            self.dataset.sliced(0, i0),
-            self.profile.sliced(0, i0),
-            level,
-            self.mask[:i0],
-            self.config,
-        )
+        if level not in self._histories:
+            i0, config = self.i0, self.config
+            self._histories[level] = preprocess(
+                self.dataset.series(level).sliced(0, i0),
+                self.profile.sliced(0, i0).scaled(config.fraction(level)),
+                kappa_max=config.kappa_max,
+                day_mask=self.mask[:i0],
+            )
+        return self._histories[level]
 
     def fitting_models(self, levels) -> list[FittingModel]:
         """The history's fitting models of ``levels``, in (C, F, S) order."""
         levels = sorted(levels, key=int)
         missing = tuple(lv for lv in levels if lv not in self._fits)
         if missing:
-            i0 = self.i0
             for model in build_fitting_models(
-                self.dataset.sliced(0, i0),
-                self.profile.sliced(0, i0),
-                self.config,
-                levels=missing,
-                mask=self.mask[:i0],
+                [self.history(lv) for lv in missing], self.config
             ):
                 self._fits[model.level] = model
         return [self._fits[lv] for lv in levels]
@@ -577,12 +545,8 @@ def forecast_day_ahead(
     )
     # per-day stretches only: a sample must never regress across the
     # overnight gap, where the weather regime can silently turn over
-    segs = day_run_lengths(day.mask[:i0])
-    if config.train_window_days is not None:
-        segs = segs[-config.train_window_days :]
-    tail = sum(segs)
     inputs, targets = make_training_set(
-        y[-tail:], [ch[-tail:] for ch in exo_hist], d, segments=segs
+        y, exo_hist, d, segments=day_run_lengths(day.mask[:i0])
     )
     y_seed = y[-d:]
     exo_seed = [ch[-d:] for ch in exo_hist]

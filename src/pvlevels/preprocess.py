@@ -11,9 +11,10 @@ Two different night notions are used on purpose:
 
 * offset estimation uses hours where the clear-sky profile is exactly
   zero (true astronomical night; any reading there is sensor bias),
-* the day mask uses a small positive threshold (default 1% of the
-  profile's peak power) so the index ratio is never taken against a
-  vanishing denominator at dawn or dusk.
+* the day mask is supplied by the caller (the pipeline's is
+  ``pipeline.day_mask``, a fraction of the profile's peak power) and may
+  only mark hours with positive clear-sky power, so the index ratio is
+  never taken against a vanishing denominator at dawn or dusk.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from .errors import AllNight, LengthMismatch, MisalignedRange, NoNightHours
 #: Ceiling on the clear-sky index; cloud-edge enhancement can push the
 #: measured/clear-sky ratio a little above 1, but not this far.
 KAPPA_MAX = 1.5
-
-#: Day-mask cutoff as a fraction of the profile's peak power.
-DAY_THRESHOLD_FRACTION = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,35 +145,26 @@ def normalize_and_mask(
     series: HourlyPowerSeries,
     profile: ClearSkyProfile,
     *,
+    day_mask: np.ndarray,
     offset_kw: float = 0.0,
     kappa_max: float = KAPPA_MAX,
-    day_threshold_kw: float | None = None,
-    day_mask: np.ndarray | None = None,
 ) -> PreprocessedSeries:
-    """Divide by clear-sky power on day hours; drop the rest.
+    """Divide by clear-sky power on the hours of ``day_mask``; drop the rest.
 
     ``series`` is expected to be offset-free already; ``offset_kw`` is
-    only recorded, not applied. An hour is day when the profile is at or
-    above ``day_threshold_kw`` (default: 1% of the profile peak); a
-    caller that needs several series masked identically can pass the
-    boolean ``day_mask`` directly instead. Ratios above ``kappa_max``
-    are clipped and counted.
+    only recorded, not applied. ``day_mask`` has one entry per hour and
+    may mark only hours with positive clear-sky power; callers that mask
+    several series with one mask keep them sample-aligned. Ratios above
+    ``kappa_max`` are clipped and counted.
     """
     _require_aligned(series, profile)
-    if day_mask is not None:
-        day = np.asarray(day_mask, dtype=bool)
-        if day.shape != (series.n,):
-            raise LengthMismatch(
-                f"day_mask length {day.size} != series length {series.n}"
-            )
-        if np.any(day & (profile.power_kw <= 0.0)):
-            raise ValueError("day_mask marks an hour with zero clear-sky power")
-    else:
-        if day_threshold_kw is None:
-            day_threshold_kw = DAY_THRESHOLD_FRACTION * float(profile.power_kw.max())
-        if day_threshold_kw <= 0.0:
-            raise ValueError(f"day_threshold_kw must be > 0, got {day_threshold_kw}")
-        day = profile.power_kw >= day_threshold_kw
+    day = np.asarray(day_mask, dtype=bool)
+    if day.shape != (series.n,):
+        raise LengthMismatch(
+            f"day_mask length {day.size} != series length {series.n}"
+        )
+    if np.any(day & (profile.power_kw <= 0.0)):
+        raise ValueError("day_mask marks an hour with zero clear-sky power")
     if not day.any():
         raise AllNight("no hours at or above the day threshold")
     ratio = series.values[day] / profile.power_kw[day]
@@ -198,19 +187,17 @@ def preprocess(
     series: HourlyPowerSeries,
     profile: ClearSkyProfile,
     *,
+    day_mask: np.ndarray,
     kappa_max: float = KAPPA_MAX,
-    day_threshold_kw: float | None = None,
-    day_mask: np.ndarray | None = None,
 ) -> PreprocessedSeries:
     """Offset removal followed by normalization and night masking."""
     corrected, offset = remove_offset(series, profile)
     return normalize_and_mask(
         corrected,
         profile,
+        day_mask=day_mask,
         offset_kw=offset,
         kappa_max=kappa_max,
-        day_threshold_kw=day_threshold_kw,
-        day_mask=day_mask,
     )
 
 

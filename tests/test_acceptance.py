@@ -155,7 +155,7 @@ class TestPreprocessRoundTrip:
             series = pv.HourlyPowerSeries(
                 "rt", pv.MeasurementLevel.CUSTOMER, start, values
             )
-            pre = preprocess(series, profile)
+            pre = preprocess(series, profile, day_mask=mask)
             back = postprocess(
                 pre.index_values, pre.day_mask, profile,
                 site_id="rt", level=pv.MeasurementLevel.CUSTOMER,

@@ -518,6 +518,16 @@ class TestCasesCommand:
         for name in names:
             assert (again / name).read_bytes() == (cases_dir / name).read_bytes()
 
+    @pytest.mark.parametrize("days", ["0", "-2"])
+    def test_bad_days(self, workspace, tmp_path, capsys, days):
+        _, config, _ = workspace
+        code = cmd_dispatch(
+            ["--config", str(config), "--out", str(tmp_path), "cases", "--days", days]
+        )
+        assert code == 2
+        assert "--days must be >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_too_short_for_any_day(self, workspace, tmp_path, capsys):
         root, _, _ = workspace
         short_dir = tmp_path / "short"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from pvlevels.errors import (
 )
 from pvlevels.narnet import (
     MIN_FIT_DAY_HOURS,
+    _flatten,
+    _unflatten,
     NarxModel,
     NetworkConfig,
     fit_nar,
@@ -43,6 +46,36 @@ def tiny_model(w=5.0, out=2.0):
         b_hidden=np.zeros(1),
         w_out=np.array([out]),
         b_out=0.0,
+    )
+
+
+def reference_train(model, X, t):
+    """Adam as a plain loop: a NarxModel rebuilt from the flat parameters
+    every epoch, gradients from the public loss_and_gradient."""
+    cfg = model.config
+    theta = _flatten(model.w_hidden, model.b_hidden, model.w_out, model.b_out)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    history = []
+    best_loss, best_theta, stall = math.inf, theta.copy(), 0
+    work = model
+    for epoch in range(1, cfg.max_epochs + 1):
+        loss, grad = loss_and_gradient(work, X, t)
+        history.append(loss)
+        if loss < best_loss - cfg.early_stop_delta:
+            best_loss, best_theta, stall = loss, theta.copy(), 0
+        else:
+            stall += 1
+            if stall >= cfg.early_stop_patience:
+                break
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad**2
+        m_hat = m / (1.0 - 0.9**epoch)
+        v_hat = v / (1.0 - 0.999**epoch)
+        theta = theta - cfg.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
+        work = NarxModel(cfg, *_unflatten(theta, cfg))
+    return NarxModel(
+        cfg, *_unflatten(best_theta, cfg), trained=True, training_history=tuple(history)
     )
 
 
@@ -196,8 +229,6 @@ class TestLossAndGradient:
         t = rng.normal(size=12)
         _, grad = loss_and_gradient(model, X, t)
 
-        from pvlevels.narnet import _flatten, _unflatten
-
         theta = _flatten(model.w_hidden, model.b_hidden, model.w_out, model.b_out)
         h = 1e-6
         for i in range(theta.size):
@@ -268,12 +299,45 @@ class TestTrain:
         with pytest.raises(DivergedLoss):
             train(init_network(cfg), X, huge)
 
-    def test_explicit_config_overrides_model_config(self):
-        X, t = self.make_batch()
-        cfg = NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=500)
-        short = NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=3)
-        trained = train(init_network(cfg), X, t, config=short)
-        assert len(trained.training_history) == 3
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_parameters_abort(self):
+        # the loss is finite, but the hidden weight's gradient overflows,
+        # so the first update turns that weight into NaN
+        model = tiny_model(w=1e-305, out=100.0)
+        with pytest.raises(DivergedLoss, match="parameters .* at epoch 1"):
+            train(model, np.array([[1e305]]), np.zeros(1))
+
+    @pytest.mark.parametrize(
+        "n_exo, kw",
+        [
+            (0, {}),
+            (2, {}),
+            (0, dict(max_epochs=5000, early_stop_patience=10, early_stop_delta=1e-3)),
+        ],
+        ids=["nar", "narx", "early-stop"],
+    )
+    def test_matches_reference_loop(self, n_exo, kw):
+        rng = np.random.default_rng(21)
+        y = np.sin(np.linspace(0, 12, 200)) * 0.4 + 0.5 + rng.normal(0, 0.01, 200)
+        exo = [y + rng.normal(0, 0.05, y.size) for _ in range(n_exo)]
+        cfg = replace(
+            NetworkConfig(delay_d=4, hidden_width=6, n_exo_channels=n_exo, seed=5,
+                          max_epochs=300),
+            **kw,
+        )
+        X, t = make_training_set(y, exo, cfg.delay_d)
+        model = init_network(cfg)
+        got = train(model, X, t)
+        want = reference_train(model, X, t)
+        assert np.array_equal(got.w_hidden, want.w_hidden)
+        assert np.array_equal(got.b_hidden, want.b_hidden)
+        assert np.array_equal(got.w_out, want.w_out)
+        assert got.b_out == want.b_out
+        assert got.training_history == want.training_history
+        assert got.trained
+        stopped_early = len(got.training_history) < cfg.max_epochs
+        assert stopped_early == ("early_stop_delta" in kw)
 
 
 class TestPredictOpenLoop:

@@ -164,7 +164,6 @@ class TestPipelineConfigValidation:
             {"day_threshold_fraction": 1.0},
             {"max_retries": 0},
             {"narx_committee": 0},
-            {"train_window_days": 1},
             {"sunny_threshold": 0.3, "cloudy_threshold": 0.4},
         ],
     )
@@ -426,26 +425,6 @@ class TestForecastDayAhead:
         )
         assert np.array_equal(a[0].values, b[0].values)
 
-    def test_train_window_wider_than_history_is_noop(self, run, data, fast):
-        dataset, profile = data
-        cfg = replace(fast, train_window_days=1000)
-        forecast, _, _ = pv.forecast_day_ahead(
-            context(dataset, profile, local_day(39), cfg), CASE_LEVELS[CaseStudy.CASE2]
-        )
-        assert np.array_equal(forecast.values, run[0].values)
-
-    def test_train_window_changes_training(self, run, data, fast):
-        dataset, profile = data
-        cfg = replace(fast, train_window_days=5)
-        forecast, errors, _ = pv.forecast_day_ahead(
-            context(dataset, profile, local_day(39), cfg), CASE_LEVELS[CaseStudy.CASE2]
-        )
-        # same baselines (they ignore the window), different net
-        assert errors.e_c == run[1].e_c
-        assert errors.e_f == run[1].e_f
-        assert errors.e_s == run[1].e_s
-        assert not np.array_equal(forecast.values, run[0].values)
-
 
 class TestRunCase:
     def test_case1_structure(self, data, fast):
@@ -478,7 +457,9 @@ class TestRunCase:
             assert warm.weather is cold.weather
             assert warm.mape == cold.mape
             assert warm.level_errors == cold.level_errors
-        # every level's baseline and fit model was trained once, then reused
+        # every level's history was preprocessed once, and its baseline
+        # and fit model trained once, then reused
+        assert all(shared.history(lv) is shared.history(lv) for lv in (C, F, S))
         first = shared.fitting_models((C, F, S))
         assert all(a is b for a, b in zip(first, shared.fitting_models((C, F, S))))
         assert shared.baseline(F) is shared.baseline(F)

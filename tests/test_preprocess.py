@@ -6,7 +6,6 @@ from pvlevels.clearsky import clearsky_profile
 from pvlevels.core import HourlyPowerSeries, MeasurementLevel, utc_datetime
 from pvlevels.errors import AllNight, LengthMismatch, MisalignedRange, NoNightHours
 from pvlevels.preprocess import (
-    DAY_THRESHOLD_FRACTION,
     KAPPA_MAX,
     PreprocessedSeries,
     day_run_lengths,
@@ -32,6 +31,11 @@ def series_from(values, level=MeasurementLevel.CUSTOMER):
 def clean_series(profile, index=0.8):
     """Measured = index * clear-sky, no bias: round-trippable by design."""
     return series_from(index * profile.power_kw)
+
+
+def one_percent_mask(profile):
+    """Day hours at or above 1% of the profile's peak power."""
+    return profile.power_kw >= 0.01 * float(profile.power_kw.max())
 
 
 class TestRemoveOffset:
@@ -82,26 +86,23 @@ class TestRemoveOffset:
 
 class TestNormalizeAndMask:
     def test_constant_index_recovered(self, profile):
-        pre = normalize_and_mask(clean_series(profile, 0.8), profile)
+        pre = normalize_and_mask(
+            clean_series(profile, 0.8), profile, day_mask=one_percent_mask(profile)
+        )
         assert np.allclose(pre.index_values, 0.8, atol=1e-12)
         assert pre.clip_count == 0
 
     def test_mask_matches_threshold(self, profile):
-        pre = normalize_and_mask(clean_series(profile), profile)
-        threshold = DAY_THRESHOLD_FRACTION * float(profile.power_kw.max())
-        assert np.array_equal(pre.day_mask, profile.power_kw >= threshold)
+        mask = one_percent_mask(profile)
+        pre = normalize_and_mask(clean_series(profile), profile, day_mask=mask)
+        assert np.array_equal(pre.day_mask, mask)
         assert pre.n_day + pre.n_night == 96
 
     def test_clipping_counted(self, profile):
         hot = series_from(2.0 * profile.power_kw)  # index 2 > kappa_max
-        pre = normalize_and_mask(hot, profile)
+        pre = normalize_and_mask(hot, profile, day_mask=one_percent_mask(profile))
         assert pre.clip_count == pre.n_day
         assert np.all(pre.index_values == KAPPA_MAX)
-
-    def test_explicit_threshold(self, profile):
-        half_peak = 0.5 * float(profile.power_kw.max())
-        pre = normalize_and_mask(clean_series(profile), profile, day_threshold_kw=half_peak)
-        assert np.array_equal(pre.day_mask, profile.power_kw >= half_peak)
 
     def test_explicit_mask_shared(self, profile):
         mask = profile.power_kw >= 1.0
@@ -119,23 +120,17 @@ class TestNormalizeAndMask:
                 clean_series(profile), profile, day_mask=np.ones(10, dtype=bool)
             )
 
-    def test_bad_threshold(self, profile):
-        with pytest.raises(ValueError):
-            normalize_and_mask(clean_series(profile), profile, day_threshold_kw=0.0)
-
     def test_all_night(self, profile):
         with pytest.raises(AllNight):
             normalize_and_mask(
-                clean_series(profile),
-                profile,
-                day_threshold_kw=10_000.0,
+                clean_series(profile), profile, day_mask=np.zeros(96, dtype=bool)
             )
 
 
 class TestRoundTrip:
     def test_exact_on_clean_series(self, profile):
         original = clean_series(profile, 0.73)
-        pre = preprocess(original, profile)
+        pre = preprocess(original, profile, day_mask=one_percent_mask(profile))
         back = postprocess(
             pre.index_values,
             pre.day_mask,
@@ -160,7 +155,9 @@ class TestRoundTrip:
         profile = clearsky_profile(DEFAULT_SITE, START, 96)
         idx = np.asarray(index)
         measured = idx * profile.power_kw + bias
-        pre = preprocess(series_from(measured), profile)
+        pre = preprocess(
+            series_from(measured), profile, day_mask=one_percent_mask(profile)
+        )
         back = postprocess(
             pre.index_values,
             pre.day_mask,
@@ -252,7 +249,9 @@ class TestPreprocessedSeries:
             )
 
     def test_day_hour_indices(self, profile):
-        pre = normalize_and_mask(clean_series(profile), profile)
+        pre = normalize_and_mask(
+            clean_series(profile), profile, day_mask=one_percent_mask(profile)
+        )
         idx = pre.day_hour_indices()
         assert np.array_equal(pre.day_mask[idx], np.ones(len(idx), dtype=bool))
         assert len(idx) == pre.n_day
