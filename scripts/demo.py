@@ -27,7 +27,8 @@ def main() -> None:
     )
     dataset, profile = pv.gen_dataset(scfg, pv.DEFAULT_SITE)
     net = pv.NetworkConfig(
-        delay_d=3, hidden_width=4, max_epochs=900, early_stop_patience=150
+        delay_d=3, hidden_width=4, max_epochs=900, step_size=1e-2,
+        early_stop_patience=150,
     )
     config = pv.PipelineConfig(
         seed=args.seed,

@@ -19,9 +19,6 @@ from collections import defaultdict
 
 import pvlevels as pv
 
-# the fitting nets need 360 day hours; 36 days clears that comfortably
-SURVEY_HISTORY_DAYS = 36
-
 
 def block_schedule(days: int, block: int) -> tuple:
     cycle = [pv.Weather.SUNNY, pv.Weather.PARTLY_CLOUDY, pv.Weather.CLOUDY]
@@ -95,9 +92,8 @@ def main() -> None:
 
     candidates = [
         pv.ForecastDay.at(dataset, profile, day, config)
-        for day in pv.valid_forecast_days(dataset)
+        for day in pv.valid_forecast_days(dataset, profile, config)
     ]
-    candidates = [c for c in candidates if c.i0 >= 24 * SURVEY_HISTORY_DAYS]
     if args.max_days:
         candidates = candidates[-args.max_days:]
 

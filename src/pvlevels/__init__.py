@@ -21,8 +21,6 @@ from .clearsky import (
 )
 from .core import (
     HOUR,
-    MIN_HISTORY_DAYS,
-    MIN_USABLE_HOURS,
     HourlyPowerSeries,
     MeasurementLevel,
     MultiLevelDataset,

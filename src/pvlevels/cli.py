@@ -37,7 +37,6 @@ import numpy as np
 from .clearsky import ClearSkyProfile, clearsky_profile
 from .core import (
     HOUR,
-    MIN_HISTORY_DAYS,
     HourlyPowerSeries,
     MeasurementLevel,
     MultiLevelDataset,
@@ -51,9 +50,8 @@ from .errors import (
     ParseError,
     PvlevelsError,
 )
-from .narnet import NetworkConfig
+from .narnet import MIN_FIT_DAY_HOURS, NetworkConfig
 from .pipeline import (
-    DEFAULT_NET,
     CaseStudy,
     ForecastDay,
     PipelineConfig,
@@ -84,6 +82,7 @@ class RunConfig:
     out_dir: str | None
 
 
+_NET = NetworkConfig()
 _PIPELINE = PipelineConfig()
 _SYNTH = SynthConfig()
 
@@ -96,12 +95,11 @@ _FIELD_KEYS = {
     "site.dc_rating_kw": (DEFAULT_SITE, "dc_rating_kw"),
     "site.ac_rating_kw": (DEFAULT_SITE, "ac_rating_kw"),
     "site.system_efficiency": (DEFAULT_SITE, "system_efficiency"),
-    "net.delay_d": (DEFAULT_NET, "delay_d"),
-    "net.hidden_width": (DEFAULT_NET, "hidden_width"),
-    "net.max_epochs": (DEFAULT_NET, "max_epochs"),
-    "net.step_size": (DEFAULT_NET, "step_size"),
-    "net.patience": (DEFAULT_NET, "early_stop_patience"),
-    "net.delta": (DEFAULT_NET, "early_stop_delta"),
+    "net.delay_d": (_NET, "delay_d"),
+    "net.hidden_width": (_NET, "hidden_width"),
+    "net.max_epochs": (_NET, "max_epochs"),
+    "net.step_size": (_NET, "step_size"),
+    "net.patience": (_NET, "early_stop_patience"),
     "pipeline.kappa_max": (_PIPELINE, "kappa_max"),
     "pipeline.epsilon_fraction": (_PIPELINE, "epsilon_fraction"),
     "pipeline.day_threshold_fraction": (_PIPELINE, "day_threshold_fraction"),
@@ -191,7 +189,7 @@ def build_run_config(
     seed = ival("seed") if seed_override is None else seed_override
     try:
         site = SiteConfig(**fields_of(DEFAULT_SITE))
-        net = NetworkConfig(**fields_of(DEFAULT_NET))
+        net = NetworkConfig(**fields_of(_NET))
         baseline = replace(
             net,
             delay_d=(
@@ -603,14 +601,14 @@ def cmd_forecast(run: RunConfig, args) -> int:
 def cmd_cases(run: RunConfig, args) -> int:
     dataset = _dataset_from_csv(run, args.trim_to_overlap)
     profile = _profile_for(run, dataset)
-    valid = valid_forecast_days(dataset)
+    valid = valid_forecast_days(dataset, profile, run.pipeline)
     if args.days is not None:
         if args.days < 1:
             raise ConfigError("--days must be >= 1")
         valid = valid[-args.days :]
     if not valid:
         raise MisalignedRange(
-            f"no forecast day has {MIN_HISTORY_DAYS} days of history"
+            f"no forecast day has {MIN_FIT_DAY_HOURS} day hours of history"
         )
     comparison = compare_cases(dataset, profile, valid, run.pipeline)
     out = _out_dir(run)

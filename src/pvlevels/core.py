@@ -17,12 +17,6 @@ from .errors import LengthMismatch, LevelTagMismatch, MisalignedRange
 
 HOUR = timedelta(hours=1)
 
-#: Minimum history ahead of a forecast day, in days.
-MIN_HISTORY_DAYS = 30
-
-#: Minimum history considered usable for model fitting, in hours.
-MIN_USABLE_HOURS = MIN_HISTORY_DAYS * 24
-
 
 class MeasurementLevel(enum.IntEnum):
     """Measurement point in the distribution grid, ordered bottom-up.
@@ -223,22 +217,20 @@ class ValidationReport:
     n_total: int
     negative_count: int
     over_rating_count: int
-    usable: bool
 
 
 def validate_series(series: HourlyPowerSeries, site: SiteConfig) -> ValidationReport:
     """Report data-quality counters for one series.
 
     Negative readings are allowed (sensor bias before offset removal) and
-    only counted. ``usable`` requires at least MIN_USABLE_HOURS; a series
-    never holds NaN, since ``HourlyPowerSeries`` rejects non-finite values.
+    only counted. A series never holds NaN, since ``HourlyPowerSeries``
+    rejects non-finite values.
     """
     v = series.values
     return ValidationReport(
         n_total=series.n,
         negative_count=int(np.count_nonzero(v < 0.0)),
         over_rating_count=int(np.count_nonzero(v > 1.1 * site.ac_rating_kw)),
-        usable=series.n >= MIN_USABLE_HOURS,
     )
 
 

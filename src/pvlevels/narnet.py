@@ -24,7 +24,7 @@ single-threaded float64 with no stochastic batching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +47,11 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
-#: Minimum day hours fit_nar accepts (about 30 days of daylight).
+#: Smallest loss decrease that counts as an improvement for early stopping.
+_EARLY_STOP_DELTA = 1e-9
+
+#: Minimum day hours fit_nar accepts, and so the day hours a forecast
+#: day's history must hold (see pipeline.valid_forecast_days).
 MIN_FIT_DAY_HOURS = 360
 
 
@@ -58,16 +62,20 @@ class NetworkConfig:
     delay_d is the number of lags per channel; n_exo_channels=0 makes the
     net purely autoregressive. The input layer width is
     delay_d * (1 + n_exo_channels).
+
+    The defaults are the pipeline's fitting, forecasting and baseline
+    nets. They are small on purpose: the NARX input grows with every
+    exogenous channel, and a month of daylight hours is only a few
+    hundred training rows.
     """
 
-    delay_d: int = 12
-    hidden_width: int = 10
+    delay_d: int = 6
+    hidden_width: int = 6
     n_exo_channels: int = 0
     seed: int = 0
     max_epochs: int = 2000
-    step_size: float = 1e-2
-    early_stop_patience: int = 50
-    early_stop_delta: float = 1e-9
+    step_size: float = 0.005
+    early_stop_patience: int = 200
 
     def __post_init__(self) -> None:
         if self.delay_d < 1 or self.hidden_width < 1:
@@ -82,8 +90,6 @@ class NetworkConfig:
             raise ValueError("step_size must be > 0")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
-        if not self.early_stop_delta > 0.0:
-            raise ValueError("early_stop_delta must be > 0")
 
     @property
     def input_width(self) -> int:
@@ -319,10 +325,10 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
     """Full-batch adaptive-moment descent with early stopping.
 
     Trains under ``model.config``. Stops at max_epochs or when the best
-    loss has not improved by early_stop_delta for early_stop_patience
-    consecutive epochs. The returned parameters are the best snapshot
-    seen, so the final loss never exceeds the initial one. A zero-epoch
-    budget returns the model untouched.
+    loss has not improved by more than _EARLY_STOP_DELTA for
+    early_stop_patience consecutive epochs. The returned parameters are
+    the best snapshot seen, so the final loss never exceeds the initial
+    one. A zero-epoch budget returns the model untouched.
 
     Raises EmptyBatch or DimensionMismatch for a batch that does not fit
     the net, and DivergedLoss when the loss or an updated parameter
@@ -344,7 +350,7 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
         if not math.isfinite(loss):
             raise DivergedLoss(f"loss became non-finite at epoch {epoch}")
         history.append(loss)
-        if loss < best_loss - cfg.early_stop_delta:
+        if loss < best_loss - _EARLY_STOP_DELTA:
             best_loss = loss
             best_theta = theta
             stall = 0
@@ -480,29 +486,23 @@ def fit_nar(series: PreprocessedSeries, config: NetworkConfig) -> FittingModel:
     return FittingModel(level=series.level, net=net, fit_r2=fit_r2, fit_mape=fit_mape)
 
 
-_FORMAT_HEADER = "pvlevels-narx 1"
+_FORMAT_HEADER = "pvlevels-narx 2"
 
 
 def model_to_text(model: NarxModel) -> str:
     """Serialize a model to the versioned flat text format.
 
-    Floats are written with 17 significant digits, which round-trips
-    IEEE doubles exactly.
+    The config block holds one ``name value`` line per NetworkConfig
+    field, in field order. Floats are written with 17 significant digits,
+    which round-trips IEEE doubles exactly.
     """
-    c = model.config
-    lines = [
-        _FORMAT_HEADER,
-        f"delay_d {c.delay_d}",
-        f"hidden_width {c.hidden_width}",
-        f"n_exo_channels {c.n_exo_channels}",
-        f"seed {c.seed}",
-        f"max_epochs {c.max_epochs}",
-        f"step_size {c.step_size:.17g}",
-        f"early_stop_patience {c.early_stop_patience}",
-        f"early_stop_delta {c.early_stop_delta:.17g}",
-        f"trained {int(model.trained)}",
-        f"history {len(model.training_history)}",
-    ]
+    lines = [_FORMAT_HEADER]
+    for f in fields(NetworkConfig):
+        value = getattr(model.config, f.name)
+        text = f"{value:.17g}" if isinstance(value, float) else str(value)
+        lines.append(f"{f.name} {text}")
+    lines.append(f"trained {int(model.trained)}")
+    lines.append(f"history {len(model.training_history)}")
     lines.extend(f"{v:.17g}" for v in model.training_history)
     lines.append("params")
     for row in model.w_hidden:
@@ -536,15 +536,9 @@ def model_from_text(text: str) -> NarxModel:
     if next_line() != _FORMAT_HEADER:
         raise ParseError(f"bad header; expected {_FORMAT_HEADER!r}")
     try:
+        # each field parses as the type of its default
         config = NetworkConfig(
-            delay_d=int(keyed("delay_d")),
-            hidden_width=int(keyed("hidden_width")),
-            n_exo_channels=int(keyed("n_exo_channels")),
-            seed=int(keyed("seed")),
-            max_epochs=int(keyed("max_epochs")),
-            step_size=float(keyed("step_size")),
-            early_stop_patience=int(keyed("early_stop_patience")),
-            early_stop_delta=float(keyed("early_stop_delta")),
+            **{f.name: type(f.default)(keyed(f.name)) for f in fields(NetworkConfig)}
         )
         trained = bool(int(keyed("trained")))
         n_history = int(keyed("history"))

@@ -36,7 +36,6 @@ import numpy as np
 
 from .clearsky import ClearSkyProfile
 from .core import (
-    MIN_HISTORY_DAYS,
     HourlyPowerSeries,
     MeasurementLevel,
     MultiLevelDataset,
@@ -51,6 +50,7 @@ from .errors import (
 )
 from .metrics import MetricReport, report
 from .narnet import (
+    MIN_FIT_DAY_HOURS,
     FittingModel,
     NetworkConfig,
     fit_nar,
@@ -98,14 +98,6 @@ CASE_LEVELS = {
 }
 
 
-#: Network shape shared by the fitting, forecasting, and baseline nets.
-#: Small on purpose: the NARX input grows with every exogenous channel,
-#: and a month of daylight hours is only a few hundred training rows.
-DEFAULT_NET = NetworkConfig(
-    delay_d=6, hidden_width=6, step_size=0.005, early_stop_patience=200
-)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a forecasting run needs beyond the data itself.
@@ -132,9 +124,9 @@ class PipelineConfig:
     narx_committee: int = 3
     sunny_threshold: float = 0.8
     cloudy_threshold: float = 0.4
-    fit_net: NetworkConfig = DEFAULT_NET
-    narx_net: NetworkConfig = DEFAULT_NET
-    baseline_net: NetworkConfig = DEFAULT_NET
+    fit_net: NetworkConfig = NetworkConfig()
+    narx_net: NetworkConfig = NetworkConfig()
+    baseline_net: NetworkConfig = NetworkConfig()
 
     def __post_init__(self) -> None:
         if len(self.capacity_fractions) != 3 or any(
@@ -255,11 +247,8 @@ def day_mask(profile: ClearSkyProfile, config: PipelineConfig) -> np.ndarray:
 
 
 def _window_start(dataset: MultiLevelDataset, forecast_day: date) -> int:
-    """Hour index of the site-local midnight that starts ``forecast_day``.
-
-    The day must lie fully inside the dataset, after MIN_HISTORY_DAYS of
-    history.
-    """
+    """Hour index of the site-local midnight that starts ``forecast_day``,
+    which must lie fully inside the dataset."""
     tz = dataset.site.tz_offset
     if (tz * 60.0) % 60.0 != 0.0:
         raise MisalignedRange(
@@ -269,26 +258,47 @@ def _window_start(dataset: MultiLevelDataset, forecast_day: date) -> int:
         forecast_day.year, forecast_day.month, forecast_day.day, tzinfo=timezone.utc
     ) - timedelta(hours=tz)
     i0 = dataset.customer.hour_index(w0)
-    if i0 < MIN_HISTORY_DAYS * 24:
-        raise InsufficientHistory(
-            f"{i0} hours of history before {forecast_day}, "
-            f"need {MIN_HISTORY_DAYS * 24}"
-        )
-    if i0 + 24 > dataset.n:
+    if i0 < 0 or i0 + 24 > dataset.n:
         raise InsufficientHistory(
             f"forecast day {forecast_day} is not fully inside the dataset"
         )
     return i0
 
 
-def valid_forecast_days(dataset: MultiLevelDataset) -> list[date]:
-    """The site-local days whose window ``ForecastDay.at`` accepts, in order."""
+def _aligned_day_mask(
+    dataset: MultiLevelDataset, profile: ClearSkyProfile, config: PipelineConfig
+) -> np.ndarray:
+    """``day_mask`` of a profile that covers exactly the dataset's hours."""
+    if dataset.n != profile.n or dataset.start != profile.start:
+        raise MisalignedRange("dataset and clear-sky profile are not aligned")
+    return day_mask(profile, config)
+
+
+def _check_history(history_day_hours: int, forecast_day: date) -> None:
+    """The one rule for a forecastable day: its history holds the
+    MIN_FIT_DAY_HOURS day hours every level's fitting net needs."""
+    if history_day_hours < MIN_FIT_DAY_HOURS:
+        raise InsufficientHistory(
+            f"{history_day_hours} day hours of history before {forecast_day}; "
+            f"need at least {MIN_FIT_DAY_HOURS}"
+        )
+
+
+def valid_forecast_days(
+    dataset: MultiLevelDataset, profile: ClearSkyProfile, config: PipelineConfig
+) -> list[date]:
+    """The site-local days ``ForecastDay.at`` accepts, in order: days fully
+    inside the dataset whose history holds MIN_FIT_DAY_HOURS day hours."""
+    # history_hours[i] counts the day hours before hour i
+    history_hours = np.concatenate(
+        [[0], np.cumsum(_aligned_day_mask(dataset, profile, config))]
+    )
     first_local = (dataset.start + timedelta(hours=dataset.site.tz_offset)).date()
     days = []
     for k in range(dataset.n // 24 + 2):
         day = first_local + timedelta(days=k)
         try:
-            _window_start(dataset, day)
+            _check_history(int(history_hours[_window_start(dataset, day)]), day)
         except (InsufficientHistory, MisalignedRange):
             continue
         days.append(day)
@@ -388,10 +398,9 @@ class ForecastDay:
         Raises InsufficientHistory or MisalignedRange for a day outside
         ``valid_forecast_days``, or for a profile not aligned with the data.
         """
-        if dataset.n != profile.n or dataset.start != profile.start:
-            raise MisalignedRange("dataset and clear-sky profile are not aligned")
+        mask = _aligned_day_mask(dataset, profile, config)
         i0 = _window_start(dataset, forecast_day)
-        mask = day_mask(profile, config)
+        _check_history(int(np.count_nonzero(mask[:i0])), forecast_day)
         weather, mean_index = _measured_weather(dataset, profile, mask, i0, config)
         target = config.target_level
         rating = dataset.site.ac_rating_kw

@@ -16,6 +16,7 @@ from pvlevels.cli import (
 from pvlevels.clearsky import clearsky_profile
 from pvlevels.core import HourlyPowerSeries, MeasurementLevel, utc_datetime
 from pvlevels.errors import DuplicateRow, GapError, MisalignedRange, ParseError
+from pvlevels.narnet import MIN_FIT_DAY_HOURS
 from pvlevels.pipeline import PipelineConfig, day_mask
 from pvlevels.synth import DEFAULT_SITE, SynthConfig
 
@@ -549,7 +550,39 @@ class TestCasesCommand:
             ["--config", str(config), "--out", str(tmp_path / "out"), "cases"]
         )
         assert code == 1
-        assert "30 days of history" in capsys.readouterr().err
+        assert (
+            f"no forecast day has {MIN_FIT_DAY_HOURS} day hours of history"
+            in capsys.readouterr().err
+        )
+
+    def test_every_offered_day_can_be_fitted(self, tmp_path):
+        """Criterion 8's config at seed 5, on every valid day.
+
+        Its first days with 30 calendar days of history hold fewer day
+        hours than the fitting nets need, so they are not offered.
+        """
+        data_dir = tmp_path / "data"
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "\n".join(
+                [
+                    "synth.n_customers = 4",
+                    "synth.n_feeders = 2",
+                    "synth.days = 40",
+                    "net.delay_d = 3",
+                    "net.hidden_width = 3",
+                    "net.max_epochs = 60",
+                    "net.patience = 15",
+                    "pipeline.max_retries = 1",
+                    f"paths.input = {data_dir / 'dataset.csv'}",
+                ]
+            )
+            + "\n",
+            encoding="ascii",
+        )
+        for args in (["--out", str(data_dir), "synth"],
+                     ["--out", str(tmp_path / "out"), "cases"]):
+            assert cmd_dispatch(["--config", str(config), "--seed", "5", *args]) == 0
 
 
 class TestPlotdataCommand:

@@ -157,11 +157,7 @@ class TestValidateSeries:
     def test_clean_long_series_usable(self):
         s = make_series(n=30 * 24)
         rep = validate_series(s, SITE)
-        assert rep.usable and rep.negative_count == 0 and rep.over_rating_count == 0
-
-    def test_short_series_not_usable(self):
-        rep = validate_series(make_series(n=100), SITE)
-        assert not rep.usable
+        assert rep.negative_count == 0 and rep.over_rating_count == 0
 
     def test_counts(self):
         v = np.ones(30 * 24)
@@ -171,7 +167,6 @@ class TestValidateSeries:
         rep = validate_series(s, SITE)
         assert rep.negative_count == 1
         assert rep.over_rating_count == 1
-        assert rep.usable  # counters inform, they do not condemn
 
 
 class TestSiteConfig:

@@ -310,13 +310,15 @@ class TestForecastWindowErrors:
         dataset, profile = data
         with pytest.raises(MisalignedRange):
             context(dataset, profile.sliced(0, profile.n - 24), local_day(39), fast)
+        with pytest.raises(MisalignedRange):
+            pv.valid_forecast_days(dataset, profile.sliced(0, profile.n - 24), fast)
 
     def test_fractional_tz_rejected(self, data, fast):
         dataset, profile = data
         skewed = replace(dataset, site=replace(dataset.site, tz_offset=-6.5))
         with pytest.raises(MisalignedRange):
             context(skewed, profile, local_day(39), fast)
-        assert pv.valid_forecast_days(skewed) == []
+        assert pv.valid_forecast_days(skewed, profile, fast) == []
 
     def test_unknown_level_set(self, data, fast):
         dataset, profile = data
@@ -336,8 +338,13 @@ class TestForecastDay:
             except (InsufficientHistory, MisalignedRange):
                 continue
             accepted.append(local_day(k))
-        assert pv.valid_forecast_days(dataset) == accepted
-        assert accepted[0] == local_day(pv.MIN_HISTORY_DAYS)
+        assert pv.valid_forecast_days(dataset, profile, fast) == accepted
+        # the first accepted day is the first whose history holds the
+        # fitting nets' day hours
+        mask = pv.day_mask(profile, fast)
+        first = context(dataset, profile, accepted[0], fast)
+        assert np.count_nonzero(mask[: first.i0]) >= pv.MIN_FIT_DAY_HOURS
+        assert np.count_nonzero(mask[: first.i0 - 24]) < pv.MIN_FIT_DAY_HOURS
 
     def test_fields(self, data, fast):
         dataset, profile = data

@@ -17,8 +17,6 @@ TINY = ["--days", "40", "--ncust", "4", "--nfeeders", "2", "--epochs", "5",
     "script,args",
     [
         ("margin_survey.py", [*TINY, "--retries", "1", "--max-days", "2"]),
-        ("diag_row.py", [*TINY, "--synth-seed", "1", "--pipe-seed", "1",
-                         "--day", "2023-04-08"]),
         ("demo.py", ["--help"]),
     ],
 )
