@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -118,12 +118,9 @@ _FIELD_KEYS = {
     "synth.stay_prob": (_SYNTH, "regime_stay_prob"),
 }
 
-# an empty baseline.* or pipeline.fractions inherits (from net.*, or 1.0
-# per level); empty paths are unset
+# an empty pipeline.fractions is 1.0 per level; empty paths are unset
 _CONFIG_DEFAULTS = {
     **{key: repr(getattr(obj, attr)) for key, (obj, attr) in _FIELD_KEYS.items()},
-    "baseline.delay_d": "",
-    "baseline.max_epochs": "",
     "pipeline.target_level": _PIPELINE.target_level.label,
     "pipeline.fractions": "",
     "synth.start": _SYNTH.start_utc.date().isoformat(),
@@ -190,15 +187,6 @@ def build_run_config(
     try:
         site = SiteConfig(**fields_of(DEFAULT_SITE))
         net = NetworkConfig(**fields_of(_NET))
-        baseline = replace(
-            net,
-            delay_d=(
-                ival("baseline.delay_d") if raw["baseline.delay_d"] else net.delay_d
-            ),
-            max_epochs=(
-                ival("baseline.max_epochs") if raw["baseline.max_epochs"] else net.max_epochs
-            ),
-        )
         start = _parse_date(raw["synth.start"], "synth.start")
         synth = SynthConfig(
             **fields_of(_SYNTH),
@@ -222,7 +210,7 @@ def build_run_config(
             capacity_fractions=fractions,
             fit_net=net,
             narx_net=net,
-            baseline_net=baseline,
+            baseline_net=net,
         )
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -449,15 +437,13 @@ def cmd_synth(run: RunConfig, args) -> int:
         out / "dataset.csv", [dataset.customer, dataset.feeder, dataset.substation]
     )
     fr = capacity_fractions(run.synth)
-    s = run.site
     config_lines = [
         "# generated alongside dataset.csv; pass via --config to later commands",
-        f"site.latitude = {s.latitude:.17g}",
-        f"site.longitude = {s.longitude:.17g}",
-        f"site.tz_offset = {s.tz_offset:.17g}",
-        f"site.dc_rating_kw = {s.dc_rating_kw:.17g}",
-        f"site.ac_rating_kw = {s.ac_rating_kw:.17g}",
-        f"site.system_efficiency = {s.system_efficiency:.17g}",
+        *(
+            f"{key} = {getattr(run.site, attr):.17g}"
+            for key, (obj, attr) in _FIELD_KEYS.items()
+            if obj is DEFAULT_SITE
+        ),
         f"pipeline.fractions = {fr[0]:.17g}, {fr[1]:.17g}, {fr[2]:.17g}",
         f"seed = {run.synth.seed}",
         # bare filename: resolved against this file's directory at load time,

@@ -201,14 +201,6 @@ class MultiLevelDataset:
             MeasurementLevel.SUBSTATION: self.substation,
         }[level]
 
-    def sliced(self, a: int, b: int) -> "MultiLevelDataset":
-        return MultiLevelDataset(
-            customer=self.customer.sliced(a, b),
-            feeder=self.feeder.sliced(a, b),
-            substation=self.substation.sliced(a, b),
-            site=self.site,
-        )
-
 
 @dataclass(frozen=True)
 class ValidationReport:

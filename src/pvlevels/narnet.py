@@ -10,6 +10,9 @@ autoregressive lags, most recent first within each block:
     u(t) = [x1(t-1)..x1(t-d), ..., xk(t-1)..xk(t-d), y(t-1)..y(t-d)]
 
 With no exogenous channels this is a NAR net; with them, a NARX.
+Training rows (make_training_set) and closed-loop steps
+(predict_closed_loop) read u(t) from the same lag windows, so the
+layout lives in one function, _lag_windows.
 Training is full-batch gradient descent on mean squared error with
 per-parameter adaptive moments (decay 0.9/0.999, bias correction),
 teacher-forced (open-loop): measured lags in, one-step-ahead target out.
@@ -28,6 +31,7 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import MeasurementLevel, make_generator
 from .errors import (
@@ -199,11 +203,10 @@ def _forward_batch(
     return activations @ w_out + b_out, activations
 
 
-def _stack_channels(y: np.ndarray, exo: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Channel list in input order: exogenous first, autoregressive last."""
-    return [np.asarray(x, dtype=np.float64) for x in exo] + [
-        np.asarray(y, dtype=np.float64)
-    ]
+def _lag_windows(channels: Sequence[np.ndarray], d: int) -> list[np.ndarray]:
+    """The tapped-delay layout: row i of each window holds the d lags of
+    time i+d, most recent first. Views, so a write to a channel shows."""
+    return [sliding_window_view(c, d)[:, ::-1] for c in channels]
 
 
 def make_training_set(
@@ -211,9 +214,8 @@ def make_training_set(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Teacher-forced samples from measured series.
 
-    Returns (inputs, targets) with one row per t in d..L-1: the row holds
-    d lags of each exogenous channel then d lags of y, and the target is
-    y(t). All series must share length L > d.
+    Returns (inputs, targets) with one row per t in d..L-1: the row is
+    u(t) and the target is y(t). All series must share length L > d.
 
     When the series is a concatenation of disjoint stretches (daylight
     hours glued across nights, say), pass their lengths as ``segments``:
@@ -221,41 +223,30 @@ def make_training_set(
     a value onto lags from the other side of a gap. Stretches no longer
     than d contribute nothing; at least one row must survive overall.
     """
-    channels = _stack_channels(np.asarray(y, dtype=np.float64), exo)
+    channels = [np.asarray(x, dtype=np.float64) for x in exo]
+    channels.append(np.asarray(y, dtype=np.float64))
     L = channels[-1].size
     for c in channels:
         if c.ndim != 1 or c.size != L:
             raise TooShort(f"channel length {c.size} != {L} or not 1-d")
-
-    def rows(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        n = (b - a) - d
-        inputs = np.empty((n, d * len(channels)), dtype=np.float64)
-        for j, c in enumerate(channels):
-            for k in range(d):
-                # lag k+1 of channel j, for every sample at once
-                inputs[:, j * d + k] = c[a + d - 1 - k : b - 1 - k]
-        return inputs, channels[-1][a + d : b].copy()
-
     if segments is None:
         if L <= d:
             raise TooShort(f"series length {L} must exceed delay {d}")
-        return rows(0, L)
+        segments = [L]
     segs = [int(s) for s in segments]
     if any(s <= 0 for s in segs) or sum(segs) != L:
         raise ValueError(
             f"segment lengths {segs} must be positive and sum to {L}"
         )
-    parts = []
-    start = 0
-    for s in segs:
-        if s > d:
-            parts.append(rows(start, start + s))
-        start += s
-    if not parts:
+    # row t is kept when t-d lies in t's own stretch
+    offsets = np.arange(L) - np.repeat(np.cumsum([0] + segs)[:-1], segs)
+    keep = offsets[d:] >= d
+    if not keep.any():
         raise TooShort(
             f"no segment of {segs} exceeds delay {d}; nothing to train on"
         )
-    return np.vstack([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    inputs = np.concatenate(_lag_windows([c[:-1] for c in channels], d), axis=1)
+    return inputs[keep], channels[-1][d:][keep]
 
 
 def _flatten(w_hidden, b_hidden, w_out, b_out) -> np.ndarray:
@@ -431,28 +422,21 @@ def predict_closed_loop(
         if x.shape != (d,):
             raise SeedLengthMismatch(f"exo_seed shape {x.shape}, expected ({d},)")
 
+    # one buffer per channel, seed then horizon; y fills as steps come out
+    buffers = [np.concatenate([s, x[:horizon]]) for s, x in zip(seeds, fut)]
+    buffers.append(np.concatenate([ys, np.empty(horizon)]))
+    windows = _lag_windows(buffers, d)
     lo, hi = clamp
-    out = np.empty(horizon, dtype=np.float64)
-    u = np.empty(model.config.input_width, dtype=np.float64)
     n_clamped = 0
     for h in range(horizon):
-        for j, (channel_fut, channel_seed) in enumerate(zip(fut, seeds)):
-            for lag in range(1, d + 1):
-                idx = h - lag
-                u[j * d + (lag - 1)] = (
-                    channel_fut[idx] if idx >= 0 else channel_seed[d + idx]
-                )
-        for lag in range(1, d + 1):
-            idx = h - lag
-            u[k * d + (lag - 1)] = out[idx] if idx >= 0 else ys[d + idx]
-        raw = forward(model, u)
+        raw = forward(model, np.concatenate([w[h] for w in windows]))
         clipped = min(hi, max(lo, raw))
         if clipped != raw:
             n_clamped += 1
-        out[h] = clipped
+        buffers[-1][d + h] = clipped
     if clamp_stats is not None:
         clamp_stats["n_clamped"] = n_clamped
-    return out
+    return buffers[-1][d:]
 
 
 def fit_nar(series: PreprocessedSeries, config: NetworkConfig) -> FittingModel:
@@ -477,7 +461,7 @@ def fit_nar(series: PreprocessedSeries, config: NetworkConfig) -> FittingModel:
             f"{max(MIN_FIT_DAY_HOURS, config.delay_d + 1)}"
         )
     inputs, targets = make_training_set(
-        y, (), config.delay_d, segments=series.day_run_lengths()
+        y, (), config.delay_d, segments=day_run_lengths(series.day_mask)
     )
     net = train(init_network(config), inputs, targets)
     preds, _ = _forward_batch(net.w_hidden, net.b_hidden, net.w_out, net.b_out, inputs)

@@ -161,14 +161,11 @@ class LevelErrors:
     e_c: float
     e_f: float
     e_s: float
-    e_n: float | None
+    e_n: float
     target_met: bool
 
     def __post_init__(self) -> None:
-        expected = self.e_n is not None and self.e_n < min(
-            self.e_c, self.e_f, self.e_s
-        )
-        if self.target_met != expected:
+        if self.target_met != (self.e_n < min(self.e_c, self.e_f, self.e_s)):
             raise ValueError(
                 f"target_met={self.target_met} inconsistent with errors "
                 f"({self.e_c}, {self.e_f}, {self.e_s}, {self.e_n})"
@@ -218,8 +215,8 @@ class CaseResult:
 
 def classify_weather_day(
     day_index_values,
-    sunny_threshold: float = 0.8,
-    cloudy_threshold: float = 0.4,
+    sunny_threshold: float = PipelineConfig.sunny_threshold,
+    cloudy_threshold: float = PipelineConfig.cloudy_threshold,
 ) -> Weather:
     """Weather class of one day from its mean clear-sky index."""
     values = np.asarray(day_index_values, dtype=np.float64)
@@ -651,11 +648,23 @@ class CaseRow:
 
     weather: Weather
     forecast_day: date
-    case1_min_mape: float
-    case2_mape: float
-    case3_mape: float
-    case4_mape: float
     results: dict[CaseStudy, CaseResult]
+
+    @property
+    def case1_min_mape(self) -> float:
+        return self.results[CaseStudy.CASE1].mape
+
+    @property
+    def case2_mape(self) -> float:
+        return self.results[CaseStudy.CASE2].mape
+
+    @property
+    def case3_mape(self) -> float:
+        return self.results[CaseStudy.CASE3].mape
+
+    @property
+    def case4_mape(self) -> float:
+        return self.results[CaseStudy.CASE4].mape
 
     @property
     def reduction_vs_case1(self) -> float:
@@ -725,15 +734,5 @@ def compare_cases(
         # contexts are not kept, each holds a whole-dataset day mask
         context = ForecastDay.at(dataset, profile, chosen, config)
         results = {cid: run_case(cid, context) for cid in CaseStudy}
-        rows.append(
-            CaseRow(
-                weather=weather,
-                forecast_day=chosen,
-                case1_min_mape=results[CaseStudy.CASE1].mape,
-                case2_mape=results[CaseStudy.CASE2].mape,
-                case3_mape=results[CaseStudy.CASE3].mape,
-                case4_mape=results[CaseStudy.CASE4].mape,
-                results=results,
-            )
-        )
+        rows.append(CaseRow(weather=weather, forecast_day=chosen, results=results))
     return CaseComparison(rows=tuple(rows), missing_classes=tuple(missing))

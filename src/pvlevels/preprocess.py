@@ -91,10 +91,6 @@ class PreprocessedSeries:
         """Positions of the day hours on the original hourly grid."""
         return np.flatnonzero(self.day_mask)
 
-    def day_run_lengths(self) -> list[int]:
-        """Lengths of the consecutive day-hour stretches, in order."""
-        return day_run_lengths(self.day_mask)
-
 
 def day_run_lengths(day_mask) -> list[int]:
     """Lengths of each unbroken run of True in an hourly day mask.

@@ -119,14 +119,14 @@ class TestBuildRunConfig:
         run = build_run_config({"pipeline.day_threshold_fraction": "0.2"})
         assert run.pipeline.day_threshold_fraction == pytest.approx(0.2)
 
-    def test_baseline_overrides_only_baseline_net(self):
-        run = build_run_config(
-            {"baseline.delay_d": "4", "baseline.max_epochs": "500"}
-        )
+    def test_baseline_net_is_the_net(self):
+        run = build_run_config({"net.delay_d": "4", "net.max_epochs": "500"})
+        assert run.pipeline.baseline_net == run.pipeline.fit_net
+        assert run.pipeline.baseline_net == run.pipeline.narx_net
         assert run.pipeline.baseline_net.delay_d == 4
-        assert run.pipeline.baseline_net.max_epochs == 500
-        assert run.pipeline.narx_net.delay_d == 6
-        assert run.pipeline.fit_net.max_epochs == 2000
+        for key in ("baseline.delay_d", "baseline.max_epochs"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config_text(f"{key} = 4")
 
 
 def rows_file(tmp_path, rows, header=CSV_HEADER):

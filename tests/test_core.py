@@ -147,11 +147,6 @@ class TestMultiLevelDataset:
         with pytest.raises(LengthMismatch):
             self.build(s=make_series(n=24, level=MeasurementLevel.SUBSTATION))
 
-    def test_sliced_keeps_alignment(self):
-        ds = self.build().sliced(12, 36)
-        assert ds.n == 24
-        assert ds.start == utc_datetime(2023, 3, 1, 12)
-
 
 class TestValidateSeries:
     def test_clean_long_series_usable(self):

@@ -180,6 +180,18 @@ class TestMakeTrainingSet:
         with pytest.raises(TooShort):
             make_training_set([1.0, 2.0, 3.0], [[1.0, 2.0]], 1)
 
+    @pytest.mark.parametrize(
+        "y,segments", [([], None), ([], []), (np.arange(5.0), [2, 2, 1])]
+    )
+    def test_no_row_survives(self, y, segments):
+        with pytest.raises(TooShort):
+            make_training_set(y, (), 2, segments=segments)
+
+    @pytest.mark.parametrize("segments", [[2, 2], [3, 0, 2], [6, -1]])
+    def test_bad_segments(self, segments):
+        with pytest.raises(ValueError, match="must be positive and sum to 5"):
+            make_training_set(np.arange(5.0), (), 1, segments=segments)
+
     @given(
         n=st.integers(5, 40),
         d=st.integers(1, 4),
@@ -193,13 +205,24 @@ class TestMakeTrainingSet:
             return
         y = rng.normal(size=n)
         exo = [rng.normal(size=n) for _ in range(n_exo)]
-        inputs, targets = make_training_set(y, exo, d)
         channels = exo + [y]
-        for row, t in enumerate(range(d, n)):
-            assert targets[row] == y[t]
-            for j, c in enumerate(channels):
-                for lag in range(1, d + 1):
-                    assert inputs[row, j * d + (lag - 1)] == c[t - lag]
+        cuts = rng.choice(n - 1, size=int(rng.integers(0, 4)), replace=False) + 1
+        bounds = [0, *sorted(int(c) for c in cuts), n]
+        segments = [b - a for a, b in zip(bounds, bounds[1:])]
+        # every t whose d lags stay inside t's own stretch, in order
+        inside = [t for a, b in zip(bounds, bounds[1:]) for t in range(a + d, b)]
+        for segs, ts in ((None, range(d, n)), (segments, inside)):
+            if not ts:
+                with pytest.raises(TooShort):
+                    make_training_set(y, exo, d, segments=segs)
+                continue
+            inputs, targets = make_training_set(y, exo, d, segments=segs)
+            assert inputs.shape == (len(ts), d * len(channels))
+            for row, t in enumerate(ts):
+                assert targets[row] == y[t]
+                for j, c in enumerate(channels):
+                    for lag in range(1, d + 1):
+                        assert inputs[row, j * d + (lag - 1)] == c[t - lag]
 
 
 class TestLossAndGradient:
@@ -366,6 +389,27 @@ class TestPredictClosedLoop:
         u = np.array([e_seed[1], e_seed[0], y_seed[1], y_seed[0]])
         assert out[0] == pytest.approx(forward(model, u), abs=1e-15)
         assert out.size == 3  # horizon from the future channel length
+
+    def test_every_step_is_forward_on_its_training_row(self):
+        d, horizon = 3, 9
+        model = init_network(
+            NetworkConfig(delay_d=d, hidden_width=4, n_exo_channels=1, seed=8)
+        )
+        rng = np.random.default_rng(2)
+        y_seed, e_seed = rng.uniform(0.0, 1.0, (2, d))
+        e_future = rng.uniform(0.0, 1.0, horizon)
+        stats = {}
+        out = predict_closed_loop(
+            model, y_seed, [e_future], exo_seed=[e_seed],
+            clamp=(-10.0, 10.0), clamp_stats=stats,
+        )
+        inputs, _ = make_training_set(
+            np.concatenate([y_seed, out]), [np.concatenate([e_seed, e_future])], d
+        )
+        assert stats["n_clamped"] == 0
+        assert out.size == inputs.shape[0] == horizon
+        for h in range(horizon):
+            assert out[h] == forward(model, inputs[h])
 
     def test_feeds_back_own_predictions(self):
         cfg = NetworkConfig(delay_d=1, hidden_width=1)

@@ -193,12 +193,6 @@ class TestLevelErrors:
         with pytest.raises(ValueError):
             pv.LevelErrors(e_c=0.3, e_f=0.2, e_s=0.25, e_n=0.5, target_met=True)
 
-    def test_missing_e_n_never_met(self):
-        e = pv.LevelErrors(e_c=0.3, e_f=0.2, e_s=0.25, e_n=None, target_met=False)
-        assert e.e_n is None
-        with pytest.raises(ValueError):
-            pv.LevelErrors(e_c=0.3, e_f=0.2, e_s=0.25, e_n=None, target_met=True)
-
 
 def dummy_forecast():
     return pv.HourlyPowerSeries(
