@@ -25,12 +25,10 @@ from .core import (
     MeasurementLevel,
     MultiLevelDataset,
     SiteConfig,
-    ValidationReport,
     Weather,
     derive_seed,
     make_generator,
     utc_datetime,
-    validate_series,
 )
 from .errors import (
     AllExcluded,

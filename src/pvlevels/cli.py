@@ -6,13 +6,13 @@ Subcommands:
     synth       generate a synthetic multi-level dataset
     preprocess  clear-sky-index series for each level
     fit         per-level fitting-model quality table
-    forecast    one day, one or all case studies
+    forecast    one day's actual-vs-forecast series and scores per case
     cases       weather-by-case MAPE comparison table
-    plotdata    actual-vs-forecast series for one day
 
 Global flags: --config PATH (key = value file, all keys optional),
 --seed U64 (overrides the configured seed), --out DIR (output directory;
-single-file commands print to stdout without it), --trim-to-overlap
+required by every command but clearsky, which prints to stdout without
+it), --trim-to-overlap
 (clip loaded series to their common time range instead of failing).
 
 Exit codes: 0 success, 1 runtime/data error, 2 usage or configuration
@@ -538,14 +538,9 @@ def cmd_forecast(run: RunConfig, args) -> int:
         # one context per case, so no case reuses another's nets: the
         # benchmark's day-ahead-cli workload pins these train counts
         result = run_case(cid, ForecastDay.at(dataset, profile, day, run.pipeline))
-        forecast = result.forecast
-        rows = [
-            (_format_ts(forecast.timestamp(i)), f"{forecast.values[i]:.17g}")
-            for i in range(forecast.n)
-        ]
         _write_text(
             out / f"forecast_{cid.label}.csv",
-            _series_csv(rows, "timestamp_utc,forecast_kw"),
+            _day_series_file(result, dataset, run.pipeline.target_level),
         )
         rep = result.report
         if rep is None:
@@ -655,17 +650,6 @@ def cmd_cases(run: RunConfig, args) -> int:
     return 0
 
 
-def cmd_plotdata(run: RunConfig, args) -> int:
-    dataset = _dataset_from_csv(run, args.trim_to_overlap)
-    profile = _profile_for(run, dataset)
-    day = _parse_date(args.day, "--day")
-    (cid,) = _case_ids(args.case or "case2")
-    result = run_case(cid, ForecastDay.at(dataset, profile, day, run.pipeline))
-    text = _day_series_file(result, dataset, run.pipeline.target_level)
-    _emit(run, f"plot_{cid.label}_{day.isoformat()}.csv", text)
-    return 0
-
-
 # ------------------------------------------------------------- dispatch
 
 
@@ -709,10 +693,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_cases)
 
-    p = sub.add_parser("plotdata", help="actual-vs-forecast series for one day")
-    p.add_argument("--day", required=True, metavar="YYYY-MM-DD")
-    p.add_argument("--case", metavar="caseN", help="one of case1..case4 (default case2)")
-    p.set_defaults(func=cmd_plotdata)
     return parser
 
 

@@ -202,30 +202,6 @@ class MultiLevelDataset:
         }[level]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Counts of suspicious readings in one series; never raises."""
-
-    n_total: int
-    negative_count: int
-    over_rating_count: int
-
-
-def validate_series(series: HourlyPowerSeries, site: SiteConfig) -> ValidationReport:
-    """Report data-quality counters for one series.
-
-    Negative readings are allowed (sensor bias before offset removal) and
-    only counted. A series never holds NaN, since ``HourlyPowerSeries``
-    rejects non-finite values.
-    """
-    v = series.values
-    return ValidationReport(
-        n_total=series.n,
-        negative_count=int(np.count_nonzero(v < 0.0)),
-        over_rating_count=int(np.count_nonzero(v > 1.1 * site.ac_rating_kw)),
-    )
-
-
 def utc_datetime(year: int, month: int, day: int, hour: int = 0) -> datetime:
     """Convenience constructor for hour-aligned UTC timestamps."""
     return datetime(year, month, day, hour, tzinfo=timezone.utc)

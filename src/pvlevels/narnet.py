@@ -215,7 +215,9 @@ def make_training_set(
     """Teacher-forced samples from measured series.
 
     Returns (inputs, targets) with one row per t in d..L-1: the row is
-    u(t) and the target is y(t). All series must share length L > d.
+    u(t) and the target is y(t). All series must be 1-d and share length
+    L > d: a channel that is not raises DimensionMismatch, a series too
+    short for d raises TooShort.
 
     When the series is a concatenation of disjoint stretches (daylight
     hours glued across nights, say), pass their lengths as ``segments``:
@@ -228,7 +230,9 @@ def make_training_set(
     L = channels[-1].size
     for c in channels:
         if c.ndim != 1 or c.size != L:
-            raise TooShort(f"channel length {c.size} != {L} or not 1-d")
+            raise DimensionMismatch(
+                f"channel length {c.size} != {L} or not 1-d"
+            )
     if segments is None:
         if L <= d:
             raise TooShort(f"series length {L} must exceed delay {d}")

@@ -493,10 +493,12 @@ class ForecastDay:
 
 
 def forecast_day_ahead(
-    day: ForecastDay,
-    levels_used: frozenset[MeasurementLevel] | set[MeasurementLevel],
+    day: ForecastDay, case_id: CaseStudy
 ) -> tuple[HourlyPowerSeries, LevelErrors, CaseResult]:
     """The full multi-level recipe for one day. See the module docstring.
+
+    The inputs are the levels of ``CASE_LEVELS[case_id]``; case 1 has
+    none and raises ValueError.
 
     The target is ``config.target_level``. Each attempt trains
     narx_committee identically configured nets from different derived
@@ -505,15 +507,9 @@ def forecast_day_ahead(
     while the error is not below the smallest per-level baseline error,
     and the best attempt is kept either way.
     """
-    levels_used = frozenset(levels_used)
-    case_id = next(
-        (cid for cid, lvls in CASE_LEVELS.items() if lvls == levels_used), None
-    )
-    if case_id is None:
-        raise ValueError(
-            f"level set {sorted(l.label for l in levels_used)} "
-            "matches no case study"
-        )
+    if case_id not in CASE_LEVELS:
+        raise ValueError(f"{case_id.label} has no multi-level recipe")
+    levels_used = CASE_LEVELS[case_id]
     config = day.config
     target_level = config.target_level
     i0, mask_day = day.i0, day.day_hours
@@ -627,10 +623,10 @@ def run_case(case_id: CaseStudy, day: ForecastDay) -> CaseResult:
     """One benchmark case on one day.
 
     Case 1 runs the raw-kW baseline at every level and reports each;
-    cases 2-4 delegate to the multi-level recipe with their level sets.
+    cases 2-4 delegate to the multi-level recipe.
     """
     if case_id is not CaseStudy.CASE1:
-        return forecast_day_ahead(day, CASE_LEVELS[case_id])[2]
+        return forecast_day_ahead(day, case_id)[2]
     reports = {lv: day.baseline(lv)[0] for lv in MeasurementLevel}
     return CaseResult(
         case_id=CaseStudy.CASE1,

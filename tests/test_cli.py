@@ -1,8 +1,11 @@
 """CLI surface: config parsing, CSV I/O, commands, exit codes, determinism."""
 
+import argparse
+
 import numpy as np
 import pytest
 
+from pvlevels import cli
 from pvlevels.cli import (
     CSV_HEADER,
     ConfigError,
@@ -443,8 +446,26 @@ class TestForecastCommand:
         assert len(summary) == 2
         assert summary[1].startswith("case1,")
         series = (tmp_path / "forecast_case1.csv").read_text().splitlines()
-        assert series[0] == "timestamp_utc,forecast_kw"
+        assert series[0] == "timestamp_utc,actual_kw,forecast_kw"
         assert len(series) == 25
+
+    def test_series_are_the_cases_series(self, workspace, cases_dir, tmp_path):
+        # the same day in both commands: one per-case hourly format
+        _, config, _ = workspace
+        code = cmd_dispatch(
+            [
+                "--config", str(config), "--out", str(tmp_path),
+                "forecast", "--day", "2023-04-08",
+            ]
+        )
+        assert code == 0
+        full = (cases_dir / "cases_full.csv").read_text().splitlines()
+        weather, day = full[1].split(",")[:2]
+        assert day == "2023-04-08"
+        for case in ("case1", "case2", "case3", "case4"):
+            assert (tmp_path / f"forecast_{case}.csv").read_bytes() == (
+                cases_dir / f"{case}_{weather}.csv"
+            ).read_bytes()
 
     def test_unknown_case(self, workspace, tmp_path, capsys):
         _, config, _ = workspace
@@ -585,30 +606,15 @@ class TestCasesCommand:
             assert cmd_dispatch(["--config", str(config), "--seed", "5", *args]) == 0
 
 
-class TestPlotdataCommand:
-    def test_stdout(self, workspace, capsys):
-        _, config, _ = workspace
-        code = cmd_dispatch(
-            [
-                "--config", str(config),
-                "plotdata", "--day", "2023-04-08", "--case", "case4",
-            ]
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "timestamp_utc,actual_kw,forecast_kw"
-        assert len(lines) == 25
-
-    def test_file_output(self, workspace, tmp_path):
-        _, config, _ = workspace
-        code = cmd_dispatch(
-            [
-                "--config", str(config), "--out", str(tmp_path),
-                "plotdata", "--day", "2023-04-08", "--case", "case1",
-            ]
-        )
-        assert code == 0
-        assert (tmp_path / "plot_case1_2023-04-08.csv").exists()
+def test_docstring_lists_the_parser_subcommands():
+    block = cli.__doc__.split("Subcommands:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = [line.split()[0] for line in block.splitlines()]
+    (subparsers,) = [
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert listed == list(subparsers.choices)
 
 
 class TestDispatchErrors:

@@ -12,7 +12,6 @@ from pvlevels.core import (
     derive_seed,
     make_generator,
     utc_datetime,
-    validate_series,
 )
 from pvlevels.errors import LengthMismatch, LevelTagMismatch, MisalignedRange
 
@@ -146,22 +145,6 @@ class TestMultiLevelDataset:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             self.build(s=make_series(n=24, level=MeasurementLevel.SUBSTATION))
-
-
-class TestValidateSeries:
-    def test_clean_long_series_usable(self):
-        s = make_series(n=30 * 24)
-        rep = validate_series(s, SITE)
-        assert rep.negative_count == 0 and rep.over_rating_count == 0
-
-    def test_counts(self):
-        v = np.ones(30 * 24)
-        v[0] = -2.0
-        v[1] = 200.0  # far above the 100 kW AC rating
-        s = make_series(n=30 * 24).with_values(v)
-        rep = validate_series(s, SITE)
-        assert rep.negative_count == 1
-        assert rep.over_rating_count == 1
 
 
 class TestSiteConfig:

@@ -177,8 +177,10 @@ class TestMakeTrainingSet:
             make_training_set([1.0, 2.0], (), 2)
 
     def test_channel_length_mismatch(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(DimensionMismatch):
             make_training_set([1.0, 2.0, 3.0], [[1.0, 2.0]], 1)
+        with pytest.raises(DimensionMismatch):
+            make_training_set([1.0, 2.0, 3.0], [[[1.0, 2.0, 3.0]]], 1)
 
     @pytest.mark.parametrize(
         "y,segments", [([], None), ([], []), (np.arange(5.0), [2, 2, 1])]

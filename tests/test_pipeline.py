@@ -315,10 +315,11 @@ class TestForecastWindowErrors:
         assert pv.valid_forecast_days(skewed, profile, fast) == []
 
     def test_unknown_level_set(self, data, fast):
+        # case 1 has no entry in CASE_LEVELS: it runs only the baselines
         dataset, profile = data
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="case1"):
             pv.forecast_day_ahead(
-                context(dataset, profile, local_day(39), fast), frozenset((F,))
+                context(dataset, profile, local_day(39), fast), CaseStudy.CASE1
             )
 
 
@@ -367,7 +368,7 @@ class TestForecastDay:
 def run(data, fast):
     dataset, profile = data
     return pv.forecast_day_ahead(
-        context(dataset, profile, local_day(39), fast), CASE_LEVELS[CaseStudy.CASE2]
+        context(dataset, profile, local_day(39), fast), CaseStudy.CASE2
     )
 
 
@@ -409,8 +410,7 @@ class TestForecastDayAhead:
     def test_deterministic(self, run, data, fast):
         dataset, profile = data
         again, errors, _ = pv.forecast_day_ahead(
-            context(dataset, profile, local_day(39), fast),
-            CASE_LEVELS[CaseStudy.CASE2],
+            context(dataset, profile, local_day(39), fast), CaseStudy.CASE2
         )
         assert np.array_equal(run[0].values, again.values)
         assert run[1] == errors
@@ -419,10 +419,10 @@ class TestForecastDayAhead:
         dataset, profile = data
         cfg = replace(fast, narx_committee=2)
         a = pv.forecast_day_ahead(
-            context(dataset, profile, local_day(39), cfg), CASE_LEVELS[CaseStudy.CASE4]
+            context(dataset, profile, local_day(39), cfg), CaseStudy.CASE4
         )
         b = pv.forecast_day_ahead(
-            context(dataset, profile, local_day(39), cfg), CASE_LEVELS[CaseStudy.CASE4]
+            context(dataset, profile, local_day(39), cfg), CaseStudy.CASE4
         )
         assert np.array_equal(a[0].values, b[0].values)
 
@@ -442,7 +442,7 @@ class TestRunCase:
         dataset, profile = data
         r = pv.run_case(CaseStudy.CASE3, context(dataset, profile, local_day(39), fast))
         forecast, errors, _ = pv.forecast_day_ahead(
-            context(dataset, profile, local_day(39), fast), CASE_LEVELS[CaseStudy.CASE3]
+            context(dataset, profile, local_day(39), fast), CaseStudy.CASE3
         )
         assert np.array_equal(r.forecast.values, forecast.values)
         assert r.level_errors == errors
