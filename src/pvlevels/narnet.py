@@ -22,6 +22,13 @@ autoregressive lags and clamping each step to the clear-sky-index range.
 Everything is deterministic given (seed, data, config): initialization
 comes from a PCG64 generator seeded explicitly, training is
 single-threaded float64 with no stochastic batching.
+
+Batches run hidden-major: the kernel takes the inputs transposed to
+(input_width, rows) and keeps the activations as (hidden, rows). The
+hidden layer is only a few units wide, and numpy runs an elementwise op
+or a reduction as an inner loop along the last axis, so row-major
+(rows, hidden) storage pays one loop of length ``hidden`` per row; here
+each op runs over contiguous rows of all ``rows`` values.
 """
 
 from __future__ import annotations
@@ -197,10 +204,15 @@ def _forward_batch(
     b_hidden: np.ndarray,
     w_out: np.ndarray,
     b_out: float,
-    inputs: np.ndarray,
+    XT: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    activations = np.tanh(inputs @ w_hidden.T + b_hidden)
-    return activations @ w_out + b_out, activations
+    """Predictions and hidden activations for a batch given hidden-major:
+    ``XT`` is (input_width, rows), C-contiguous, and so are the
+    (hidden, rows) activations."""
+    activations = w_hidden @ XT
+    activations += b_hidden[:, None]
+    np.tanh(activations, out=activations)
+    return w_out @ activations + b_out, activations
 
 
 def _lag_windows(channels: Sequence[np.ndarray], d: int) -> list[np.ndarray]:
@@ -286,21 +298,29 @@ def _check_batch(
 
 
 def _loss_and_gradient(
-    theta: np.ndarray, config: NetworkConfig, X: np.ndarray, t: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The gradient kernel on flat parameters and a checked batch."""
+    grad: np.ndarray,
+    theta: np.ndarray,
+    config: NetworkConfig,
+    X: np.ndarray,
+    XT: np.ndarray,
+    t: np.ndarray,
+) -> float:
+    """The gradient kernel: returns the loss and writes its gradient into
+    the flat ``grad``. Takes flat parameters and a checked batch both
+    row-major (X) and hidden-major (XT, C-contiguous)."""
     w_hidden, b_hidden, w_out, b_out = _unflatten(theta, config)
-    preds, acts = _forward_batch(w_hidden, b_hidden, w_out, b_out, X)
+    g_w_hidden, g_b_hidden, g_w_out, _ = _unflatten(grad, config)
+    preds, acts = _forward_batch(w_hidden, b_hidden, w_out, b_out, XT)
     n = X.shape[0]
     resid = preds - t
     loss = float(resid @ resid) / n
     g_pred = 2.0 * resid / n
-    g_b_out = float(g_pred.sum())
-    g_w_out = acts.T @ g_pred
-    g_z = np.outer(g_pred, w_out) * (1.0 - acts**2)
-    g_b_hidden = g_z.sum(axis=0)
-    g_w_hidden = g_z.T @ X
-    return loss, _flatten(g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+    grad[-1] = g_pred.sum()
+    np.matmul(acts, g_pred, out=g_w_out)
+    g_z = w_out[:, None] * g_pred * (1.0 - acts**2)
+    g_z.sum(axis=1, out=g_b_hidden)
+    np.matmul(g_z, X, out=g_w_hidden)
+    return loss
 
 
 def loss_and_gradient(
@@ -313,7 +333,9 @@ def loss_and_gradient(
     """
     X, t = _check_batch(model.config, inputs, targets)
     theta = _flatten(model.w_hidden, model.b_hidden, model.w_out, model.b_out)
-    return _loss_and_gradient(theta, model.config, X, t)
+    grad = np.empty_like(theta)
+    XT = np.ascontiguousarray(X.T)
+    return _loss_and_gradient(grad, theta, model.config, X, XT, t), grad
 
 
 def train(model: NarxModel, inputs, targets) -> NarxModel:
@@ -333,33 +355,51 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
     X, t = _check_batch(cfg, inputs, targets)
     if cfg.max_epochs == 0:
         return model
+    XT = np.ascontiguousarray(X.T)
+    # theta, the moments and the step are updated in place; _flatten
+    # copies, so the passed model is never written through
     theta = _flatten(model.w_hidden, model.b_hidden, model.w_out, model.b_out)
+    grad = np.empty_like(theta)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    m_hat = np.empty_like(theta)
+    v_hat = np.empty_like(theta)
+    scratch = np.empty_like(theta)
+    finite = np.empty(theta.shape, dtype=bool)
     history: list[float] = []
     best_loss = math.inf
-    best_theta = theta
+    best_theta = theta.copy()
     stall = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        loss, grad = _loss_and_gradient(theta, cfg, X, t)
+        loss = _loss_and_gradient(grad, theta, cfg, X, XT, t)
         if not math.isfinite(loss):
             raise DivergedLoss(f"loss became non-finite at epoch {epoch}")
         history.append(loss)
         if loss < best_loss - _EARLY_STOP_DELTA:
             best_loss = loss
-            best_theta = theta
+            best_theta = theta.copy()
             stall = 0
         else:
             stall += 1
             if stall >= cfg.early_stop_patience:
                 break
-        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
-        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad**2
-        m_hat = m / (1.0 - _ADAM_BETA1**epoch)
-        v_hat = v / (1.0 - _ADAM_BETA2**epoch)
-        # a new array each epoch, so best_theta is never written through
-        theta = theta - cfg.step_size * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        if not np.isfinite(theta).all():
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g**2
+        m *= _ADAM_BETA1
+        np.multiply(grad, 1.0 - _ADAM_BETA1, out=scratch)
+        m += scratch
+        v *= _ADAM_BETA2
+        np.square(grad, out=scratch)
+        scratch *= 1.0 - _ADAM_BETA2
+        v += scratch
+        # theta -= step * m_hat / (sqrt(v_hat) + eps), bias-corrected
+        np.divide(m, 1.0 - _ADAM_BETA1**epoch, out=m_hat)
+        np.divide(v, 1.0 - _ADAM_BETA2**epoch, out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += _ADAM_EPS
+        m_hat *= cfg.step_size
+        m_hat /= v_hat
+        theta -= m_hat
+        if not np.isfinite(theta, out=finite).all():
             raise DivergedLoss(f"parameters became non-finite at epoch {epoch}")
     w_hidden, b_hidden, w_out, b_out = _unflatten(best_theta, cfg)
     return NarxModel(
@@ -377,7 +417,8 @@ def predict_open_loop(model: NarxModel, y, exo: Sequence = ()) -> np.ndarray:
     """One-step-ahead predictions with measured lags, for t = d..L-1."""
     inputs, _ = make_training_set(y, exo, model.config.delay_d)
     preds, _ = _forward_batch(
-        model.w_hidden, model.b_hidden, model.w_out, model.b_out, inputs
+        model.w_hidden, model.b_hidden, model.w_out, model.b_out,
+        np.ascontiguousarray(inputs.T),
     )
     return preds
 
@@ -468,7 +509,10 @@ def fit_nar(series: PreprocessedSeries, config: NetworkConfig) -> FittingModel:
         y, (), config.delay_d, segments=day_run_lengths(series.day_mask)
     )
     net = train(init_network(config), inputs, targets)
-    preds, _ = _forward_batch(net.w_hidden, net.b_hidden, net.w_out, net.b_out, inputs)
+    preds, _ = _forward_batch(
+        net.w_hidden, net.b_hidden, net.w_out, net.b_out,
+        np.ascontiguousarray(inputs.T),
+    )
     fit_r2 = _r_squared(targets, preds)
     fit_mape, _ = _mape(targets, preds, 0.0)
     return FittingModel(level=series.level, net=net, fit_r2=fit_r2, fit_mape=fit_mape)

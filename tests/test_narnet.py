@@ -49,6 +49,23 @@ def tiny_model(w=5.0, out=2.0):
     )
 
 
+def reference_loss_and_gradient(theta, config, X, t):
+    """The row-major kernel: activations stored as (rows x hidden)."""
+    w_hidden, b_hidden, w_out, b_out = _unflatten(theta, config)
+    acts = np.tanh(X @ w_hidden.T + b_hidden)
+    preds = acts @ w_out + b_out
+    n = X.shape[0]
+    resid = preds - t
+    loss = float(resid @ resid) / n
+    g_pred = 2.0 * resid / n
+    g_b_out = float(g_pred.sum())
+    g_w_out = acts.T @ g_pred
+    g_z = np.outer(g_pred, w_out) * (1.0 - acts**2)
+    g_b_hidden = g_z.sum(axis=0)
+    g_w_hidden = g_z.T @ X
+    return loss, _flatten(g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+
+
 def reference_train(model, X, t):
     """Adam as a plain loop: a NarxModel rebuilt from the flat parameters
     every epoch, gradients from the public loss_and_gradient, and a loss
@@ -270,6 +287,31 @@ class TestLossAndGradient:
             assert abs(grad[i] - numeric) / denom < 1e-5
 
 
+    # float64 summation order differs between the layouts; fixed up front
+    @pytest.mark.parametrize(
+        "rows, hidden, n_exo",
+        [(50, 1, 0), (1, 4, 0), (1, 3, 4), (2000, 6, 0), (2000, 3, 4), (700, 5, 4)],
+        ids=["hidden-1", "one-row", "one-row-narx", "2000-rows", "2000-rows-narx",
+             "narx"],
+    )
+    def test_matches_row_major_reference(self, rows, hidden, n_exo):
+        rng = np.random.default_rng(rows + hidden + n_exo)
+        cfg = NetworkConfig(
+            delay_d=3, hidden_width=hidden, n_exo_channels=n_exo, seed=7
+        )
+        model = init_network(cfg)
+        model = NarxModel(
+            cfg, model.w_hidden, rng.normal(0, 0.3, hidden), model.w_out, 0.2
+        )
+        X = rng.uniform(0.0, 1.2, size=(rows, cfg.input_width))
+        t = rng.uniform(0.0, 1.2, size=rows)
+        theta = _flatten(model.w_hidden, model.b_hidden, model.w_out, model.b_out)
+        want_loss, want_grad = reference_loss_and_gradient(theta, cfg, X, t)
+        loss, grad = loss_and_gradient(model, X, t)
+        assert loss == pytest.approx(want_loss, rel=1e-10, abs=1e-13)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-13)
+
+
 class TestTrain:
     def make_batch(self, n=200, seed=0):
         rng = np.random.default_rng(seed)
@@ -364,6 +406,24 @@ class TestTrain:
         assert got.trained
         stopped_early = len(got.training_history) < cfg.max_epochs
         assert stopped_early == bool(kw)
+
+
+    def test_buffers_never_write_through(self):
+        X, t = self.make_batch()
+        X.setflags(write=False)
+        t.setflags(write=False)
+        X_before, t_before = X.copy(), t.copy()
+        cfg = NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=80)
+        model = init_network(cfg)
+        text_before = model_to_text(model)
+        a = train(model, X, t)
+        b = train(a, X, t)
+        assert np.array_equal(X, X_before) and np.array_equal(t, t_before)
+        assert model_to_text(model) == text_before
+        params = lambda m: (m.w_hidden, m.b_hidden, m.w_out)
+        for p in params(a):
+            for q in params(b) + params(model):
+                assert not np.shares_memory(p, q)
 
 
 class TestPredictOpenLoop:
