@@ -17,6 +17,16 @@ time is deliberately omitted (at most ~16 min of noon shift, to which the
 normalization ratio is insensitive); solar time is derived from UTC and
 longitude alone. Declination is held constant within each civil day and
 every hour is evaluated at its midpoint (minute 30).
+
+`clearsky_profile` uses that structure: the declination takes one value
+per site-local civil day and the hour angle one value per UTC hour of day
+(24 values), so a profile computes those once and forms every hour's
+cos z from them with numpy's correctly rounded ``+``, ``*``, ``minimum``
+and ``maximum``, in the order of `solar_zenith`. The transcendentals stay
+per hour in `math` (``acos``, ``cos``, ``exp``): numpy's vectorized
+``arccos`` and ``exp`` may differ from the C library in the last bit on
+some CPUs, and the profile must equal `solar_position` -> `clearsky_ghi`
+-> `clearsky_power` hour by hour, bit for bit, on every machine.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .core import HOUR, SiteConfig, check_utc_hour
+from .core import DAY, HOUR, SiteConfig, check_utc_hour
 from .errors import OutOfRangeDay
 
 #: Haurwitz GHI at zenith 0 before the exponential attenuation, W/m^2.
@@ -112,6 +122,12 @@ def clearsky_power(ghi: float, site: SiteConfig) -> float:
     )
 
 
+def _hour_angle(utc_hours: float, longitude: float) -> float:
+    """Hour angle in degrees at ``utc_hours`` past UTC midnight."""
+    t_solar = (utc_hours + longitude / 15.0) % 24.0
+    return 15.0 * (t_solar - 12.0)
+
+
 @dataclass(frozen=True, eq=False)
 class SolarPosition:
     """Sun geometry at one instant: all angles in degrees."""
@@ -130,8 +146,7 @@ def solar_position(site: SiteConfig, ts_utc: datetime) -> SolarPosition:
     local = ts_utc + timedelta(hours=site.tz_offset)
     declination = solar_declination(local.timetuple().tm_yday)
     utc_hours = ts_utc.hour + ts_utc.minute / 60.0 + ts_utc.second / 3600.0
-    t_solar = (utc_hours + site.longitude / 15.0) % 24.0
-    hour_angle = 15.0 * (t_solar - 12.0)
+    hour_angle = _hour_angle(utc_hours, site.longitude)
     zenith = solar_zenith(site.latitude, declination, hour_angle)
     return SolarPosition(declination=declination, hour_angle=hour_angle, zenith=zenith)
 
@@ -200,17 +215,35 @@ def clearsky_profile(site: SiteConfig, start: datetime, n_hours: int) -> ClearSk
     """Simulate the clear-sky power profile for ``n_hours`` from ``start``.
 
     Each hour is evaluated at its midpoint; night hours come out exactly
-    zero, and power never exceeds the AC rating.
+    zero, and power never exceeds the AC rating. The result equals the
+    per-hour chain `solar_position` -> `clearsky_ghi` -> `clearsky_power`
+    bit for bit (see the module docstring).
     """
     check_utc_hour(start, "profile start")
     if n_hours < 1:
         raise ValueError(f"n_hours must be >= 1, got {n_hours}")
-    power = np.empty(n_hours, dtype=np.float64)
-    ghi = np.empty(n_hours, dtype=np.float64)
-    for i in range(n_hours):
-        mid = start + i * HOUR + timedelta(minutes=30)
-        pos = solar_position(site, mid)
-        g = clearsky_ghi(pos.zenith)
-        ghi[i] = g
-        power[i] = clearsky_power(g, site)
+    # Site-local civil day of each hour's midpoint, counted from the first.
+    first_mid = start + timedelta(minutes=30) + timedelta(hours=site.tz_offset)
+    first_day = first_mid.replace(hour=0, minute=0, second=0, microsecond=0)
+    hours = np.arange(n_hours)
+    into_day = np.timedelta64(first_mid - first_day) + hours * np.timedelta64(1, "h")
+    day = into_day // np.timedelta64(1, "D")
+    declinations = [
+        math.radians(solar_declination((first_day + k * DAY).timetuple().tm_yday))
+        for k in range(int(day[-1]) + 1)
+    ]
+    sin_dec = np.array([math.sin(d) for d in declinations])[day]
+    cos_dec = np.array([math.cos(d) for d in declinations])[day]
+    # Hour angle of each UTC hour of day, at minute 30.
+    cos_ha = np.array(
+        [math.cos(math.radians(_hour_angle(h + 0.5, site.longitude))) for h in range(24)]
+    )
+    cos_ha = cos_ha[(start.hour + hours) % 24]
+    lat = math.radians(site.latitude)
+    cos_z = math.sin(lat) * sin_dec + math.cos(lat) * cos_dec * cos_ha
+    cos_z = np.minimum(1.0, np.maximum(-1.0, cos_z))
+    ghi = np.array([clearsky_ghi(math.degrees(math.acos(c))) for c in cos_z.tolist()])
+    power = np.minimum(
+        site.ac_rating_kw, site.system_efficiency * site.dc_rating_kw * ghi / 1000.0
+    )
     return ClearSkyProfile(start=start, power_kw=power, ghi_wm2=ghi)

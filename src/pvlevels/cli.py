@@ -27,6 +27,8 @@ percent with 2 decimals and always have a full-precision `_full` mirror.
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -36,6 +38,7 @@ import numpy as np
 
 from .clearsky import ClearSkyProfile, clearsky_profile
 from .core import (
+    DAY,
     HOUR,
     HourlyPowerSeries,
     MeasurementLevel,
@@ -226,14 +229,32 @@ def build_run_config(
 # ---------------------------------------------------------------- CSV I/O
 
 _TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+_HOUR_SUFFIXES = [f"{h:02d}:00:00Z" for h in range(24)]
 
 
-def _format_ts(ts: datetime) -> str:
-    return ts.strftime(_TS_FORMAT)
+def _hour_stamps(start: datetime, n: int) -> list[str]:
+    """`_TS_FORMAT` text of the ``n`` hours from the UTC hour ``start``.
+
+    Each calendar day is formatted once and joined to its hour suffixes;
+    the text equals ``strftime(_TS_FORMAT)`` of every hour.
+    """
+    midnight = start.replace(hour=0)
+    first = start.hour
+    n_days = (first + n + 23) // 24
+    days = [(midnight + k * DAY).strftime("%Y-%m-%dT") for k in range(n_days)]
+    return [days[j // 24] + _HOUR_SUFFIXES[j % 24] for j in range(first, first + n)]
+
+
+# The form `_hour_stamps` writes, with an hour of 00-23: its fields go
+# straight to `datetime`, which rejects the dates `strptime` rejects.
+_WRITTEN_TS = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([01][0-9]|2[0-3]):00:00Z")
 
 
 def _parse_ts(text: str, lineno: int) -> datetime:
+    written = _WRITTEN_TS.fullmatch(text)
     try:
+        if written:
+            return datetime(*map(int, written.groups()), tzinfo=timezone.utc)
         ts = datetime.strptime(text, _TS_FORMAT).replace(tzinfo=timezone.utc)
     except ValueError as exc:
         raise ParseError(f"line {lineno}: bad timestamp {text!r}") from exc
@@ -246,15 +267,17 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     """Read the flat measurement CSV into per-(level, series_id) series.
 
     Rows may arrive in any order; each group must form a gap-free hourly
-    range with no duplicate timestamps.
+    range with no duplicate timestamps, and every power must be a finite
+    number. Each distinct timestamp text and level label is parsed once.
     """
     try:
-        text = Path(path).read_text(encoding="ascii")
+        lines = Path(path).read_text(encoding="ascii").splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"line 1: expected header {CSV_HEADER!r}")
+    stamps: dict[str, datetime] = {}
+    levels: dict[str, MeasurementLevel] = {}
     groups: dict[tuple[MeasurementLevel, str], dict[datetime, float]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -262,22 +285,28 @@ def load_csv(path) -> list[HourlyPowerSeries]:
         parts = line.split(",")
         if len(parts) != 4:
             raise ParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        ts = _parse_ts(parts[0], lineno)
-        try:
-            level = MeasurementLevel.from_label(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        series_id = parts[2]
+        stamp, label, series_id, power_text = parts
+        ts = stamps.get(stamp)
+        if ts is None:
+            ts = stamps[stamp] = _parse_ts(stamp, lineno)
+        level = levels.get(label)
+        if level is None:
+            try:
+                level = levels[label] = MeasurementLevel.from_label(label)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
         if not series_id:
             raise ParseError(f"line {lineno}: empty series_id")
         try:
-            power = float(parts[3])
+            power = float(power_text)
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad power value {parts[3]!r}") from exc
+            raise ParseError(f"line {lineno}: bad power value {power_text!r}") from exc
+        if not math.isfinite(power):
+            raise ParseError(f"line {lineno}: bad power value {power_text!r}")
         rows = groups.setdefault((level, series_id), {})
         if ts in rows:
             raise DuplicateRow(
-                f"line {lineno}: duplicate ({parts[0]}, {level.label}, {series_id})"
+                f"line {lineno}: duplicate ({stamp}, {level.label}, {series_id})"
             )
         rows[ts] = power
     if not groups:
@@ -285,11 +314,11 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     out = []
     for (level, series_id) in sorted(groups, key=lambda k: (int(k[0]), k[1])):
         rows = groups[(level, series_id)]
-        stamps = sorted(rows)
-        expected = stamps[0]
-        for ts in stamps:
+        hours = sorted(rows)
+        expected = hours[0]
+        for ts in hours:
             if ts != expected:
-                missing = _format_ts(expected)
+                missing = _hour_stamps(expected, 1)[0]
                 raise GapError(
                     f"series ({level.label}, {series_id}) is missing hour {missing}"
                 )
@@ -298,23 +327,29 @@ def load_csv(path) -> list[HourlyPowerSeries]:
             HourlyPowerSeries(
                 site_id=series_id,
                 level=level,
-                start=stamps[0],
-                values=np.array([rows[ts] for ts in stamps]),
+                start=hours[0],
+                values=np.array([rows[ts] for ts in hours]),
             )
         )
     return out
 
 
 def write_csv(path, series_list: list[HourlyPowerSeries]) -> None:
-    """Write series to the flat CSV schema, deterministically ordered."""
-    lines = [CSV_HEADER]
-    for s in sorted(series_list, key=lambda s: (int(s.level), s.site_id)):
-        for i in range(s.n):
-            lines.append(
-                f"{_format_ts(s.timestamp(i))},{s.level.label},"
-                f"{s.site_id},{s.values[i]:.17g}"
-            )
-    _write_text(path, "\n".join(lines) + "\n")
+    """Write series to the flat CSV schema, deterministically ordered.
+
+    Series are written one at a time; series sharing an hourly range
+    share one formatting of its timestamps.
+    """
+    stamps: dict[tuple[datetime, int], list[str]] = {}
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for s in sorted(series_list, key=lambda s: (int(s.level), s.site_id)):
+            key = (s.start, s.n)
+            if key not in stamps:
+                stamps[key] = _hour_stamps(s.start, s.n)
+            tag = f",{s.level.label},{s.site_id},"
+            rows = zip(stamps[key], s.values.tolist())
+            fh.write("".join([f"{ts}{tag}{v:.17g}\n" for ts, v in rows]))
 
 
 def trim_to_overlap(series_list: list[HourlyPowerSeries]) -> list[HourlyPowerSeries]:
@@ -395,12 +430,12 @@ def _day_series_file(result, dataset: MultiLevelDataset, target: MeasurementLeve
     i0 = dataset.customer.hour_index(forecast.start)
     actual = dataset.series(target).values[i0 : i0 + forecast.n]
     rows = [
-        (
-            _format_ts(forecast.timestamp(i)),
-            f"{actual[i]:.17g}",
-            f"{forecast.values[i]:.17g}",
+        (ts, f"{a:.17g}", f"{f:.17g}")
+        for ts, a, f in zip(
+            _hour_stamps(forecast.start, forecast.n),
+            actual.tolist(),
+            forecast.values.tolist(),
         )
-        for i in range(forecast.n)
     ]
     return _series_csv(rows, "timestamp_utc,actual_kw,forecast_kw")
 
@@ -419,12 +454,12 @@ def cmd_clearsky(run: RunConfig, args) -> int:
         raise ConfigError("--days must be >= 1")
     profile = clearsky_profile(run.site, begin, days * 24)
     rows = [
-        (
-            _format_ts(profile.timestamp(i)),
-            f"{profile.power_kw[i]:.17g}",
-            f"{profile.ghi_wm2[i]:.17g}",
+        (ts, f"{p:.17g}", f"{g:.17g}")
+        for ts, p, g in zip(
+            _hour_stamps(profile.start, profile.n),
+            profile.power_kw.tolist(),
+            profile.ghi_wm2.tolist(),
         )
-        for i in range(profile.n)
     ]
     _emit(run, "clearsky.csv", _series_csv(rows, "timestamp_utc,power_kw,ghi_wm2"))
     return 0
@@ -475,15 +510,9 @@ def cmd_preprocess(run: RunConfig, args) -> int:
     index_rows = []
     summary_rows = []
     for pre in _preprocessed_levels(run, args):
-        hours = pre.day_hour_indices()
-        for k, i in enumerate(hours):
-            index_rows.append(
-                (
-                    _format_ts(pre.source_start + int(i) * HOUR),
-                    pre.level.label,
-                    f"{pre.index_values[k]:.17g}",
-                )
-            )
+        stamps = _hour_stamps(pre.source_start, pre.source_n)
+        for i, index in zip(pre.day_hour_indices().tolist(), pre.index_values.tolist()):
+            index_rows.append((stamps[i], pre.level.label, f"{index:.17g}"))
         summary_rows.append(
             (
                 pre.level.label,

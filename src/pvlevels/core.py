@@ -16,6 +16,7 @@ import numpy as np
 from .errors import LengthMismatch, LevelTagMismatch, MisalignedRange
 
 HOUR = timedelta(hours=1)
+DAY = timedelta(days=1)
 
 
 class MeasurementLevel(enum.IntEnum):

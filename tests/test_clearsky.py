@@ -1,4 +1,5 @@
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from pvlevels.clearsky import (
     solar_position,
     solar_zenith,
 )
-from pvlevels.core import SiteConfig, utc_datetime
+from pvlevels.core import HOUR, SiteConfig, utc_datetime
 from pvlevels.errors import OutOfRangeDay
 
 SITE = SiteConfig(
@@ -209,3 +210,53 @@ class TestProfile:
         prof_lo = clearsky_profile(SITE, utc_datetime(2023, 1, 5), 24)
         prof_hi = clearsky_profile(high, utc_datetime(2023, 1, 5), 24)
         assert (prof_hi.power_kw > 0).sum() < (prof_lo.power_kw > 0).sum()
+
+
+def scalar_chain(site, start, n_hours):
+    """Power and GHI hour by hour through the public scalar functions."""
+    power = np.empty(n_hours)
+    ghi = np.empty(n_hours)
+    for i in range(n_hours):
+        pos = solar_position(site, start + i * HOUR + timedelta(minutes=30))
+        ghi[i] = clearsky_ghi(pos.zenith)
+        power[i] = clearsky_power(ghi[i], site)
+    return power, ghi
+
+
+def site_at(latitude, tz_offset, longitude=None):
+    # inverter clipping below the DC peak, so the min() branch is exercised
+    if longitude is None:
+        longitude = max(-180.0, min(180.0, 15.0 * tz_offset))
+    return SiteConfig(latitude, longitude, tz_offset, 100.0, 90.0, 0.96)
+
+
+class TestProfileMatchesScalarChain:
+    """clearsky_profile equals the per-hour chain bit for bit."""
+
+    @pytest.mark.parametrize("tz_offset", [-12.0, -3.5, 0.0, 5.5, 5.75, 14.0])
+    @pytest.mark.parametrize("latitude", [90.0, -90.0, 39.74, -33.87])
+    @pytest.mark.parametrize(
+        "start",
+        [utc_datetime(2023, 12, 30, 17), utc_datetime(2024, 2, 28)],
+        ids=["new-year", "leap-day"],
+    )
+    def test_offsets_and_latitudes(self, tz_offset, latitude, start):
+        site = site_at(latitude, tz_offset)
+        prof = clearsky_profile(site, start, 10 * 24 + 5)
+        power, ghi = scalar_chain(site, start, prof.n)
+        assert np.array_equal(prof.power_kw, power)
+        assert np.array_equal(prof.ghi_wm2, ghi)
+
+    @pytest.mark.parametrize(
+        "site,start",
+        [
+            (site_at(51.5, 5.75, longitude=-0.1), utc_datetime(2023, 12, 30, 17)),
+            (site_at(-41.3, -3.5, longitude=174.8), utc_datetime(2024, 2, 28)),
+        ],
+    )
+    def test_spans_of_years(self, site, start):
+        n_hours = 3 * 8784 + 13
+        prof = clearsky_profile(site, start, n_hours)
+        power, ghi = scalar_chain(site, start, n_hours)
+        assert np.array_equal(prof.power_kw, power)
+        assert np.array_equal(prof.ghi_wm2, ghi)

@@ -1,6 +1,9 @@
 """CLI surface: config parsing, CSV I/O, commands, exit codes, determinism."""
 
 import argparse
+import gc
+import warnings
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from pvlevels.cli import (
     write_csv,
 )
 from pvlevels.clearsky import clearsky_profile
-from pvlevels.core import HourlyPowerSeries, MeasurementLevel, utc_datetime
+from pvlevels.core import HOUR, HourlyPowerSeries, MeasurementLevel, utc_datetime
 from pvlevels.errors import DuplicateRow, GapError, MisalignedRange, ParseError
 from pvlevels.narnet import MIN_FIT_DAY_HOURS
 from pvlevels.pipeline import PipelineConfig, day_mask
@@ -156,15 +159,24 @@ class TestLoadCsv:
         assert np.array_equal(series.values, [1.5, 2.5, 0.0])
 
     def test_rows_in_any_order(self, tmp_path):
-        path = rows_file(
-            tmp_path,
-            [
-                "2023-03-01T01:00:00Z,customer,c0,2.0",
-                "2023-03-01T00:00:00Z,customer,c0,1.0",
-            ],
-        )
-        (series,) = load_csv(path)
-        assert np.array_equal(series.values, [1.0, 2.0])
+        # three series over the same stamps, rows shuffled across series
+        stamps = [f"2023-03-01T{h:02d}:00:00Z" for h in range(6)]
+        rows = [
+            f"{ts},{level},{sid},{k * h}.5"
+            for k, (level, sid) in enumerate(
+                [("customer", "c0"), ("feeder", "f0"), ("substation", "s0")], start=1
+            )
+            for h, ts in enumerate(stamps)
+        ]
+        order = np.random.default_rng(8).permutation(len(rows))
+        path = rows_file(tmp_path, [rows[i] for i in order])
+        series = load_csv(path)
+        assert [(s.level, s.site_id) for s in series] == [
+            (C, "c0"), (F, "f0"), (S, "s0"),
+        ]
+        for k, s in enumerate(series, start=1):
+            assert s.start == utc_datetime(2023, 3, 1)
+            assert np.array_equal(s.values, [k * h + 0.5 for h in range(6)])
 
     def test_groups_split_and_sorted(self, tmp_path):
         path = rows_file(
@@ -203,6 +215,46 @@ class TestLoadCsv:
         with pytest.raises(DuplicateRow, match="line 3"):
             load_csv(path)
 
+    def test_duplicate_row_in_second_series(self, tmp_path):
+        path = rows_file(
+            tmp_path,
+            [
+                "2023-03-01T00:00:00Z,customer,c0,1.0",
+                "2023-03-01T00:00:00Z,feeder,f0,2.0",
+                "2023-03-01T01:00:00Z,customer,c0,1.0",
+                "2023-03-01T01:00:00Z,feeder,f0,2.0",
+                "2023-03-01T00:00:00Z,feeder,f0,3.0",
+            ],
+        )
+        with pytest.raises(DuplicateRow, match=r"line 6: .*feeder, f0"):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "2023-03-01T05:00:00Z",
+            "2024-02-29T23:00:00Z",
+            "2023-02-29T00:00:00Z",
+            "2023-04-31T00:00:00Z",
+            "2023-13-01T00:00:00Z",
+            "0000-01-01T00:00:00Z",
+            "2023-03-01T24:00:00Z",
+            "2023-3-1T5:00:00Z",
+            "2023-03-01t05:00:00z",
+            "2023-03-01T05:00:00",
+        ],
+    )
+    def test_timestamps_read_as_strptime_reads_them(self, tmp_path, stamp):
+        path = rows_file(tmp_path, [f"{stamp},customer,c0,1.0"])
+        try:
+            expected = datetime.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ")
+        except ValueError:
+            with pytest.raises(ParseError, match=f"line 2: bad timestamp '{stamp}'"):
+                load_csv(path)
+        else:
+            (series,) = load_csv(path)
+            assert series.start == expected.replace(tzinfo=timezone.utc)
+
     def test_half_hour_timestamp(self, tmp_path):
         path = rows_file(tmp_path, ["2016-07-01T12:30:00Z,customer,c0,1.0"])
         with pytest.raises(ParseError, match="not hour-aligned"):
@@ -222,6 +274,10 @@ class TestLoadCsv:
             ("2023-03-01T00:00:00Z,attic,c0,1.0", "line 2"),
             ("2023-03-01T00:00:00Z,customer,,1.0", "empty series_id"),
             ("2023-03-01T00:00:00Z,customer,c0,one", "bad power"),
+            ("2023-03-01T00:00:00Z,customer,c0,nan", "line 2: bad power value 'nan'"),
+            ("2023-03-01T00:00:00Z,customer,c0,inf", "line 2: bad power value 'inf'"),
+            ("2023-03-01T00:00:00Z,customer,c0,-inf", "line 2: bad power value '-inf'"),
+            ("2023-03-01T00:00:00Z,customer,c0,1e999", "line 2: bad power value"),
             ("yesterday,customer,c0,1.0", "bad timestamp"),
         ],
     )
@@ -238,6 +294,60 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             load_csv(tmp_path / "nope.csv")
+
+
+def reference_csv(series_list) -> bytes:
+    """Row-by-row writer, one strftime per row: what write_csv must write."""
+    lines = [CSV_HEADER]
+    for s in sorted(series_list, key=lambda s: (int(s.level), s.site_id)):
+        for i in range(s.n):
+            lines.append(
+                f"{s.timestamp(i).strftime('%Y-%m-%dT%H:%M:%SZ')},{s.level.label},"
+                f"{s.site_id},{s.values[i]:.17g}"
+            )
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+class TestWriteCsv:
+    def series(self, site_id, level, start, n, seed):
+        values = np.random.default_rng(seed).uniform(0.0, 50.0, n)
+        return HourlyPowerSeries(site_id, level, start, values)
+
+    def test_shared_range_matches_reference(self, tmp_path):
+        start = utc_datetime(2023, 12, 31, 21)
+        series = [
+            self.series("s0", S, start, 60, 1),
+            self.series("c1", C, start, 60, 2),
+            self.series("c0", C, start, 60, 3),
+            self.series("f0", F, start, 60, 4),
+        ]
+        write_csv(tmp_path / "a.csv", series)
+        assert (tmp_path / "a.csv").read_bytes() == reference_csv(series)
+
+    def test_distinct_ranges_match_reference(self, tmp_path):
+        series = [
+            self.series("c0", C, utc_datetime(2024, 2, 28, 5), 60, 1),
+            # same length, other start
+            self.series("c1", C, utc_datetime(2023, 12, 31, 21), 60, 2),
+            # same start, other length
+            self.series("f0", F, utc_datetime(2024, 2, 28, 5), 30, 3),
+            self.series("s0", S, utc_datetime(2024, 2, 28, 5) + 7 * HOUR, 1, 4),
+        ]
+        write_csv(tmp_path / "a.csv", series)
+        assert (tmp_path / "a.csv").read_bytes() == reference_csv(series)
+
+    def test_closes_its_file_when_a_write_fails(self, tmp_path):
+        start = utc_datetime(2023, 3, 1)
+        series = [
+            self.series("c0", C, start, 5, 1),
+            self.series("f\u00e9", F, start, 5, 2),  # not ASCII: fails mid-write
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(UnicodeEncodeError):
+                write_csv(tmp_path / "a.csv", series)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestCsvRoundTrip:
@@ -643,6 +753,26 @@ class TestDispatchErrors:
         code = cmd_dispatch(["--out", str(tmp_path), "fit"])
         assert code == 2
         assert "paths.input" in capsys.readouterr().err
+
+    def test_non_finite_power_names_its_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "\n".join(
+                [
+                    CSV_HEADER,
+                    "2023-03-01T00:00:00Z,customer,c0,nan",
+                    "2023-03-01T00:00:00Z,feeder,f0,1.0",
+                    "2023-03-01T00:00:00Z,substation,s0,2.0",
+                ]
+            )
+            + "\n",
+            encoding="ascii",
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"paths.input = {data}\n", encoding="ascii")
+        code = cmd_dispatch(["--config", str(cfg), "--out", str(tmp_path), "preprocess"])
+        assert code == 1
+        assert "line 2: bad power value 'nan'" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
