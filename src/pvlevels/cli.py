@@ -268,12 +268,19 @@ def load_csv(path) -> list[HourlyPowerSeries]:
 
     Rows may arrive in any order; each group must form a gap-free hourly
     range with no duplicate timestamps, and every power must be a finite
-    number. Each distinct timestamp text and level label is parsed once.
+    number. The file must be ASCII: a non-ASCII byte raises ParseError
+    naming its line. Each distinct timestamp text and level label is
+    parsed once.
     """
     try:
         lines = Path(path).read_text(encoding="ascii").splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"{path} line {lineno}: non-ASCII byte {exc.object[exc.start]:#04x}"
+        ) from exc
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"line 1: expected header {CSV_HEADER!r}")
     stamps: dict[str, datetime] = {}

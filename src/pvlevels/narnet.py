@@ -29,6 +29,19 @@ hidden layer is only a few units wide, and numpy runs an elementwise op
 or a reduction as an inner loop along the last axis, so row-major
 (rows, hidden) storage pays one loop of length ``hidden`` per row; here
 each op runs over contiguous rows of all ``rows`` values.
+
+The biases ride in the GEMMs: the transposed batch ``XTa`` and the
+activations ``A`` each carry a last row of ones, so ``[W_h | b_h] @ XTa``
+and ``[w_out, b_out] @ A`` make the forward pass, and ``A @ r`` and
+``g_z @ XTa.T`` give each layer's weight and bias gradients together.
+The residual r runs unscaled through the backward pass, and the finished
+gradient, a few dozen values, is scaled by 2/n once. For those GEMMs the
+kernel keeps the parameters in its own order, each hidden unit's weights
+followed by its bias, then [w_out, b_out], so that each layer is one
+contiguous matrix. The serialized order, [w_hidden, b_hidden, w_out,
+b_out], stays the public one (loss_and_gradient's gradient, the model
+text); loss_and_gradient and train convert at the boundary. Adam is
+elementwise, so running it in kernel order gives the same numbers.
 """
 
 from __future__ import annotations
@@ -199,22 +212,6 @@ def forward(model: NarxModel, input_vec) -> float:
     return float(model.w_out @ hidden + model.b_out)
 
 
-def _forward_batch(
-    w_hidden: np.ndarray,
-    b_hidden: np.ndarray,
-    w_out: np.ndarray,
-    b_out: float,
-    XT: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions and hidden activations for a batch given hidden-major:
-    ``XT`` is (input_width, rows), C-contiguous, and so are the
-    (hidden, rows) activations."""
-    activations = w_hidden @ XT
-    activations += b_hidden[:, None]
-    np.tanh(activations, out=activations)
-    return w_out @ activations + b_out, activations
-
-
 def _lag_windows(channels: Sequence[np.ndarray], d: int) -> list[np.ndarray]:
     """The tapped-delay layout: row i of each window holds the d lags of
     time i+d, most recent first. Views, so a write to a channel shows."""
@@ -297,30 +294,90 @@ def _check_batch(
     return X, t
 
 
-def _loss_and_gradient(
-    grad: np.ndarray,
-    theta: np.ndarray,
-    config: NetworkConfig,
-    X: np.ndarray,
-    XT: np.ndarray,
-    t: np.ndarray,
-) -> float:
-    """The gradient kernel: returns the loss and writes its gradient into
-    the flat ``grad``. Takes flat parameters and a checked batch both
-    row-major (X) and hidden-major (XT, C-contiguous)."""
-    w_hidden, b_hidden, w_out, b_out = _unflatten(theta, config)
-    g_w_hidden, g_b_hidden, g_w_out, _ = _unflatten(grad, config)
-    preds, acts = _forward_batch(w_hidden, b_hidden, w_out, b_out, XT)
-    n = X.shape[0]
-    resid = preds - t
-    loss = float(resid @ resid) / n
-    g_pred = 2.0 * resid / n
-    grad[-1] = g_pred.sum()
-    np.matmul(acts, g_pred, out=g_w_out)
-    g_z = w_out[:, None] * g_pred * (1.0 - acts**2)
-    g_z.sum(axis=1, out=g_b_hidden)
-    np.matmul(g_z, X, out=g_w_hidden)
-    return loss
+def _kernel_theta(model: NarxModel) -> np.ndarray:
+    """The parameters in kernel order: [W_h | b_h] row-major, then
+    [w_out, b_out]. A copy, so the kernel never writes through to a model."""
+    return np.concatenate([
+        np.column_stack([model.w_hidden, model.b_hidden]).ravel(),
+        model.w_out,
+        np.array([model.b_out]),
+    ])
+
+
+def _layers(theta: np.ndarray, config: NetworkConfig):
+    """The (hidden, input_width + 1) matrix [W_h | b_h] and the vector
+    [w_out, b_out], as views of a kernel-order vector."""
+    h, w = config.hidden_width, config.input_width
+    return theta[: h * (w + 1)].reshape(h, w + 1), theta[h * (w + 1) :]
+
+
+def _split_kernel_theta(theta: np.ndarray, config: NetworkConfig):
+    """(w_hidden, b_hidden, w_out, b_out) views of a kernel-order vector."""
+    wa, woa = _layers(theta, config)
+    return wa[:, :-1], wa[:, -1], woa[:-1], float(woa[-1])
+
+
+class _Kernel:
+    """Forward pass and gradient over one augmented batch.
+
+    Holds the batch as ``XTa``, (input_width + 1, rows), and the
+    activations as ``A``, (hidden + 1, rows), each with a last row of
+    ones, so each bias rides in a GEMM. Every
+    buffer is made once, here; ``theta`` and ``grad`` are kernel-order
+    vectors the caller owns and updates in place, and the kernel reads
+    and writes them through views taken once.
+    """
+
+    def __init__(self, config: NetworkConfig, X: np.ndarray,
+                 theta: np.ndarray, grad: np.ndarray) -> None:
+        h, n = config.hidden_width, X.shape[0]
+        self.n = n
+        self.XTa = np.empty((X.shape[1] + 1, n))
+        self.XTa[:-1] = X.T
+        self.XTa[-1] = 1.0
+        self.A = np.empty((h + 1, n))
+        self.A[h] = 1.0
+        self.acts = self.A[:h]
+        self.preds = np.empty(n)
+        self.g_z = np.empty((h, n))
+        self.Wa, self.woa = _layers(theta, config)
+        self.w_out_col = self.woa[:h, None]
+        self.g_Wa, self.g_woa = _layers(grad, config)
+        self.grad = grad
+
+    def forward(self) -> np.ndarray:
+        """Predictions into ``preds``; activations into ``A[:h]``."""
+        np.matmul(self.Wa, self.XTa, out=self.acts)
+        np.tanh(self.acts, out=self.acts)
+        return np.matmul(self.woa, self.A, out=self.preds)
+
+    def loss_and_gradient(self, t: np.ndarray) -> float:
+        """Mean squared error against ``t``; its gradient goes to ``grad``.
+
+        The residual runs unscaled through both GEMMs, and the finished
+        gradient is scaled by 2/n once.
+        """
+        r = self.forward()
+        r -= t
+        loss = float(r @ r) / self.n
+        # [g_w_out, g_b_out] = A r
+        np.matmul(self.A, r, out=self.g_woa)
+        # g_z = (w_out (x) r) * (1 - A[:h]**2)
+        g_z = self.g_z
+        np.square(self.acts, out=g_z)
+        np.subtract(1.0, g_z, out=g_z)
+        g_z *= self.w_out_col
+        g_z *= r
+        # [g_W_h | g_b_h] = g_z XTa^T
+        np.matmul(g_z, self.XTa.T, out=self.g_Wa)
+        self.grad *= 2.0 / self.n
+        return loss
+
+
+def _predict_batch(model: NarxModel, X: np.ndarray) -> np.ndarray:
+    """Predictions for the rows of a row-major batch."""
+    theta = _kernel_theta(model)
+    return _Kernel(model.config, X, theta, np.empty_like(theta)).forward()
 
 
 def loss_and_gradient(
@@ -332,10 +389,10 @@ def loss_and_gradient(
     b_out], matching the serialization order.
     """
     X, t = _check_batch(model.config, inputs, targets)
-    theta = _flatten(model.w_hidden, model.b_hidden, model.w_out, model.b_out)
+    theta = _kernel_theta(model)
     grad = np.empty_like(theta)
-    XT = np.ascontiguousarray(X.T)
-    return _loss_and_gradient(grad, theta, model.config, X, XT, t), grad
+    loss = _Kernel(model.config, X, theta, grad).loss_and_gradient(t)
+    return loss, _flatten(*_split_kernel_theta(grad, model.config))
 
 
 def train(model: NarxModel, inputs, targets) -> NarxModel:
@@ -355,11 +412,12 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
     X, t = _check_batch(cfg, inputs, targets)
     if cfg.max_epochs == 0:
         return model
-    XT = np.ascontiguousarray(X.T)
-    # theta, the moments and the step are updated in place; _flatten
-    # copies, so the passed model is never written through
-    theta = _flatten(model.w_hidden, model.b_hidden, model.w_out, model.b_out)
+    # theta, the gradient, the moments and the step are updated in
+    # place, in kernel order; Adam is elementwise, so the order does not
+    # change its arithmetic
+    theta = _kernel_theta(model)
     grad = np.empty_like(theta)
+    kernel = _Kernel(cfg, X, theta, grad)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     m_hat = np.empty_like(theta)
@@ -371,13 +429,13 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
     best_theta = theta.copy()
     stall = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        loss = _loss_and_gradient(grad, theta, cfg, X, XT, t)
+        loss = kernel.loss_and_gradient(t)
         if not math.isfinite(loss):
             raise DivergedLoss(f"loss became non-finite at epoch {epoch}")
         history.append(loss)
         if loss < best_loss - _EARLY_STOP_DELTA:
             best_loss = loss
-            best_theta = theta.copy()
+            np.copyto(best_theta, theta)
             stall = 0
         else:
             stall += 1
@@ -401,13 +459,9 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
         theta -= m_hat
         if not np.isfinite(theta, out=finite).all():
             raise DivergedLoss(f"parameters became non-finite at epoch {epoch}")
-    w_hidden, b_hidden, w_out, b_out = _unflatten(best_theta, cfg)
     return NarxModel(
-        config=cfg,
-        w_hidden=w_hidden,
-        b_hidden=b_hidden,
-        w_out=w_out,
-        b_out=b_out,
+        cfg,
+        *_split_kernel_theta(best_theta, cfg),
         trained=True,
         training_history=tuple(history),
     )
@@ -416,11 +470,7 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
 def predict_open_loop(model: NarxModel, y, exo: Sequence = ()) -> np.ndarray:
     """One-step-ahead predictions with measured lags, for t = d..L-1."""
     inputs, _ = make_training_set(y, exo, model.config.delay_d)
-    preds, _ = _forward_batch(
-        model.w_hidden, model.b_hidden, model.w_out, model.b_out,
-        np.ascontiguousarray(inputs.T),
-    )
-    return preds
+    return _predict_batch(model, inputs)
 
 
 def predict_closed_loop(
@@ -509,10 +559,7 @@ def fit_nar(series: PreprocessedSeries, config: NetworkConfig) -> FittingModel:
         y, (), config.delay_d, segments=day_run_lengths(series.day_mask)
     )
     net = train(init_network(config), inputs, targets)
-    preds, _ = _forward_batch(
-        net.w_hidden, net.b_hidden, net.w_out, net.b_out,
-        np.ascontiguousarray(inputs.T),
-    )
+    preds = _predict_batch(net, inputs)
     fit_r2 = _r_squared(targets, preds)
     fit_mape, _ = _mape(targets, preds, 0.0)
     return FittingModel(level=series.level, net=net, fit_r2=fit_r2, fit_mape=fit_mape)

@@ -295,6 +295,17 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="cannot read"):
             load_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("bad_row", [0, 2])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, bad_row):
+        rows = [f"2023-03-01T0{h}:00:00Z,customer,c0,1.0" for h in range(3)]
+        rows[bad_row] = rows[bad_row].replace("c0", "c\u00e9")
+        path = tmp_path / "data.csv"
+        path.write_bytes("\n".join([CSV_HEADER, *rows, ""]).encode("utf-8"))
+        with pytest.raises(
+            ParseError, match=f"data.csv line {bad_row + 2}: non-ASCII byte 0xc3$"
+        ):
+            load_csv(path)
+
 
 def reference_csv(series_list) -> bytes:
     """Row-by-row writer, one strftime per row: what write_csv must write."""
@@ -773,6 +784,17 @@ class TestDispatchErrors:
         code = cmd_dispatch(["--config", str(cfg), "--out", str(tmp_path), "preprocess"])
         assert code == 1
         assert "line 2: bad power value 'nan'" in capsys.readouterr().err
+
+    def test_non_ascii_series_id_names_its_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(
+            f"{CSV_HEADER}\n2023-03-01T00:00:00Z,customer,c\u00e9,1.0\n".encode("utf-8")
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"paths.input = {data}\n", encoding="ascii")
+        code = cmd_dispatch(["--config", str(cfg), "--out", str(tmp_path), "preprocess"])
+        assert code == 1
+        assert f"error: {data} line 2: non-ASCII byte 0xc3\n" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -377,15 +377,17 @@ class TestTrain:
             train(model, np.array([[1e305]]), np.zeros(1))
 
     @pytest.mark.parametrize(
-        "n_exo, kw",
+        "n_exo, kw, rows, stops_early",
         [
-            (0, {}),
-            (2, {}),
-            (0, dict(max_epochs=5000, early_stop_patience=10)),
+            (0, {}, None, False),
+            (2, {}, None, False),
+            (0, dict(max_epochs=5000, early_stop_patience=10), None, True),
+            (0, dict(hidden_width=1), None, False),
+            (2, {}, 1, True),
         ],
-        ids=["nar", "narx", "early-stop"],
+        ids=["nar", "narx", "early-stop", "hidden-1", "one-row"],
     )
-    def test_matches_reference_loop(self, n_exo, kw):
+    def test_matches_reference_loop(self, n_exo, kw, rows, stops_early):
         rng = np.random.default_rng(21)
         y = np.sin(np.linspace(0, 12, 200)) * 0.4 + 0.5 + rng.normal(0, 0.01, 200)
         exo = [y + rng.normal(0, 0.05, y.size) for _ in range(n_exo)]
@@ -395,6 +397,7 @@ class TestTrain:
             **kw,
         )
         X, t = make_training_set(y, exo, cfg.delay_d)
+        X, t = X[:rows], t[:rows]
         model = init_network(cfg)
         got = train(model, X, t)
         want = reference_train(model, X, t)
@@ -405,7 +408,7 @@ class TestTrain:
         assert got.training_history == want.training_history
         assert got.trained
         stopped_early = len(got.training_history) < cfg.max_epochs
-        assert stopped_early == bool(kw)
+        assert stopped_early == stops_early
 
 
     def test_buffers_never_write_through(self):
@@ -433,6 +436,19 @@ class TestPredictOpenLoop:
         y = np.linspace(0.1, 1.0, 10)
         preds = predict_open_loop(model, y)
         inputs, _ = make_training_set(y, (), 3)
+        for i in range(inputs.shape[0]):
+            assert preds[i] == pytest.approx(forward(model, inputs[i]), abs=1e-15)
+
+    def test_narx_matches_forward_rowwise(self):
+        cfg = NetworkConfig(delay_d=3, hidden_width=4, n_exo_channels=2, seed=2)
+        model = init_network(cfg)
+        model = NarxModel(cfg, model.w_hidden, np.linspace(-0.3, 0.3, 4),
+                          model.w_out, 0.2)
+        y = np.linspace(0.1, 1.0, 10)
+        exo = [np.cos(np.arange(10.0)), np.linspace(1.0, 0.0, 10)]
+        preds = predict_open_loop(model, y, exo)
+        inputs, _ = make_training_set(y, exo, 3)
+        assert preds.shape == (7,)
         for i in range(inputs.shape[0]):
             assert preds[i] == pytest.approx(forward(model, inputs[i]), abs=1e-15)
 
