@@ -188,9 +188,6 @@ class ClearSkyProfile:
     def night_mask(self) -> np.ndarray:
         return self.power_kw == 0.0
 
-    def timestamp(self, i: int) -> datetime:
-        return self.start + i * HOUR
-
     def sliced(self, a: int, b: int) -> "ClearSkyProfile":
         if not 0 <= a < b <= self.n:
             raise ValueError(f"invalid slice [{a}, {b}) for n={self.n}")

@@ -228,15 +228,14 @@ def build_run_config(
 
 # ---------------------------------------------------------------- CSV I/O
 
-_TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _HOUR_SUFFIXES = [f"{h:02d}:00:00Z" for h in range(24)]
 
 
 def _hour_stamps(start: datetime, n: int) -> list[str]:
-    """`_TS_FORMAT` text of the ``n`` hours from the UTC hour ``start``.
+    """`YYYY-MM-DDTHH:00:00Z` text of the ``n`` hours from the UTC hour ``start``.
 
     Each calendar day is formatted once and joined to its hour suffixes;
-    the text equals ``strftime(_TS_FORMAT)`` of every hour.
+    the text equals ``strftime("%Y-%m-%dT%H:%M:%SZ")`` of every hour.
     """
     midnight = start.replace(hour=0)
     first = start.hour
@@ -245,21 +244,25 @@ def _hour_stamps(start: datetime, n: int) -> list[str]:
     return [days[j // 24] + _HOUR_SUFFIXES[j % 24] for j in range(first, first + n)]
 
 
-# The form `_hour_stamps` writes, with an hour of 00-23: its fields go
-# straight to `datetime`, which rejects the dates `strptime` rejects.
-_WRITTEN_TS = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([01][0-9]|2[0-3]):00:00Z")
+# The one timestamp form read, `YYYY-MM-DDTHH:MM:SSZ`; its fields go
+# straight to `datetime`, which rejects out-of-range dates and times.
+_TIMESTAMP = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z"
+)
 
 
-def _parse_ts(text: str, lineno: int) -> datetime:
-    written = _WRITTEN_TS.fullmatch(text)
+def _parse_ts(text: str, path, lineno: int) -> datetime:
+    fields = _TIMESTAMP.fullmatch(text)
+    if fields is None:
+        raise ParseError(f"{path} line {lineno}: bad timestamp {text!r}")
     try:
-        if written:
-            return datetime(*map(int, written.groups()), tzinfo=timezone.utc)
-        ts = datetime.strptime(text, _TS_FORMAT).replace(tzinfo=timezone.utc)
+        ts = datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
     except ValueError as exc:
-        raise ParseError(f"line {lineno}: bad timestamp {text!r}") from exc
+        raise ParseError(f"{path} line {lineno}: bad timestamp {text!r}") from exc
     if ts.minute or ts.second:
-        raise ParseError(f"line {lineno}: timestamp {text!r} is not hour-aligned")
+        raise ParseError(
+            f"{path} line {lineno}: timestamp {text!r} is not hour-aligned"
+        )
     return ts
 
 
@@ -269,8 +272,8 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     Rows may arrive in any order; each group must form a gap-free hourly
     range with no duplicate timestamps, and every power must be a finite
     number. The file must be ASCII: a non-ASCII byte raises ParseError
-    naming its line. Each distinct timestamp text and level label is
-    parsed once.
+    naming its line. Every error names the file, and the line where there
+    is one. Each distinct timestamp text and level label is parsed once.
     """
     try:
         lines = Path(path).read_text(encoding="ascii").splitlines()
@@ -282,7 +285,7 @@ def load_csv(path) -> list[HourlyPowerSeries]:
             f"{path} line {lineno}: non-ASCII byte {exc.object[exc.start]:#04x}"
         ) from exc
     if not lines or lines[0] != CSV_HEADER:
-        raise ParseError(f"line 1: expected header {CSV_HEADER!r}")
+        raise ParseError(f"{path} line 1: expected header {CSV_HEADER!r}")
     stamps: dict[str, datetime] = {}
     levels: dict[str, MeasurementLevel] = {}
     groups: dict[tuple[MeasurementLevel, str], dict[datetime, float]] = {}
@@ -291,33 +294,37 @@ def load_csv(path) -> list[HourlyPowerSeries]:
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            raise ParseError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+            raise ParseError(
+                f"{path} line {lineno}: expected 4 fields, got {len(parts)}"
+            )
         stamp, label, series_id, power_text = parts
         ts = stamps.get(stamp)
         if ts is None:
-            ts = stamps[stamp] = _parse_ts(stamp, lineno)
+            ts = stamps[stamp] = _parse_ts(stamp, path, lineno)
         level = levels.get(label)
         if level is None:
             try:
                 level = levels[label] = MeasurementLevel.from_label(label)
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+                raise ParseError(f"{path} line {lineno}: {exc}") from exc
         if not series_id:
-            raise ParseError(f"line {lineno}: empty series_id")
+            raise ParseError(f"{path} line {lineno}: empty series_id")
         try:
             power = float(power_text)
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad power value {power_text!r}") from exc
+            raise ParseError(
+                f"{path} line {lineno}: bad power value {power_text!r}"
+            ) from exc
         if not math.isfinite(power):
-            raise ParseError(f"line {lineno}: bad power value {power_text!r}")
+            raise ParseError(f"{path} line {lineno}: bad power value {power_text!r}")
         rows = groups.setdefault((level, series_id), {})
         if ts in rows:
             raise DuplicateRow(
-                f"line {lineno}: duplicate ({stamp}, {level.label}, {series_id})"
+                f"{path} line {lineno}: duplicate ({stamp}, {level.label}, {series_id})"
             )
         rows[ts] = power
     if not groups:
-        raise ParseError("no data rows")
+        raise ParseError(f"{path}: no data rows")
     out = []
     for (level, series_id) in sorted(groups, key=lambda k: (int(k[0]), k[1])):
         rows = groups[(level, series_id)]
@@ -327,7 +334,8 @@ def load_csv(path) -> list[HourlyPowerSeries]:
             if ts != expected:
                 missing = _hour_stamps(expected, 1)[0]
                 raise GapError(
-                    f"series ({level.label}, {series_id}) is missing hour {missing}"
+                    f"{path}: series ({level.label}, {series_id}) "
+                    f"is missing hour {missing}"
                 )
             expected = expected + HOUR
         out.append(

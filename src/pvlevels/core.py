@@ -53,13 +53,6 @@ class Weather(enum.Enum):
     def label(self) -> str:
         return self.value
 
-    @classmethod
-    def from_label(cls, label: str) -> "Weather":
-        for w in cls:
-            if w.value == label.strip().lower():
-                return w
-        raise ValueError(f"unknown weather class: {label!r}")
-
 
 def check_utc_hour(ts: datetime, what: str = "timestamp") -> None:
     """Require a timezone-aware UTC timestamp truncated to the hour."""
@@ -67,12 +60,6 @@ def check_utc_hour(ts: datetime, what: str = "timestamp") -> None:
         raise ValueError(f"{what} must be timezone-aware UTC, got {ts!r}")
     if ts.minute or ts.second or ts.microsecond:
         raise ValueError(f"{what} must be truncated to the hour, got {ts!r}")
-
-
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from .errors import AllExcluded, ConstantActual, LengthMismatch
 class MetricReport:
     """Bundle of mape (fraction), rmse (kW), r_squared, and bookkeeping.
 
-    r_squared is None when the report was built in partial mode against a
-    constant actual vector (where the statistic is undefined).
+    r_squared is None where the statistic is undefined: a constant actual
+    vector, or a single pair.
     """
 
     mape: float
@@ -96,19 +96,17 @@ def r_squared(actual, forecast) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def report(actual, forecast, epsilon_kw: float = 0.0, partial: bool = False) -> MetricReport:
+def report(actual, forecast, epsilon_kw: float = 0.0) -> MetricReport:
     """All three metrics over one actual/forecast pair.
 
-    With ``partial=True`` a constant actual vector yields r_squared=None
-    instead of raising, so MAPE and RMSE still come through.
+    Where R^2 is undefined (a constant actual vector, a single pair)
+    r_squared is None, so MAPE and RMSE still come through.
     """
     a, f = _paired(actual, forecast)
     mape_value, n_excluded = mape(a, f, epsilon_kw)
     try:
         r2: float | None = r_squared(a, f)
     except (ConstantActual, LengthMismatch):
-        if not partial:
-            raise
         r2 = None
     return MetricReport(
         mape=mape_value,

@@ -478,7 +478,7 @@ def predict_closed_loop(
     y_seed,
     exo_future: Sequence = (),
     *,
-    horizon: int | None = None,
+    horizon: int,
     exo_seed: Sequence = (),
     clamp: tuple[float, float] = (0.0, KAPPA_MAX),
     clamp_stats: dict | None = None,
@@ -502,10 +502,6 @@ def predict_closed_loop(
         raise SeedLengthMismatch(
             f"{len(fut)} future / {len(seeds)} seed exogenous channels, expected {k}"
         )
-    if horizon is None:
-        if not fut:
-            raise ValueError("horizon is required when there are no exogenous channels")
-        horizon = min(x.size for x in fut)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     for x in fut:

@@ -285,7 +285,9 @@ def valid_forecast_days(
     dataset: MultiLevelDataset, profile: ClearSkyProfile, config: PipelineConfig
 ) -> list[date]:
     """The site-local days ``ForecastDay.at`` accepts, in order: days fully
-    inside the dataset whose history holds MIN_FIT_DAY_HOURS day hours."""
+    inside the dataset whose history holds MIN_FIT_DAY_HOURS day hours.
+    Like ``at``, raises MisalignedRange for a profile not aligned with
+    the dataset or a tz_offset off the hour grid."""
     # history_hours[i] counts the day hours before hour i
     history_hours = np.concatenate(
         [[0], np.cumsum(_aligned_day_mask(dataset, profile, config))]
@@ -296,7 +298,7 @@ def valid_forecast_days(
         day = first_local + timedelta(days=k)
         try:
             _check_history(int(history_hours[_window_start(dataset, day)]), day)
-        except (InsufficientHistory, MisalignedRange):
+        except InsufficientHistory:
             continue
         days.append(day)
     return days
@@ -486,7 +488,6 @@ class ForecastDay:
             series.values[i0 : i0 + 24][mask_day],
             forecast.values[mask_day],
             epsilon_kw=self.epsilon_kw[level],
-            partial=True,
         )
         self._baselines[level] = (rep, forecast)
         return rep, forecast
@@ -596,7 +597,6 @@ def forecast_day_ahead(
             day.actual[mask_day],
             forecast.values[mask_day],
             epsilon_kw=day.epsilon_kw[target_level],
-            partial=True,
         )
         if best_attempt is None or rep.mape < best_attempt[0]:
             best_attempt = (rep.mape, rep, forecast, seed)

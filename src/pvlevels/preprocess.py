@@ -83,10 +83,6 @@ class PreprocessedSeries:
     def n_day(self) -> int:
         return int(self.index_values.size)
 
-    @property
-    def n_night(self) -> int:
-        return self.source_n - self.n_day
-
     def day_hour_indices(self) -> np.ndarray:
         """Positions of the day hours on the original hourly grid."""
         return np.flatnonzero(self.day_mask)
@@ -122,14 +118,14 @@ def remove_offset(
 ) -> tuple[HourlyPowerSeries, float]:
     """Subtract the median nighttime reading, clamping results at zero.
 
-    Night means hours where the clear-sky profile is exactly zero. The
+    Night is the profile's ``night_mask``: zero clear-sky power. The
     median is robust to isolated night spikes; it is clamped at zero so a
     negatively-biased sensor never inflates the series.
 
     Returns the corrected series and the offset that was subtracted.
     """
     _require_aligned(series, profile)
-    night = profile.power_kw == 0.0
+    night = profile.night_mask
     if not night.any():
         raise NoNightHours("clear-sky profile has no zero-power hours")
     offset = max(0.0, float(np.median(series.values[night])))

@@ -4,7 +4,7 @@ Builds a plausible stand-in for real customer/feeder/substation meter
 data at desk scale. Each day gets a weather regime (sunny / cloudy /
 partly cloudy); every customer's clear-sky index follows
 
-    kappa(t) = clamp(kappa*_regime + s(t) + z(t), 0, kappa_max)
+    kappa(t) = clamp(kappa*_regime + s(t) + z(t), 0, KAPPA_MAX)
     z(t)     = ar_rho * z(t-1) + sigma_regime * eps(t)
 
 over that day's daylight hours, with z restarted from its stationary
@@ -72,6 +72,9 @@ DEFAULT_SITE = SiteConfig(
     system_efficiency=0.96,
 )
 
+#: Clear-sky index each weather regime centres its customers on.
+REGIME_MEAN = {Weather.SUNNY: 0.95, Weather.CLOUDY: 0.30, Weather.PARTLY_CLOUDY: 0.60}
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -100,14 +103,10 @@ class SynthConfig:
     shared_drift_rho: float = 0.995
     seed: int = 0
     start_utc: datetime = utc_datetime(2023, 3, 1)
-    mean_sunny: float = 0.95
-    mean_cloudy: float = 0.30
-    mean_partly: float = 0.60
     sigma_sunny: float = 0.02
     sigma_cloudy: float = 0.15
     sigma_partly: float = 0.25
     regime_stay_prob: float = 0.7
-    kappa_max: float = KAPPA_MAX
 
     def __post_init__(self) -> None:
         if self.n_customers < 1 or self.n_feeders < 1:
@@ -136,13 +135,6 @@ class SynthConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not 0.0 < self.regime_stay_prob < 1.0:
             raise ValueError("regime_stay_prob must be in (0, 1)")
-
-    def regime_mean(self, w: Weather) -> float:
-        return {
-            Weather.SUNNY: self.mean_sunny,
-            Weather.CLOUDY: self.mean_cloudy,
-            Weather.PARTLY_CLOUDY: self.mean_partly,
-        }[w]
 
     def regime_sigma(self, w: Weather) -> float:
         return {
@@ -202,7 +194,7 @@ def _index_from_innovations(
     added before clamping (scalar or per-hour array); the site drift
     enters here.
     """
-    kappa_star = config.regime_mean(regime)
+    kappa_star = REGIME_MEAN[regime]
     sigma = config.regime_sigma(regime)
     rho = config.ar_rho
     z = np.empty(innovations.size, dtype=np.float64)
@@ -212,7 +204,7 @@ def _index_from_innovations(
     z[0] = stationary_sd * innovations[0]
     for t in range(1, innovations.size):
         z[t] = rho * z[t - 1] + sigma * innovations[t]
-    return np.clip(kappa_star + offset + z, 0.0, config.kappa_max)
+    return np.clip(kappa_star + offset + z, 0.0, KAPPA_MAX)
 
 
 def _site_drift(config: SynthConfig, n_hours: int) -> np.ndarray:

@@ -190,7 +190,7 @@ class TestProfile:
         prof = clearsky_profile(SITE, utc_datetime(2023, 3, 1), 48)
         part = prof.sliced(10, 20)
         assert part.n == 10
-        assert part.start == prof.timestamp(10)
+        assert part.start == prof.start + 10 * HOUR
         assert np.array_equal(part.power_kw, prof.power_kw[10:20])
 
     def test_invariant_power_zero_iff_ghi_zero(self):

@@ -245,15 +245,16 @@ class TestLoadCsv:
         ],
     )
     def test_timestamps_read_as_strptime_reads_them(self, tmp_path, stamp):
+        """Of the stamps strptime reads, only the zero-padded upper-case
+        form `write_csv` writes loads; every other stamp is rejected."""
         path = rows_file(tmp_path, [f"{stamp},customer,c0,1.0"])
-        try:
+        if stamp in ("2023-03-01T05:00:00Z", "2024-02-29T23:00:00Z"):
+            (series,) = load_csv(path)
             expected = datetime.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ")
-        except ValueError:
+            assert series.start == expected.replace(tzinfo=timezone.utc)
+        else:
             with pytest.raises(ParseError, match=f"line 2: bad timestamp '{stamp}'"):
                 load_csv(path)
-        else:
-            (series,) = load_csv(path)
-            assert series.start == expected.replace(tzinfo=timezone.utc)
 
     def test_half_hour_timestamp(self, tmp_path):
         path = rows_file(tmp_path, ["2016-07-01T12:30:00Z,customer,c0,1.0"])
@@ -285,6 +286,37 @@ class TestLoadCsv:
         path = rows_file(tmp_path, [row])
         with pytest.raises(ParseError, match=fragment):
             load_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows,header",
+        [
+            (["2023-03-01T00:00:00Z,customer,c0,1.0"], "ts,lvl,id,kw"),
+            (["2023-03-01T00:00:00Z,customer,c0"], CSV_HEADER),
+            (["2023-03-01T00:00,customer,c0,1.0"], CSV_HEADER),
+            (["2023-03-01T00:30:00Z,customer,c0,1.0"], CSV_HEADER),
+            (["2023-03-01T00:00:00Z,attic,c0,1.0"], CSV_HEADER),
+            (["2023-03-01T00:00:00Z,customer,,1.0"], CSV_HEADER),
+            (["2023-03-01T00:00:00Z,customer,c0,nan"], CSV_HEADER),
+            (["2023-03-01T00:00:00Z,customer,c0,1.0"] * 2, CSV_HEADER),
+            (
+                [
+                    "2023-03-01T00:00:00Z,customer,c0,1.0",
+                    "2023-03-01T02:00:00Z,customer,c0,1.0",
+                ],
+                CSV_HEADER,
+            ),
+            ([], CSV_HEADER),
+        ],
+        ids=[
+            "header", "fields", "timestamp", "half-hour", "level", "series-id",
+            "power", "duplicate", "gap", "no-rows",
+        ],
+    )
+    def test_every_error_names_the_file(self, tmp_path, rows, header):
+        path = rows_file(tmp_path, rows, header=header)
+        with pytest.raises((ParseError, DuplicateRow, GapError)) as info:
+            load_csv(path)
+        assert str(info.value).startswith(str(path))
 
     def test_header_only(self, tmp_path):
         path = rows_file(tmp_path, [])
@@ -697,6 +729,16 @@ class TestCasesCommand:
             in capsys.readouterr().err
         )
 
+    def test_fractional_tz_names_tz_offset(self, workspace, tmp_path, capsys):
+        _, config, _ = workspace
+        skewed = tmp_path / "skewed.cfg"
+        skewed.write_text(config.read_text() + "site.tz_offset = 5.5\n", encoding="ascii")
+        code = cmd_dispatch(
+            ["--config", str(skewed), "--out", str(tmp_path / "out"), "cases"]
+        )
+        assert code == 1
+        assert "tz_offset 5.5" in capsys.readouterr().err
+
     def test_every_offered_day_can_be_fitted(self, tmp_path):
         """Criterion 8's config at seed 5, on every valid day.
 
@@ -783,7 +825,7 @@ class TestDispatchErrors:
         cfg.write_text(f"paths.input = {data}\n", encoding="ascii")
         code = cmd_dispatch(["--config", str(cfg), "--out", str(tmp_path), "preprocess"])
         assert code == 1
-        assert "line 2: bad power value 'nan'" in capsys.readouterr().err
+        assert f"error: {data} line 2: bad power value 'nan'\n" in capsys.readouterr().err
 
     def test_non_ascii_series_id_names_its_line(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

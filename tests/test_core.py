@@ -8,7 +8,6 @@ from pvlevels.core import (
     MeasurementLevel,
     MultiLevelDataset,
     SiteConfig,
-    Weather,
     derive_seed,
     make_generator,
     utc_datetime,
@@ -46,13 +45,6 @@ class TestMeasurementLevel:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             MeasurementLevel.from_label("transformer")
-
-
-def test_weather_label_round_trip():
-    for w in Weather:
-        assert Weather.from_label(w.label) is w
-    with pytest.raises(ValueError):
-        Weather.from_label("foggy")
 
 
 class TestHourlyPowerSeries:

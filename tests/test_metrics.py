@@ -173,20 +173,16 @@ class TestReport:
         assert rep.mean_actual == pytest.approx(200.0)
 
     def test_partial_mode_constant_actual(self):
-        rep = report([5.0, 5.0], [4.0, 6.0], partial=True)
+        rep = report([5.0, 5.0], [4.0, 6.0])
         assert rep.r_squared is None
         assert rep.mape == pytest.approx(0.2)
 
-    def test_strict_mode_constant_actual_raises(self):
-        with pytest.raises(ConstantActual):
-            report([5.0, 5.0], [4.0, 6.0])
-
     def test_partial_mode_single_point(self):
-        rep = report([5.0], [6.0], partial=True)
+        rep = report([5.0], [6.0])
         assert rep.r_squared is None and rep.n_used == 1
 
     def test_exclusions_counted(self):
-        rep = report([0.0, 1.0, 50.0], [1.0, 2.0, 55.0], epsilon_kw=10.0, partial=True)
+        rep = report([0.0, 1.0, 50.0], [1.0, 2.0, 55.0], epsilon_kw=10.0)
         assert rep.n_excluded == 2 and rep.n_used == 1
 
 

@@ -461,12 +461,13 @@ class TestPredictClosedLoop:
         e_seed = np.array([0.2, 0.9])
         e_future = np.array([0.5, 0.5, 0.5])
         out = predict_closed_loop(
-            model, y_seed, [e_future], exo_seed=[e_seed], clamp=(-10.0, 10.0)
+            model, y_seed, [e_future], horizon=3, exo_seed=[e_seed],
+            clamp=(-10.0, 10.0),
         )
         # input layout: [e(t-1), e(t-2), y(t-1), y(t-2)]
         u = np.array([e_seed[1], e_seed[0], y_seed[1], y_seed[0]])
         assert out[0] == pytest.approx(forward(model, u), abs=1e-15)
-        assert out.size == 3  # horizon from the future channel length
+        assert out.size == 3
 
     def test_every_step_is_forward_on_its_training_row(self):
         d, horizon = 3, 9
@@ -478,7 +479,7 @@ class TestPredictClosedLoop:
         e_future = rng.uniform(0.0, 1.0, horizon)
         stats = {}
         out = predict_closed_loop(
-            model, y_seed, [e_future], exo_seed=[e_seed],
+            model, y_seed, [e_future], horizon=horizon, exo_seed=[e_seed],
             clamp=(-10.0, 10.0), clamp_stats=stats,
         )
         inputs, _ = make_training_set(
@@ -541,10 +542,6 @@ class TestPredictClosedLoop:
                 exo_seed=[np.array([0.2])],
                 horizon=5,
             )
-
-    def test_horizon_required_without_exo(self):
-        with pytest.raises(ValueError):
-            predict_closed_loop(tiny_model(), np.array([0.1]))
 
 
 class TestLearnability:

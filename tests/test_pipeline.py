@@ -312,7 +312,8 @@ class TestForecastWindowErrors:
         skewed = replace(dataset, site=replace(dataset.site, tz_offset=-6.5))
         with pytest.raises(MisalignedRange):
             context(skewed, profile, local_day(39), fast)
-        assert pv.valid_forecast_days(skewed, profile, fast) == []
+        with pytest.raises(MisalignedRange):
+            pv.valid_forecast_days(skewed, profile, fast)
 
     def test_unknown_level_set(self, data, fast):
         # case 1 has no entry in CASE_LEVELS: it runs only the baselines

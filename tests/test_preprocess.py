@@ -96,7 +96,7 @@ class TestNormalizeAndMask:
         mask = one_percent_mask(profile)
         pre = normalize_and_mask(clean_series(profile), profile, day_mask=mask)
         assert np.array_equal(pre.day_mask, mask)
-        assert pre.n_day + pre.n_night == 96
+        assert pre.source_n == 96
 
     def test_clipping_counted(self, profile):
         hot = series_from(2.0 * profile.power_kw)  # index 2 > kappa_max

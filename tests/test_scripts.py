@@ -17,7 +17,7 @@ TINY = ["--days", "40", "--ncust", "4", "--nfeeders", "2", "--epochs", "5",
     "script,args",
     [
         ("margin_survey.py", [*TINY, "--retries", "1", "--max-days", "2"]),
-        ("demo.py", ["--help"]),
+        ("demo.py", ["--days", "40", "--eval-days", "3"]),
     ],
 )
 def test_script_runs(script, args):

@@ -6,6 +6,7 @@ from pvlevels.clearsky import clearsky_profile
 from pvlevels.core import HourlyPowerSeries, MeasurementLevel, Weather, make_generator
 from pvlevels.errors import UnmappedCustomer
 from pvlevels.pipeline import classify_weather_day
+from pvlevels.preprocess import KAPPA_MAX
 from pvlevels.synth import (
     DEFAULT_SITE,
     SynthConfig,
@@ -98,7 +99,7 @@ class TestGenCustomerIndex:
         rng = make_generator(3)
         idx = gen_customer_index(Weather.CLOUDY, 500, cfg, rng)
         assert np.all(idx >= 0.0)
-        assert np.all(idx <= cfg.kappa_max)
+        assert np.all(idx <= KAPPA_MAX)
 
     def test_same_stream_same_series(self):
         cfg = SynthConfig()
@@ -118,7 +119,7 @@ class TestGenCustomerIndex:
             Weather.PARTLY_CLOUDY, hours, cfg, make_generator(seed)
         )
         assert idx.shape == (hours,)
-        assert np.all((idx >= 0.0) & (idx <= cfg.kappa_max))
+        assert np.all((idx >= 0.0) & (idx <= KAPPA_MAX))
 
 
 class TestAggregate:
