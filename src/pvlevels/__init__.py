@@ -51,7 +51,6 @@ from .errors import (
     PvlevelsError,
     SeedLengthMismatch,
     TooShort,
-    UnmappedCustomer,
 )
 from .metrics import MetricReport, mape, r_squared, report, rmse
 from .narnet import (

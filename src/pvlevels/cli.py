@@ -133,6 +133,12 @@ _CONFIG_DEFAULTS = {
 }
 
 
+def _non_ascii_line(exc: UnicodeDecodeError) -> tuple[int, str]:
+    """The line an ASCII decode failed on, and the byte it failed at."""
+    lineno = exc.object.count(b"\n", 0, exc.start) + 1
+    return lineno, f"non-ASCII byte {exc.object[exc.start]:#04x}"
+
+
 def parse_config_text(text: str, where: str = "<config>") -> dict[str, str]:
     """`key = value` lines; '#' comments; every key optional."""
     values: dict[str, str] = {}
@@ -166,11 +172,14 @@ def build_run_config(
     raw = dict(_CONFIG_DEFAULTS)
     raw.update(file_values)
 
-    def fval(key: str) -> float:
+    def fval(key: str, text: str) -> float:
         try:
-            return float(raw[key])
+            value = float(text)
         except ValueError as exc:
-            raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from exc
+            raise ConfigError(f"{key} must be a number, got {text!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {text!r}")
+        return value
 
     def ival(key: str) -> int:
         try:
@@ -181,7 +190,11 @@ def build_run_config(
     def fields_of(default) -> dict:
         """The parsed values of the keys backed by ``default``'s fields."""
         return {
-            attr: (ival if isinstance(getattr(default, attr), int) else fval)(key)
+            attr: (
+                ival(key)
+                if isinstance(getattr(default, attr), int)
+                else fval(key, raw[key])
+            )
             for key, (obj, attr) in _FIELD_KEYS.items()
             if obj is default
         }
@@ -202,7 +215,7 @@ def build_run_config(
                 raise ConfigError(
                     "pipeline.fractions must be three comma-separated numbers"
                 )
-            fractions = tuple(float(p) for p in parts)
+            fractions = tuple(fval("pipeline.fractions", p) for p in parts)
         else:
             fractions = _PIPELINE.capacity_fractions
         target_level = MeasurementLevel.from_label(raw["pipeline.target_level"])
@@ -280,10 +293,8 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        lineno = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ParseError(
-            f"{path} line {lineno}: non-ASCII byte {exc.object[exc.start]:#04x}"
-        ) from exc
+        lineno, what = _non_ascii_line(exc)
+        raise ParseError(f"{path} line {lineno}: {what}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"{path} line 1: expected header {CSV_HEADER!r}")
     stamps: dict[str, datetime] = {}
@@ -751,6 +762,9 @@ def cmd_dispatch(argv: list[str]) -> int:
                 text = Path(args.config).read_text(encoding="ascii")
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                lineno, what = _non_ascii_line(exc)
+                raise ConfigError(f"{args.config}:{lineno}: {what}") from exc
             file_values = parse_config_text(text, where=args.config)
             rel = file_values.get("paths.input", "")
             if rel and not Path(rel).is_absolute():

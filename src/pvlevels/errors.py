@@ -69,10 +69,6 @@ class EmptyDay(PvlevelsError):
     """Weather classification needs at least one day-hour value."""
 
 
-class UnmappedCustomer(PvlevelsError):
-    """Aggregation topology does not cover every customer."""
-
-
 class ParseError(PvlevelsError):
     """Malformed input file; message carries the offending line."""
 

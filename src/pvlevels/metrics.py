@@ -21,7 +21,8 @@ from .errors import AllExcluded, ConstantActual, LengthMismatch
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Bundle of mape (fraction), rmse (kW), r_squared, and bookkeeping.
+    """Bundle of mape (fraction), rmse (kW), r_squared, and the number of
+    hours MAPE left out.
 
     r_squared is None where the statistic is undefined: a constant actual
     vector, or a single pair.
@@ -30,17 +31,15 @@ class MetricReport:
     mape: float
     rmse: float
     r_squared: float | None
-    n_used: int
     n_excluded: int
-    mean_actual: float
 
     def __post_init__(self) -> None:
         if self.mape < 0.0 or self.rmse < 0.0:
             raise ValueError("mape and rmse must be >= 0")
         if self.r_squared is not None and self.r_squared > 1.0 + 1e-12:
             raise ValueError(f"r_squared above 1: {self.r_squared}")
-        if self.n_used < 1 or self.n_excluded < 0:
-            raise ValueError("need n_used >= 1 and n_excluded >= 0")
+        if self.n_excluded < 0:
+            raise ValueError("n_excluded must be >= 0")
 
 
 def _paired(actual, forecast, min_n: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -109,10 +108,5 @@ def report(actual, forecast, epsilon_kw: float = 0.0) -> MetricReport:
     except (ConstantActual, LengthMismatch):
         r2 = None
     return MetricReport(
-        mape=mape_value,
-        rmse=rmse(a, f),
-        r_squared=r2,
-        n_used=int(a.size - n_excluded),
-        n_excluded=n_excluded,
-        mean_actual=math.fsum(a) / a.size,
+        mape=mape_value, rmse=rmse(a, f), r_squared=r2, n_excluded=n_excluded
     )

@@ -119,11 +119,6 @@ class NetworkConfig:
     def input_width(self) -> int:
         return self.delay_d * (1 + self.n_exo_channels)
 
-    @property
-    def n_params(self) -> int:
-        h, w = self.hidden_width, self.input_width
-        return h * w + h + h + 1
-
 
 @dataclass(frozen=True, eq=False)
 class NarxModel:

@@ -358,10 +358,9 @@ class ForecastDay:
 
     ``i0`` is the hour index of the day's local midnight; ``mask`` is the
     day mask all levels share, over the whole dataset; ``day_profile``
-    and ``actual`` are the target level's clear-sky profile and measured
-    kW over the day's 24 hours; ``epsilon_kw`` is each level's MAPE
-    exclusion floor; ``weather`` and ``mean_index`` are the class and
-    mean clear-sky index the target level measured that day.
+    is the target level's clear-sky profile over the day's 24 hours;
+    ``weather`` and ``mean_index`` are the class and mean clear-sky
+    index the target level measured that day.
 
     The level histories, baselines and fitting models of the day are kept
     as they are first asked for, so the cases run on one context
@@ -376,8 +375,6 @@ class ForecastDay:
     i0: int
     mask: np.ndarray
     day_profile: ClearSkyProfile
-    actual: np.ndarray
-    epsilon_kw: dict[MeasurementLevel, float]
     weather: Weather
     mean_index: float
     _histories: dict = field(default_factory=dict, init=False, repr=False)
@@ -402,7 +399,6 @@ class ForecastDay:
         _check_history(int(np.count_nonzero(mask[:i0])), forecast_day)
         weather, mean_index = _measured_weather(dataset, profile, mask, i0, config)
         target = config.target_level
-        rating = dataset.site.ac_rating_kw
         return cls(
             dataset=dataset,
             profile=profile,
@@ -411,11 +407,6 @@ class ForecastDay:
             i0=i0,
             mask=mask,
             day_profile=profile.sliced(i0, i0 + 24).scaled(config.fraction(target)),
-            actual=dataset.series(target).values[i0 : i0 + 24],
-            epsilon_kw={
-                lv: config.epsilon_fraction * rating * config.fraction(lv)
-                for lv in MeasurementLevel
-            },
             weather=weather,
             mean_index=mean_index,
         )
@@ -424,6 +415,19 @@ class ForecastDay:
     def day_hours(self) -> np.ndarray:
         """The day mask over the forecast day's 24 hours."""
         return self.mask[self.i0 : self.i0 + 24]
+
+    def score(self, level: MeasurementLevel, forecast_kw: np.ndarray) -> MetricReport:
+        """A 24-hour kW forecast of ``level`` against its measured day
+        hours. MAPE leaves out hours below epsilon_fraction of the
+        level's share of the AC rating."""
+        config, mask_day = self.config, self.day_hours
+        return report(
+            self.dataset.series(level).values[self.i0 : self.i0 + 24][mask_day],
+            forecast_kw[mask_day],
+            epsilon_kw=config.epsilon_fraction
+            * self.dataset.site.ac_rating_kw
+            * config.fraction(level),
+        )
 
     def history(self, level: MeasurementLevel) -> PreprocessedSeries:
         """The level's clear-sky-index series before the forecast day."""
@@ -483,14 +487,8 @@ class ForecastDay:
             start=series.timestamp(i0),
             values=pred_u * scale,
         )
-        mask_day = self.day_hours
-        rep = report(
-            series.values[i0 : i0 + 24][mask_day],
-            forecast.values[mask_day],
-            epsilon_kw=self.epsilon_kw[level],
-        )
-        self._baselines[level] = (rep, forecast)
-        return rep, forecast
+        self._baselines[level] = (self.score(level, forecast.values), forecast)
+        return self._baselines[level]
 
 
 def forecast_day_ahead(
@@ -515,37 +513,33 @@ def forecast_day_ahead(
     target_level = config.target_level
     i0, mask_day = day.i0, day.day_hours
 
-    involved = sorted(levels_used | {target_level}, key=int)
-    pre = {lv: day.history(lv) for lv in involved}
-
     fit_models = day.fitting_models(levels_used)
-    by_level = {m.level: m for m in fit_models}
     best = select_best_fitting(fit_models)
 
-    # channel layout: levels in (C, F, S) order, then the fit channel
-    exo_levels = sorted(levels_used, key=int)
-    y = pre[target_level].index_values
-    exo_hist = [pre[lv].index_values for lv in exo_levels]
-    exo_hist.append(_fit_channel(best, pre[best.level].index_values))
-
+    # channel layout: levels in (C, F, S) order, then the fit channel;
+    # each level's future is its own NAR's closed loop
     horizon = int(np.count_nonzero(mask_day))
-    futures = {}
-    for lv in exo_levels:
-        fm = by_level[lv]
-        d_fit = fm.net.config.delay_d
-        futures[lv] = predict_closed_loop(
-            fm.net,
-            pre[lv].index_values[-d_fit:],
-            horizon=horizon,
-            clamp=(0.0, config.kappa_max),
+    exo_hist, exo_future = [], []
+    for fm in fit_models:
+        own = day.history(fm.level).index_values
+        exo_hist.append(own)
+        exo_future.append(
+            predict_closed_loop(
+                fm.net,
+                own[-fm.net.config.delay_d :],
+                horizon=horizon,
+                clamp=(0.0, config.kappa_max),
+            )
         )
-    exo_future = [futures[lv] for lv in exo_levels]
-    exo_future.append(futures[best.level])
+    k = fit_models.index(best)
+    exo_hist.append(_fit_channel(best, exo_hist[k]))
+    exo_future.append(exo_future[k])
 
     d = config.narx_net.delay_d
     narx_cfg_base = replace(
         config.narx_net, n_exo_channels=len(exo_hist)
     )
+    y = day.history(target_level).index_values
     # per-day stretches only: a sample must never regress across the
     # overnight gap, where the weather regime can silently turn over
     inputs, targets = make_training_set(
@@ -593,11 +587,7 @@ def forecast_day_ahead(
             site_id=f"forecast-{target_level.label}",
             level=target_level,
         )
-        rep = report(
-            day.actual[mask_day],
-            forecast.values[mask_day],
-            epsilon_kw=day.epsilon_kw[target_level],
-        )
+        rep = day.score(target_level, forecast.values)
         if best_attempt is None or rep.mape < best_attempt[0]:
             best_attempt = (rep.mape, rep, forecast, seed)
         if rep.mape < floor:

@@ -51,7 +51,6 @@ from .core import (
     make_generator,
     utc_datetime,
 )
-from .errors import UnmappedCustomer
 from .preprocess import KAPPA_MAX
 
 # substream tags under the dataset seed
@@ -259,26 +258,19 @@ def _meter_noise(
 
 
 def aggregate(
-    customers: list[HourlyPowerSeries],
-    feeder_map: tuple[int, ...],
-    config: SynthConfig,
+    customers: list[HourlyPowerSeries], config: SynthConfig
 ) -> tuple[list[HourlyPowerSeries], HourlyPowerSeries]:
     """Sum customers into feeders, feeders into the lossy substation.
 
-    feeder_map[i] is customer i's feeder. Summation order is fixed:
+    ``customers`` are the config.n_customers customers, assigned to
+    feeders by ``config.default_feeder_map()``. Summation order is fixed:
     customers in index order within each feeder, then feeders in index
     order; with zero noise and zero loss the substation equals the
     customer total computed in that grouping exactly (bit-for-bit).
     Meter noise lands on each feeder and on the substation, daylight
     hours only, clamped at zero.
     """
-    if len(feeder_map) != len(customers):
-        raise UnmappedCustomer(
-            f"feeder_map covers {len(feeder_map)} of {len(customers)} customers"
-        )
-    for i, j in enumerate(feeder_map):
-        if not 0 <= j < config.n_feeders:
-            raise UnmappedCustomer(f"customer {i} mapped to missing feeder {j}")
+    feeder_map = config.default_feeder_map()
     first = customers[0]
     day = np.zeros(first.n, dtype=bool)
     for c in customers:
@@ -379,7 +371,7 @@ def gen_dataset(
             )
         )
 
-    feeders, substation = aggregate(customers, config.default_feeder_map(), config)
+    feeders, substation = aggregate(customers, config)
 
     meter_rng = make_generator(derive_seed(config.seed, _TAG_CUSTOMER_METER, 0))
     measured_customer = HourlyPowerSeries(

@@ -802,6 +802,29 @@ class TestDispatchErrors:
         assert cmd_dispatch(["--config", str(cfg), "clearsky", "--days", "1"]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_non_ascii_config_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("seed = 7\n# caf\u00e9\n".encode("utf-8"))
+        assert cmd_dispatch(["--config", str(cfg), "clearsky", "--days", "1"]) == 2
+        assert f"error: {cfg}:2: non-ASCII byte 0xc3\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["pipeline.epsilon_fraction", "synth.meter_noise_sd"])
+    def test_non_finite_number_names_its_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="ascii")
+        assert cmd_dispatch(["--config", str(cfg), "clearsky", "--days", "1"]) == 2
+        assert f"error: {key} must be finite, got {value!r}\n" in capsys.readouterr().err
+
+    def test_bad_fraction_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pipeline.fractions = 1, x, 2\n", encoding="ascii")
+        assert cmd_dispatch(["--config", str(cfg), "clearsky", "--days", "1"]) == 2
+        assert (
+            "error: pipeline.fractions must be a number, got 'x'\n"
+            in capsys.readouterr().err
+        )
+
     def test_missing_input_path(self, tmp_path, capsys):
         code = cmd_dispatch(["--out", str(tmp_path), "fit"])
         assert code == 2

@@ -169,8 +169,7 @@ class TestReport:
         rep = report([100.0, 200.0, 300.0], [110.0, 190.0, 310.0])
         assert rep.mape == pytest.approx(mape([100, 200, 300], [110, 190, 310])[0])
         assert rep.rmse == pytest.approx(rmse([100, 200, 300], [110, 190, 310]))
-        assert rep.n_used == 3 and rep.n_excluded == 0
-        assert rep.mean_actual == pytest.approx(200.0)
+        assert rep.n_excluded == 0
 
     def test_partial_mode_constant_actual(self):
         rep = report([5.0, 5.0], [4.0, 6.0])
@@ -179,24 +178,20 @@ class TestReport:
 
     def test_partial_mode_single_point(self):
         rep = report([5.0], [6.0])
-        assert rep.r_squared is None and rep.n_used == 1
+        assert rep.r_squared is None
 
     def test_exclusions_counted(self):
         rep = report([0.0, 1.0, 50.0], [1.0, 2.0, 55.0], epsilon_kw=10.0)
-        assert rep.n_excluded == 2 and rep.n_used == 1
+        assert rep.n_excluded == 2
 
 
 class TestMetricReportValidation:
     def test_rejects_negative_metrics(self):
         with pytest.raises(ValueError):
-            MetricReport(-0.1, 1.0, 0.5, 1, 0, 1.0)
+            MetricReport(-0.1, 1.0, 0.5, 0)
         with pytest.raises(ValueError):
-            MetricReport(0.1, -1.0, 0.5, 1, 0, 1.0)
+            MetricReport(0.1, -1.0, 0.5, 0)
 
     def test_rejects_r2_above_one(self):
         with pytest.raises(ValueError):
-            MetricReport(0.1, 1.0, 1.5, 1, 0, 1.0)
-
-    def test_rejects_zero_used(self):
-        with pytest.raises(ValueError):
-            MetricReport(0.1, 1.0, 0.5, 0, 0, 1.0)
+            MetricReport(0.1, 1.0, 1.5, 0)

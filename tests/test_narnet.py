@@ -102,11 +102,6 @@ class TestNetworkConfig:
         assert NetworkConfig(delay_d=12).input_width == 12
         assert NetworkConfig(delay_d=12, n_exo_channels=3).input_width == 48
 
-    def test_param_counting(self):
-        cfg = NetworkConfig(delay_d=2, hidden_width=3, n_exo_channels=1)
-        # 3x4 hidden weights + 3 hidden biases + 3 output weights + 1 bias
-        assert cfg.n_params == 12 + 3 + 3 + 1
-
     @pytest.mark.parametrize(
         "kw",
         [

@@ -350,19 +350,24 @@ class TestForecastDay:
         threshold = fast.day_threshold_fraction * float(profile.power_kw.max())
         assert np.array_equal(day.mask, profile.power_kw >= threshold)
         assert np.array_equal(pv.day_mask(profile, fast), day.mask)
-        assert np.array_equal(
-            day.actual, dataset.customer.values[day.i0 : day.i0 + 24]
-        )
         assert day.day_profile.start == dataset.customer.timestamp(day.i0)
-        assert day.epsilon_kw[F] == pytest.approx(
-            fast.epsilon_fraction
-            * dataset.site.ac_rating_kw
-            * fast.fraction(F)
-        )
         assert day.weather is Weather.CLOUDY
         assert pv.classify_weather_day(
             [day.mean_index], fast.sunny_threshold, fast.cloudy_threshold
         ) is day.weather
+
+    def test_score_is_the_measured_day_hours_above_the_floor(self, data, fast):
+        dataset, profile = data
+        day = context(dataset, profile, local_day(39), fast)
+        actual = dataset.series(F).values[day.i0 : day.i0 + 24]
+        measured = actual[day.day_hours]
+        floor = fast.epsilon_fraction * dataset.site.ac_rating_kw * fast.fraction(F)
+        excluded = np.count_nonzero((measured < floor) | (measured == 0.0))
+        assert 0 < excluded < measured.size
+        rep = day.score(F, 1.1 * actual)
+        assert rep.mape == pytest.approx(0.1)
+        assert rep.rmse == pytest.approx(np.sqrt(np.mean((0.1 * measured) ** 2)))
+        assert rep.n_excluded == excluded
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from pvlevels.clearsky import clearsky_profile
 from pvlevels.core import HourlyPowerSeries, MeasurementLevel, Weather, make_generator
-from pvlevels.errors import UnmappedCustomer
 from pvlevels.pipeline import classify_weather_day
 from pvlevels.preprocess import KAPPA_MAX
 from pvlevels.synth import (
@@ -128,7 +127,7 @@ class TestAggregate:
             n_customers=6, n_feeders=2, loss_fraction=0.0, meter_noise_sd=0.0
         )
         customers = flat_customers(6)
-        feeders, substation = aggregate(customers, cfg.default_feeder_map(), cfg)
+        feeders, substation = aggregate(customers, cfg)
         total = np.sum([c.values for c in customers], axis=0)
         assert np.array_equal(substation.values, total)
         assert len(feeders) == 2
@@ -139,7 +138,7 @@ class TestAggregate:
             n_customers=10, n_feeders=2, loss_fraction=0.05, meter_noise_sd=0.0
         )
         customers = flat_customers(10, value=10.0)
-        _, substation = aggregate(customers, cfg.default_feeder_map(), cfg)
+        _, substation = aggregate(customers, cfg)
         day = customers[0].values > 0
         assert np.allclose(substation.values[day], 95.0)
 
@@ -152,8 +151,8 @@ class TestAggregate:
             n_customers=6, n_feeders=3, loss_fraction=0.0, meter_noise_sd=0.0, seed=5
         )
         customers = flat_customers(6, hours=744)
-        _, noisy = aggregate(customers, cfg_noisy.default_feeder_map(), cfg_noisy)
-        _, clean = aggregate(customers, cfg_clean.default_feeder_map(), cfg_clean)
+        _, noisy = aggregate(customers, cfg_noisy)
+        _, clean = aggregate(customers, cfg_clean)
         delta = noisy.values - clean.values
         assert np.any(delta != 0.0)
         # the difference stacks three feeder meters and the substation
@@ -164,21 +163,11 @@ class TestAggregate:
     def test_night_hours_stay_zero(self):
         cfg = SynthConfig(n_customers=4, n_feeders=2, meter_noise_sd=1.0, seed=2)
         customers = flat_customers(4)
-        feeders, substation = aggregate(customers, cfg.default_feeder_map(), cfg)
+        feeders, substation = aggregate(customers, cfg)
         night = customers[0].values == 0.0
         for f in feeders:
             assert np.all(f.values[night] == 0.0)
         assert np.all(substation.values[night] == 0.0)
-
-    def test_unmapped_customer_count(self):
-        cfg = SynthConfig(n_customers=3, n_feeders=2)
-        with pytest.raises(UnmappedCustomer):
-            aggregate(flat_customers(3), (0, 1), cfg)
-
-    def test_bad_feeder_id(self):
-        cfg = SynthConfig(n_customers=3, n_feeders=2)
-        with pytest.raises(UnmappedCustomer):
-            aggregate(flat_customers(3), (0, 1, 5), cfg)
 
 
 class TestCapacityFractions:
