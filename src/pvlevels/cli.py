@@ -279,6 +279,12 @@ def _parse_ts(text: str, path, lineno: int) -> datetime:
     return ts
 
 
+def _non_ascii_byte(line: str) -> str:
+    """`non-ASCII byte 0x..` for the first non-ASCII character of a latin-1 line."""
+    byte = next(ch for ch in line if not ch.isascii())
+    return f"non-ASCII byte {ord(byte):#04x}"
+
+
 def load_csv(path) -> list[HourlyPowerSeries]:
     """Read the flat measurement CSV into per-(level, series_id) series.
 
@@ -286,54 +292,72 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     range with no duplicate timestamps, and every power must be a finite
     number. The file must be ASCII: a non-ASCII byte raises ParseError
     naming its line. Every error names the file, and the line where there
-    is one. Each distinct timestamp text and level label is parsed once.
+    is one; a file with several bad lines is reported at the first.
+
+    The file is read one line at a time, and a line ends at ``\\n``,
+    ``\\r\\n`` or ``\\r``; the other characters `str.splitlines` breaks at
+    (``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``) end no row. It is decoded as
+    latin-1, which maps each byte to one character, and each line is
+    checked for ASCII. Each distinct timestamp text is parsed once, and
+    each distinct (level, series_id) text is checked once.
     """
+    stamps: dict[str, datetime] = {}
+    # rows by the (level, series_id) text of the line, and by the parsed
+    # pair: labels that name one level ("feeder", "Feeder") share a dict
+    by_text: dict[tuple[str, str], dict[datetime, float]] = {}
+    groups: dict[tuple[MeasurementLevel, str], dict[datetime, float]] = {}
     try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
+        with open(path, encoding="latin-1") as fh:
+            header = fh.readline()
+            if header.rstrip("\n") != CSV_HEADER:
+                what = (
+                    f"expected header {CSV_HEADER!r}"
+                    if header.isascii()
+                    else _non_ascii_byte(header)
+                )
+                raise ParseError(f"{path} line 1: {what}")
+            for lineno, line in enumerate(fh, start=2):
+                if not line.isascii():
+                    raise ParseError(f"{path} line {lineno}: {_non_ascii_byte(line)}")
+                parts = line.split(",")
+                if len(parts) != 4:
+                    if not line.strip():
+                        continue
+                    raise ParseError(
+                        f"{path} line {lineno}: expected 4 fields, got {len(parts)}"
+                    )
+                stamp, label, series_id, power_text = parts
+                ts = stamps.get(stamp)
+                if ts is None:
+                    ts = stamps[stamp] = _parse_ts(stamp, path, lineno)
+                rows = by_text.get((label, series_id))
+                if rows is None:
+                    try:
+                        level = MeasurementLevel.from_label(label)
+                    except ValueError as exc:
+                        raise ParseError(f"{path} line {lineno}: {exc}") from exc
+                    if not series_id:
+                        raise ParseError(f"{path} line {lineno}: empty series_id")
+                    rows = groups.setdefault((level, series_id), {})
+                    by_text[(label, series_id)] = rows
+                # the line's newline stays on power_text: float() skips it
+                try:
+                    power = float(power_text)
+                except ValueError:
+                    power = math.nan
+                if not math.isfinite(power):
+                    bad = power_text.rstrip("\n")
+                    raise ParseError(f"{path} line {lineno}: bad power value {bad!r}")
+                n_rows = len(rows)
+                rows[ts] = power
+                if len(rows) == n_rows:
+                    level = MeasurementLevel.from_label(label)
+                    raise DuplicateRow(
+                        f"{path} line {lineno}: duplicate "
+                        f"({stamp}, {level.label}, {series_id})"
+                    )
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        lineno, what = _non_ascii_line(exc)
-        raise ParseError(f"{path} line {lineno}: {what}") from exc
-    if not lines or lines[0] != CSV_HEADER:
-        raise ParseError(f"{path} line 1: expected header {CSV_HEADER!r}")
-    stamps: dict[str, datetime] = {}
-    levels: dict[str, MeasurementLevel] = {}
-    groups: dict[tuple[MeasurementLevel, str], dict[datetime, float]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(
-                f"{path} line {lineno}: expected 4 fields, got {len(parts)}"
-            )
-        stamp, label, series_id, power_text = parts
-        ts = stamps.get(stamp)
-        if ts is None:
-            ts = stamps[stamp] = _parse_ts(stamp, path, lineno)
-        level = levels.get(label)
-        if level is None:
-            try:
-                level = levels[label] = MeasurementLevel.from_label(label)
-            except ValueError as exc:
-                raise ParseError(f"{path} line {lineno}: {exc}") from exc
-        if not series_id:
-            raise ParseError(f"{path} line {lineno}: empty series_id")
-        try:
-            power = float(power_text)
-        except ValueError as exc:
-            raise ParseError(
-                f"{path} line {lineno}: bad power value {power_text!r}"
-            ) from exc
-        if not math.isfinite(power):
-            raise ParseError(f"{path} line {lineno}: bad power value {power_text!r}")
-        rows = groups.setdefault((level, series_id), {})
-        if ts in rows:
-            raise DuplicateRow(
-                f"{path} line {lineno}: duplicate ({stamp}, {level.label}, {series_id})"
-            )
-        rows[ts] = power
     if not groups:
         raise ParseError(f"{path}: no data rows")
     out = []

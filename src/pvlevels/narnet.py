@@ -110,8 +110,8 @@ class NetworkConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
-        if not self.step_size > 0.0:
-            raise ValueError("step_size must be > 0")
+        if not (math.isfinite(self.step_size) and self.step_size > 0.0):
+            raise ValueError("step_size must be finite and > 0")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
 

@@ -28,6 +28,7 @@ customer only.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable
@@ -130,13 +131,13 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         if len(self.capacity_fractions) != 3 or any(
-            not f > 0.0 for f in self.capacity_fractions
+            not (math.isfinite(f) and f > 0.0) for f in self.capacity_fractions
         ):
-            raise ValueError("capacity_fractions must be three positive numbers")
-        if not self.kappa_max > 0.0:
-            raise ValueError("kappa_max must be > 0")
-        if self.epsilon_fraction < 0.0:
-            raise ValueError("epsilon_fraction must be >= 0")
+            raise ValueError("capacity_fractions must be three finite positive numbers")
+        if not (math.isfinite(self.kappa_max) and self.kappa_max > 0.0):
+            raise ValueError("kappa_max must be finite and > 0")
+        if not (math.isfinite(self.epsilon_fraction) and self.epsilon_fraction >= 0.0):
+            raise ValueError("epsilon_fraction must be finite and >= 0")
         if not 0.0 < self.day_threshold_fraction < 1.0:
             raise ValueError("day_threshold_fraction must be in (0, 1)")
         if self.max_retries < 1:

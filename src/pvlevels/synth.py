@@ -35,6 +35,7 @@ reproducible and adding customers never perturbs existing series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -122,12 +123,14 @@ class SynthConfig:
             raise ValueError("ar_rho must be in [0, 1)")
         if not 0.0 <= self.loss_fraction < 0.1:
             raise ValueError("loss_fraction must be in [0, 0.1)")
-        if self.meter_noise_sd < 0.0:
-            raise ValueError("meter_noise_sd must be >= 0")
+        for name in (
+            "meter_noise_sd", "shared_drift_sd", "sigma_sunny", "sigma_cloudy", "sigma_partly",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not 0.0 <= self.shared_fraction <= 1.0:
             raise ValueError("shared_fraction must be in [0, 1]")
-        if self.shared_drift_sd < 0.0:
-            raise ValueError("shared_drift_sd must be >= 0")
         if not 0.0 <= self.shared_drift_rho < 1.0:
             raise ValueError("shared_drift_rho must be in [0, 1)")
         if not 0 <= self.seed < 2**64:

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import tracemalloc
 import warnings
 from datetime import datetime, timezone
 
@@ -337,6 +338,89 @@ class TestLoadCsv:
             ParseError, match=f"data.csv line {bad_row + 2}: non-ASCII byte 0xc3$"
         ):
             load_csv(path)
+
+    ROWS = [f"2023-03-01T0{h}:00:00Z,customer,c0,{h}.5" for h in range(4)]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_endings_load_as_lf(self, tmp_path, newline):
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes("\n".join([CSV_HEADER, *self.ROWS, ""]).encode("ascii"))
+        other = tmp_path / "other.csv"
+        other.write_bytes(newline.join([CSV_HEADER, *self.ROWS, ""]).encode("ascii"))
+        (want,), (got,) = load_csv(lf), load_csv(other)
+        assert (got.level, got.site_id, got.start) == (want.level, want.site_id, want.start)
+        assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_blank_lines_count_toward_error_line_numbers(self, tmp_path, newline):
+        # line 1 header, 2 row, 3 blank, 4 blanks, 5 row, 6 bad row
+        lines = [CSV_HEADER, self.ROWS[0], "", "  ", self.ROWS[1], "x,customer,c0,1"]
+        path = tmp_path / "data.csv"
+        path.write_bytes(newline.join(lines).encode("ascii"))
+        with pytest.raises(ParseError, match="data.csv line 6: bad timestamp 'x'$"):
+            load_csv(path)
+
+    def test_separators_other_than_newlines_end_no_row(self, tmp_path):
+        # str.splitlines would break at \x1e and read two good rows
+        path = rows_file(tmp_path, [self.ROWS[0] + "\x1e" + self.ROWS[1]])
+        with pytest.raises(ParseError, match="line 2: expected 4 fields, got 7"):
+            load_csv(path)
+
+    def test_non_ascii_byte_far_into_the_file_names_its_line(self, tmp_path):
+        start = utc_datetime(2023, 3, 1)
+        rows = [
+            f"{(start + h * HOUR).strftime('%Y-%m-%dT%H:%M:%SZ')},customer,c0,{h}"
+            for h in range(3000)
+        ]
+        bad_line = 2500  # past the first 64 KiB of the file
+        rows[bad_line - 2] = rows[bad_line - 2].replace("c0", "c\u00e9")
+        path = tmp_path / "data.csv"
+        path.write_bytes("\n".join([CSV_HEADER, *rows, ""]).encode("utf-8"))
+        assert len("\n".join([CSV_HEADER, *rows[: bad_line - 2]])) > 64 * 1024
+        with pytest.raises(
+            ParseError, match=f"data.csv line {bad_line}: non-ASCII byte 0xc3$"
+        ):
+            load_csv(path)
+
+    def test_faults_are_reported_in_file_order(self, tmp_path):
+        rows = ["yesterday,customer,c0,1.0", "2023-03-01T00:00:00Z,customer,c\u00e9,1.0"]
+        path = tmp_path / "data.csv"
+        path.write_bytes("\n".join([CSV_HEADER, *rows, ""]).encode("utf-8"))
+        with pytest.raises(ParseError, match="line 2: bad timestamp 'yesterday'$"):
+            load_csv(path)
+
+    def test_non_ascii_header_names_line_one(self, tmp_path):
+        header = CSV_HEADER.replace("level", "l\u00e9vel")
+        path = tmp_path / "data.csv"
+        path.write_bytes("\n".join([header, self.ROWS[0], ""]).encode("utf-8"))
+        with pytest.raises(ParseError, match="data.csv line 1: non-ASCII byte 0xc3$"):
+            load_csv(path)
+
+    def test_closes_its_file_when_a_row_fails(self, tmp_path):
+        path = rows_file(tmp_path, [self.ROWS[0], "2023-03-01T01:00:00Z,customer,c0,nan"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ParseError, match="line 3: bad power value 'nan'$"):
+                load_csv(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_peak_memory_is_a_small_multiple_of_the_file(self, tmp_path):
+        """One year of three series (about 1.36 MB): reading line by line
+        keeps neither the file's text nor its list of lines."""
+        start = utc_datetime(2023, 1, 1)
+        values = np.random.default_rng(3).uniform(0.0, 50.0, 8760)
+        series = [HourlyPowerSeries(f"{lv.label[0]}0", lv, start, values) for lv in (C, F, S)]
+        path = tmp_path / "year.csv"
+        write_csv(path, series)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * size, f"peak {peak} B is {peak / size:.2f}x the {size} B file"
 
 
 def reference_csv(series_list) -> bytes:

@@ -119,6 +119,10 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             NetworkConfig(**kw)
 
+    def test_rejects_infinite_step_size(self):
+        with pytest.raises(ValueError, match="step_size must be finite"):
+            NetworkConfig(step_size=math.inf)
+
 
 class TestInitNetwork:
     def test_deterministic(self):

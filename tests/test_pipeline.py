@@ -4,6 +4,7 @@ The forecasting fixtures use deliberately tiny networks (3 hidden units,
 60 epochs): these tests pin orchestration behavior, not forecast skill.
 """
 
+import math
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -170,6 +171,18 @@ class TestPipelineConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             pv.PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("epsilon_fraction", math.nan),
+            ("capacity_fractions", (1.0, math.inf, 1.0)),
+            ("kappa_max", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            pv.PipelineConfig(**{field: value})
 
     def test_fraction_maps_levels(self):
         cfg = pv.PipelineConfig(capacity_fractions=(0.1, 0.4, 0.9))

@@ -18,6 +18,7 @@ TINY = ["--days", "40", "--ncust", "4", "--nfeeders", "2", "--epochs", "5",
     [
         ("margin_survey.py", [*TINY, "--retries", "1", "--max-days", "2"]),
         ("demo.py", ["--days", "40", "--eval-days", "3"]),
+        ("rss_by_path.py", ["--tiny", "--lengths", "2"]),
     ],
 )
 def test_script_runs(script, args):

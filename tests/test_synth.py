@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +76,20 @@ class TestSynthConfigValidation:
     def test_shared_fraction_bounds(self):
         with pytest.raises(ValueError):
             SynthConfig(shared_fraction=1.5)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("meter_noise_sd", math.nan),
+            ("shared_drift_sd", math.inf),
+            ("sigma_sunny", math.nan),
+            ("sigma_cloudy", -1.0),
+            ("sigma_partly", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_or_negative_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            SynthConfig(**{field: value})
 
     def test_drift_sd_nonnegative(self):
         with pytest.raises(ValueError):
