@@ -1,11 +1,11 @@
 """Peak RSS and run time of one bench workload across checkout path lengths.
 
     python3 scripts/rss_by_path.py [--workload W] [--seed N] [--lengths N]
-                                   [--checkout PATH] [--against PATH] [--tiny]
+                                   [--against PATH] [--tiny]
 
 The worker's ``peak_rss_mb`` steps with the length of the checkout's path
 (ROADMAP item 5), so two checkouts at one pair of paths can differ by a
-step that is not the code's. This script copies a checkout's ``src/``,
+step that is not the code's. This script copies its own checkout's ``src/``,
 ``bench/`` and ``BENCHMARK.json`` into directories whose names are
 1..N characters long, runs one ``bench/run.py --workload W --seconds 0
 --trace 0`` repetition in each, and prints ``peak_rss_mb`` and ``run_s``
@@ -63,13 +63,12 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--workload", choices=WORKLOADS, default="csv-roundtrip")
     ap.add_argument("--seed", type=int, default=101)
     ap.add_argument("--lengths", type=int, default=8, help="name lengths 1..N")
-    ap.add_argument("--checkout", type=Path, default=ROOT)
     ap.add_argument("--against", type=Path, help="a second checkout to alternate with")
     ap.add_argument("--tiny", action="store_true", help="smoke-test workload sizes")
     args = ap.parse_args(argv)
     if args.lengths < 1:
         ap.error("--lengths must be >= 1")
-    sides = {"A": args.checkout.resolve()}
+    sides = {"A": ROOT}
     if args.against is not None:
         sides["B"] = args.against.resolve()
     for side, checkout in sides.items():

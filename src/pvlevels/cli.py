@@ -133,12 +133,6 @@ _CONFIG_DEFAULTS = {
 }
 
 
-def _non_ascii_line(exc: UnicodeDecodeError) -> tuple[int, str]:
-    """The line an ASCII decode failed on, and the byte it failed at."""
-    lineno = exc.object.count(b"\n", 0, exc.start) + 1
-    return lineno, f"non-ASCII byte {exc.object[exc.start]:#04x}"
-
-
 def parse_config_text(text: str, where: str = "<config>") -> dict[str, str]:
     """`key = value` lines; '#' comments; every key optional."""
     values: dict[str, str] = {}
@@ -783,12 +777,14 @@ def cmd_dispatch(argv: list[str]) -> int:
         file_values: dict[str, str] = {}
         if args.config is not None:
             try:
-                text = Path(args.config).read_text(encoding="ascii")
+                text = Path(args.config).read_text(encoding="latin-1")
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-            except UnicodeDecodeError as exc:
-                lineno, what = _non_ascii_line(exc)
-                raise ConfigError(f"{args.config}:{lineno}: {what}") from exc
+            # lines as parse_config_text counts them; keepends keeps a
+            # latin-1 NEL (0x85), which splitlines breaks at, on its line
+            for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
+                if not line.isascii():
+                    raise ConfigError(f"{args.config}:{lineno}: {_non_ascii_byte(line)}")
             file_values = parse_config_text(text, where=args.config)
             rel = file_values.get("paths.input", "")
             if rel and not Path(rel).is_absolute():

@@ -892,6 +892,19 @@ class TestDispatchErrors:
         assert cmd_dispatch(["--config", str(cfg), "clearsky", "--days", "1"]) == 2
         assert f"error: {cfg}:2: non-ASCII byte 0xc3\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("end", ["\r", "\r\n"])
+    def test_non_ascii_config_line_counts_every_line_end(self, tmp_path, capsys, end):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"seed = 7{end}# note{end}# caf\u00e9{end}".encode("utf-8"))
+        assert cmd_dispatch(["--config", str(cfg), "clearsky", "--days", "1"]) == 2
+        assert f"error: {cfg}:3: non-ASCII byte 0xc3\n" in capsys.readouterr().err
+
+    def test_nel_byte_in_config_is_non_ascii(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 7\n# a\x85b\n")
+        assert cmd_dispatch(["--config", str(cfg), "clearsky", "--days", "1"]) == 2
+        assert f"error: {cfg}:2: non-ASCII byte 0x85\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", ["pipeline.epsilon_fraction", "synth.meter_noise_sd"])
     def test_non_finite_number_names_its_key(self, tmp_path, capsys, key, value):
