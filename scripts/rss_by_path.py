@@ -1,4 +1,4 @@
-"""Peak RSS and run time of one bench workload across checkout path lengths.
+"""Peak RSS, set-up and run time of a bench workload over checkout path lengths.
 
     python3 scripts/rss_by_path.py [--workload W] [--seed N] [--lengths N]
                                    [--against PATH] [--tiny]
@@ -8,8 +8,9 @@ The worker's ``peak_rss_mb`` steps with the length of the checkout's path
 step that is not the code's. This script copies its own checkout's ``src/``,
 ``bench/`` and ``BENCHMARK.json`` into directories whose names are
 1..N characters long, runs one ``bench/run.py --workload W --seconds 0
---trace 0`` repetition in each, and prints ``peak_rss_mb`` and ``run_s``
-per length, then each checkout's median and range over the lengths.
+--trace 0`` repetition in each, and prints the three end-to-end metrics,
+``peak_rss_mb``, ``setup_s`` and ``run_s``, per length, then each
+checkout's median and range over the lengths.
 
 With ``--against PATH`` a second checkout is copied to paths of the same
 lengths and run alternately with the first; which one goes first switches
@@ -30,7 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("case-study-90d", "day-ahead-cli", "csv-roundtrip")
-METRICS = ("peak_rss_mb", "run_s")
+METRICS = ("peak_rss_mb", "setup_s", "run_s")
 
 
 def copy_checkout(checkout: Path, dest: Path) -> None:

@@ -42,6 +42,19 @@ contiguous matrix. The serialized order, [w_hidden, b_hidden, w_out,
 b_out], stays the public one (loss_and_gradient's gradient, the model
 text); loss_and_gradient and train convert at the boundary. Adam is
 elementwise, so running it in kernel order gives the same numbers.
+
+A net has at most a couple of hundred parameters, so a numpy call on
+them costs its fixed overhead, about a microsecond, and next to nothing
+for the arithmetic. An epoch therefore makes as few calls as it can, each
+in its cheapest form. The paired Adam quantities share one (2, P)
+array each, rows for the first and second moment ([g, g**2], [m, v],
+their bias corrections, [m_hat, v_hat]), so one call updates both
+moments. The constants (the decays, step size, epsilon, the kernel's
+2/n) are full-length arrays made once per ``train`` call, because a
+Python-float operand costs more per call than an array operand, and a
+(2, 1) column broadcast more still. Every element still goes through
+the same operations in the same order, so the numbers are those of the
+textbook formulas (tests/test_narnet.py: reference_train).
 """
 
 from __future__ import annotations
@@ -207,10 +220,11 @@ def forward(model: NarxModel, input_vec) -> float:
     return float(model.w_out @ hidden + model.b_out)
 
 
-def _lag_windows(channels: Sequence[np.ndarray], d: int) -> list[np.ndarray]:
-    """The tapped-delay layout: row i of each window holds the d lags of
-    time i+d, most recent first. Views, so a write to a channel shows."""
-    return [sliding_window_view(c, d)[:, ::-1] for c in channels]
+def _lag_windows(channels: np.ndarray, d: int) -> np.ndarray:
+    """The tapped-delay layout of a (channel, time) array: ``[i, c]`` holds
+    channel c's d lags of time i+d, most recent first, so ``[i]`` read
+    row-major is u(i+d). A view, so a write to a channel shows."""
+    return sliding_window_view(channels, d, axis=1)[:, :, ::-1].transpose(1, 0, 2)
 
 
 def make_training_set(
@@ -253,8 +267,9 @@ def make_training_set(
         raise TooShort(
             f"no segment of {segs} exceeds delay {d}; nothing to train on"
         )
-    inputs = np.concatenate(_lag_windows([c[:-1] for c in channels], d), axis=1)
-    return inputs[keep], channels[-1][d:][keep]
+    series = np.stack(channels)
+    lags = _lag_windows(series[:, :-1], d)[keep]
+    return lags.reshape(lags.shape[0], -1), series[-1, d:][keep]
 
 
 def _flatten(w_hidden, b_hidden, w_out, b_out) -> np.ndarray:
@@ -330,6 +345,7 @@ class _Kernel:
         self.XTa = np.empty((X.shape[1] + 1, n))
         self.XTa[:-1] = X.T
         self.XTa[-1] = 1.0
+        self.Xa = self.XTa.T
         self.A = np.empty((h + 1, n))
         self.A[h] = 1.0
         self.acts = self.A[:h]
@@ -339,12 +355,13 @@ class _Kernel:
         self.w_out_col = self.woa[:h, None]
         self.g_Wa, self.g_woa = _layers(grad, config)
         self.grad = grad
+        self.two_over_n = np.full(grad.shape, 2.0 / n)
 
     def forward(self) -> np.ndarray:
         """Predictions into ``preds``; activations into ``A[:h]``."""
-        np.matmul(self.Wa, self.XTa, out=self.acts)
-        np.tanh(self.acts, out=self.acts)
-        return np.matmul(self.woa, self.A, out=self.preds)
+        np.matmul(self.Wa, self.XTa, self.acts)
+        np.tanh(self.acts, self.acts)
+        return np.matmul(self.woa, self.A, self.preds)
 
     def loss_and_gradient(self, t: np.ndarray) -> float:
         """Mean squared error against ``t``; its gradient goes to ``grad``.
@@ -353,19 +370,19 @@ class _Kernel:
         gradient is scaled by 2/n once.
         """
         r = self.forward()
-        r -= t
-        loss = float(r @ r) / self.n
+        np.subtract(r, t, r)
+        loss = float(np.dot(r, r)) / self.n
         # [g_w_out, g_b_out] = A r
-        np.matmul(self.A, r, out=self.g_woa)
+        np.matmul(self.A, r, self.g_woa)
         # g_z = (w_out (x) r) * (1 - A[:h]**2)
         g_z = self.g_z
-        np.square(self.acts, out=g_z)
-        np.subtract(1.0, g_z, out=g_z)
-        g_z *= self.w_out_col
-        g_z *= r
+        np.square(self.acts, g_z)
+        np.subtract(1.0, g_z, g_z)
+        np.multiply(g_z, self.w_out_col, g_z)
+        np.multiply(g_z, r, g_z)
         # [g_W_h | g_b_h] = g_z XTa^T
-        np.matmul(g_z, self.XTa.T, out=self.g_Wa)
-        self.grad *= 2.0 / self.n
+        np.matmul(g_z, self.Xa, self.g_Wa)
+        np.multiply(self.grad, self.two_over_n, self.grad)
         return loss
 
 
@@ -409,16 +426,23 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
         return model
     # theta, the gradient, the moments and the step are updated in
     # place, in kernel order; Adam is elementwise, so the order does not
-    # change its arithmetic
+    # change its arithmetic. Row 0 of each (2, P) array is for the first
+    # moment, row 1 for the second.
     theta = _kernel_theta(model)
-    grad = np.empty_like(theta)
+    P = theta.size
+    grads = np.empty((2, P))  # [g, g**2]
+    grad, grad_sq = grads
     kernel = _Kernel(cfg, X, theta, grad)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    m_hat = np.empty_like(theta)
-    v_hat = np.empty_like(theta)
-    scratch = np.empty_like(theta)
-    finite = np.empty(theta.shape, dtype=bool)
+    decay = np.repeat([[_ADAM_BETA1], [_ADAM_BETA2]], P, axis=1)
+    gain = np.repeat([[1.0 - _ADAM_BETA1], [1.0 - _ADAM_BETA2]], P, axis=1)
+    moments = np.zeros((2, P))  # [m, v]
+    correction = np.empty((2, P))
+    correction_m, correction_v = correction
+    hats = np.empty((2, P))  # [m_hat, v_hat]
+    m_hat, v_hat = hats
+    step = np.full(P, cfg.step_size)
+    eps = np.full(P, _ADAM_EPS)
+    zeros = np.zeros(P)
     history: list[float] = []
     best_loss = math.inf
     best_theta = theta.copy()
@@ -436,23 +460,24 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
             stall += 1
             if stall >= cfg.early_stop_patience:
                 break
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g**2
-        m *= _ADAM_BETA1
-        np.multiply(grad, 1.0 - _ADAM_BETA1, out=scratch)
-        m += scratch
-        v *= _ADAM_BETA2
-        np.square(grad, out=scratch)
-        scratch *= 1.0 - _ADAM_BETA2
-        v += scratch
-        # theta -= step * m_hat / (sqrt(v_hat) + eps), bias-corrected
-        np.divide(m, 1.0 - _ADAM_BETA1**epoch, out=m_hat)
-        np.divide(v, 1.0 - _ADAM_BETA2**epoch, out=v_hat)
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += _ADAM_EPS
-        m_hat *= cfg.step_size
-        m_hat /= v_hat
-        theta -= m_hat
-        if not np.isfinite(theta, out=finite).all():
+        # [m, v] = [b1, b2] [m, v] + [1 - b1, 1 - b2] [g, g**2]
+        np.square(grad, grad_sq)
+        np.multiply(grads, gain, grads)
+        np.multiply(moments, decay, moments)
+        np.add(moments, grads, moments)
+        # [m_hat, v_hat] = [m, v] / [1 - b1**epoch, 1 - b2**epoch]
+        correction_m.fill(1.0 - _ADAM_BETA1**epoch)
+        correction_v.fill(1.0 - _ADAM_BETA2**epoch)
+        np.divide(moments, correction, hats)
+        # theta -= step * m_hat / (sqrt(v_hat) + eps)
+        np.sqrt(v_hat, v_hat)
+        np.add(v_hat, eps, v_hat)
+        np.multiply(m_hat, step, m_hat)
+        np.divide(m_hat, v_hat, m_hat)
+        np.subtract(theta, m_hat, theta)
+        # theta . 0 is 0 while every parameter is finite and NaN once one
+        # is not (0 * inf is NaN): one call where isfinite and all are two
+        if not math.isfinite(np.dot(theta, zeros)):
             raise DivergedLoss(f"parameters became non-finite at epoch {epoch}")
     return NarxModel(
         cfg,
@@ -508,21 +533,35 @@ def predict_closed_loop(
         if x.shape != (d,):
             raise SeedLengthMismatch(f"exo_seed shape {x.shape}, expected ({d},)")
 
-    # one buffer per channel, seed then horizon; y fills as steps come out
-    buffers = [np.concatenate([s, x[:horizon]]) for s, x in zip(seeds, fut)]
-    buffers.append(np.concatenate([ys, np.empty(horizon)]))
-    windows = _lag_windows(buffers, d)
+    # one row per channel, seed then horizon; y's row fills as steps come out
+    series = np.empty((k + 1, d + horizon))
+    for row, s, x in zip(series, seeds, fut):
+        row[:d] = s
+        row[d:] = x[:horizon]
+    series[k, :d] = ys
+    lags = _lag_windows(series, d)
+    # each step copies its u(t) into one buffer and runs forward's
+    # operations on it, without forward's per-call conversion and checks
+    u = np.empty(model.config.input_width)
+    u_rows = u.reshape(k + 1, d)
+    hidden = np.empty(model.config.hidden_width)
+    w_hidden, b_hidden = model.w_hidden, model.b_hidden
+    w_out, b_out = model.w_out, model.b_out
     lo, hi = clamp
     n_clamped = 0
     for h in range(horizon):
-        raw = forward(model, np.concatenate([w[h] for w in windows]))
+        np.copyto(u_rows, lags[h])
+        np.matmul(w_hidden, u, hidden)
+        np.add(hidden, b_hidden, hidden)
+        np.tanh(hidden, hidden)
+        raw = float(w_out @ hidden + b_out)
         clipped = min(hi, max(lo, raw))
         if clipped != raw:
             n_clamped += 1
-        buffers[-1][d + h] = clipped
+        series[k, d + h] = clipped
     if clamp_stats is not None:
         clamp_stats["n_clamped"] = n_clamped
-    return buffers[-1][d:]
+    return series[k, d:]
 
 
 def fit_nar(series: PreprocessedSeries, config: NetworkConfig) -> FittingModel:

@@ -376,19 +376,25 @@ class TestTrain:
             train(model, np.array([[1e305]]), np.zeros(1))
 
     @pytest.mark.parametrize(
-        "n_exo, kw, rows, stops_early",
+        "n_exo, kw, rows, stops_early, length",
         [
-            (0, {}, None, False),
-            (2, {}, None, False),
-            (0, dict(max_epochs=5000, early_stop_patience=10), None, True),
-            (0, dict(hidden_width=1), None, False),
-            (2, {}, 1, True),
+            (0, {}, None, False, 200),
+            (2, {}, None, False, 200),
+            (0, dict(max_epochs=5000, early_stop_patience=10), None, True, 200),
+            (0, dict(hidden_width=1), None, False, 200),
+            (2, {}, 1, True, 200),
+            # the shapes the benchmark times: a case-study NARX and a
+            # day-ahead baseline
+            (4, dict(delay_d=3, hidden_width=3), None, False, 703),
+            (0, dict(delay_d=6, hidden_width=6), None, False, 1756),
         ],
-        ids=["nar", "narx", "early-stop", "hidden-1", "one-row"],
+        ids=["nar", "narx", "early-stop", "hidden-1", "one-row",
+             "narx-3x3-700-rows", "nar-6x6-1750-rows"],
     )
-    def test_matches_reference_loop(self, n_exo, kw, rows, stops_early):
+    def test_matches_reference_loop(self, n_exo, kw, rows, stops_early, length):
         rng = np.random.default_rng(21)
-        y = np.sin(np.linspace(0, 12, 200)) * 0.4 + 0.5 + rng.normal(0, 0.01, 200)
+        y = (np.sin(np.linspace(0, 12 * length / 200, length)) * 0.4 + 0.5
+             + rng.normal(0, 0.01, length))
         exo = [y + rng.normal(0, 0.05, y.size) for _ in range(n_exo)]
         cfg = replace(
             NetworkConfig(delay_d=4, hidden_width=6, n_exo_channels=n_exo, seed=5,
