@@ -63,8 +63,8 @@ def mape(actual, forecast, epsilon_kw: float = 0.0) -> tuple[float, int]:
     hours with actual exactly zero are always excluded (the ratio is
     undefined there). Returns (fraction, n_excluded).
     """
-    if epsilon_kw < 0.0:
-        raise ValueError(f"epsilon_kw must be >= 0, got {epsilon_kw}")
+    if not (math.isfinite(epsilon_kw) and epsilon_kw >= 0.0):
+        raise ValueError(f"epsilon_kw must be finite and >= 0, got {epsilon_kw}")
     a, f = _paired(actual, forecast)
     used = (a >= epsilon_kw) & (a != 0.0)
     n_excluded = int(a.size - used.sum())

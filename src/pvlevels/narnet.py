@@ -34,13 +34,19 @@ The biases ride in the GEMMs: the transposed batch ``XTa`` and the
 activations ``A`` each carry a last row of ones, so ``[W_h | b_h] @ XTa``
 and ``[w_out, b_out] @ A`` make the forward pass, and ``A @ r`` and
 ``g_z @ XTa.T`` give each layer's weight and bias gradients together.
-The residual r runs unscaled through the backward pass, and the finished
-gradient, a few dozen values, is scaled by 2/n once. For those GEMMs the
-kernel keeps the parameters in its own order, each hidden unit's weights
-followed by its bias, then [w_out, b_out], so that each layer is one
-contiguous matrix. The serialized order, [w_hidden, b_hidden, w_out,
-b_out], stays the public one (loss_and_gradient's gradient, the model
-text); loss_and_gradient and train convert at the boundary. Adam is
+The residual r runs unscaled through the backward pass, and so does the
+output weight: g_z is (1 - A**2) * r, with no w_out in it. Both meet the
+finished gradient, a few dozen values, in one multiply by a scale vector
+that holds w_out[j] * 2/n for hidden unit j's row of [g_W_h | g_b_h] and
+2/n for [g_w_out, g_b_out]; one small multiply refreshes its hidden
+block from w_out at each call. No (hidden, rows) pass carries w_out or
+2/n. (Applying w_out to g_z row by row gives the same gradient up to
+rounding in the last bits.) For those GEMMs the kernel keeps the
+parameters in its own order, each hidden unit's weights followed by its
+bias, then [w_out, b_out], so that each layer is one contiguous matrix.
+The serialized order, [w_hidden, b_hidden, w_out, b_out], stays the
+public one (loss_and_gradient's gradient, the model text);
+loss_and_gradient and train convert at the boundary. Adam is
 elementwise, so running it in kernel order gives the same numbers.
 
 A net has at most a couple of hundred parameters, so a numpy call on
@@ -52,9 +58,14 @@ their bias corrections, [m_hat, v_hat]), so one call updates both
 moments. The constants (the decays, step size, epsilon, the kernel's
 2/n) are full-length arrays made once per ``train`` call, because a
 Python-float operand costs more per call than an array operand, and a
-(2, 1) column broadcast more still. Every element still goes through
-the same operations in the same order, so the numbers are those of the
-textbook formulas (tests/test_narnet.py: reference_train).
+(2, 1) column broadcast more still. An epoch is 23 numpy calls and two
+``ndarray.fill``s: 12 in the kernel, 4 of them elementwise passes over
+(hidden, rows) arrays, and 11 for Adam and the parameter check. The
+epoch reaches them, and the kernel its buffers, through local names and
+closure cells bound once per ``train`` call, not through attribute
+loads. Every element still goes through the same operations in the same
+order, so the numbers are those of the textbook formulas over the
+public gradient (tests/test_narnet.py: reference_train).
 """
 
 from __future__ import annotations
@@ -332,58 +343,65 @@ class _Kernel:
 
     Holds the batch as ``XTa``, (input_width + 1, rows), and the
     activations as ``A``, (hidden + 1, rows), each with a last row of
-    ones, so each bias rides in a GEMM. Every
-    buffer is made once, here; ``theta`` and ``grad`` are kernel-order
-    vectors the caller owns and updates in place, and the kernel reads
-    and writes them through views taken once.
+    ones, so each bias rides in a GEMM. Every buffer is made once, here;
+    ``theta`` and ``grad`` are kernel-order vectors the caller owns and
+    updates in place, and the kernel reads and writes them through views
+    taken once. ``forward`` and ``loss_and_gradient`` are closures over
+    those views and numpy's functions, so a call loads no attributes.
     """
 
     def __init__(self, config: NetworkConfig, X: np.ndarray,
                  theta: np.ndarray, grad: np.ndarray) -> None:
         h, n = config.hidden_width, X.shape[0]
-        self.n = n
-        self.XTa = np.empty((X.shape[1] + 1, n))
-        self.XTa[:-1] = X.T
-        self.XTa[-1] = 1.0
-        self.Xa = self.XTa.T
-        self.A = np.empty((h + 1, n))
-        self.A[h] = 1.0
-        self.acts = self.A[:h]
-        self.preds = np.empty(n)
-        self.g_z = np.empty((h, n))
-        self.Wa, self.woa = _layers(theta, config)
-        self.w_out_col = self.woa[:h, None]
-        self.g_Wa, self.g_woa = _layers(grad, config)
-        self.grad = grad
-        self.two_over_n = np.full(grad.shape, 2.0 / n)
+        XTa = np.empty((X.shape[1] + 1, n))
+        XTa[:-1] = X.T
+        XTa[-1] = 1.0
+        Xa = XTa.T
+        A = np.empty((h + 1, n))
+        A[h] = 1.0
+        acts = A[:h]
+        preds = np.empty(n)
+        g_z = np.empty((h, n))
+        Wa, woa = _layers(theta, config)
+        w_out_col = woa[:h, None]
+        g_Wa, g_woa = _layers(grad, config)
+        # scale is 2/n for [w_out, b_out] and w_out[j] 2/n for hidden
+        # unit j's row of [W_h | b_h], refreshed from theta at each call
+        scale = np.full(grad.shape, 2.0 / n)
+        scale_Wa = _layers(scale, config)[0]
+        two_over_n = scale_Wa.copy()
+        matmul, tanh, subtract = np.matmul, np.tanh, np.subtract
+        dot, square, multiply = np.dot, np.square, np.multiply
 
-    def forward(self) -> np.ndarray:
-        """Predictions into ``preds``; activations into ``A[:h]``."""
-        np.matmul(self.Wa, self.XTa, self.acts)
-        np.tanh(self.acts, self.acts)
-        return np.matmul(self.woa, self.A, self.preds)
+        def forward() -> np.ndarray:
+            """Predictions into ``preds``; activations into ``A[:h]``."""
+            matmul(Wa, XTa, acts)
+            tanh(acts, acts)
+            return matmul(woa, A, preds)
 
-    def loss_and_gradient(self, t: np.ndarray) -> float:
-        """Mean squared error against ``t``; its gradient goes to ``grad``.
+        def loss_and_gradient(t: np.ndarray) -> float:
+            """Mean squared error against ``t``; its gradient goes to ``grad``.
 
-        The residual runs unscaled through both GEMMs, and the finished
-        gradient is scaled by 2/n once.
-        """
-        r = self.forward()
-        np.subtract(r, t, r)
-        loss = float(np.dot(r, r)) / self.n
-        # [g_w_out, g_b_out] = A r
-        np.matmul(self.A, r, self.g_woa)
-        # g_z = (w_out (x) r) * (1 - A[:h]**2)
-        g_z = self.g_z
-        np.square(self.acts, g_z)
-        np.subtract(1.0, g_z, g_z)
-        np.multiply(g_z, self.w_out_col, g_z)
-        np.multiply(g_z, r, g_z)
-        # [g_W_h | g_b_h] = g_z XTa^T
-        np.matmul(g_z, self.Xa, self.g_Wa)
-        np.multiply(self.grad, self.two_over_n, self.grad)
-        return loss
+            The residual runs unscaled through both GEMMs, and the output
+            weight and 2/n meet the finished gradient in one multiply.
+            """
+            r = forward()
+            subtract(r, t, r)
+            loss = float(dot(r, r)) / n
+            # [g_w_out, g_b_out] = A r
+            matmul(A, r, g_woa)
+            # g_z = (1 - A[:h]**2) * r
+            square(acts, g_z)
+            subtract(1.0, g_z, g_z)
+            multiply(g_z, r, g_z)
+            # [g_W_h | g_b_h] = g_z XTa^T, then each row times w_out[j] 2/n
+            matmul(g_z, Xa, g_Wa)
+            multiply(w_out_col, two_over_n, scale_Wa)
+            multiply(grad, scale, grad)
+            return loss
+
+        self.forward = forward
+        self.loss_and_gradient = loss_and_gradient
 
 
 def _predict_batch(model: NarxModel, X: np.ndarray) -> np.ndarray:
@@ -432,12 +450,12 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
     P = theta.size
     grads = np.empty((2, P))  # [g, g**2]
     grad, grad_sq = grads
-    kernel = _Kernel(cfg, X, theta, grad)
+    loss_and_grad = _Kernel(cfg, X, theta, grad).loss_and_gradient
     decay = np.repeat([[_ADAM_BETA1], [_ADAM_BETA2]], P, axis=1)
     gain = np.repeat([[1.0 - _ADAM_BETA1], [1.0 - _ADAM_BETA2]], P, axis=1)
     moments = np.zeros((2, P))  # [m, v]
     correction = np.empty((2, P))
-    correction_m, correction_v = correction
+    fill_m, fill_v = correction[0].fill, correction[1].fill
     hats = np.empty((2, P))  # [m_hat, v_hat]
     m_hat, v_hat = hats
     step = np.full(P, cfg.step_size)
@@ -447,37 +465,43 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
     best_loss = math.inf
     best_theta = theta.copy()
     stall = 0
+    # bound once per call, so the epoch makes no global or attribute loads
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    square, sqrt, dot, copyto = np.square, np.sqrt, np.dot, np.copyto
+    isfinite, record = math.isfinite, history.append
+    beta1, beta2, delta = _ADAM_BETA1, _ADAM_BETA2, _EARLY_STOP_DELTA
+    patience = cfg.early_stop_patience
     for epoch in range(1, cfg.max_epochs + 1):
-        loss = kernel.loss_and_gradient(t)
-        if not math.isfinite(loss):
+        loss = loss_and_grad(t)
+        if not isfinite(loss):
             raise DivergedLoss(f"loss became non-finite at epoch {epoch}")
-        history.append(loss)
-        if loss < best_loss - _EARLY_STOP_DELTA:
+        record(loss)
+        if loss < best_loss - delta:
             best_loss = loss
-            np.copyto(best_theta, theta)
+            copyto(best_theta, theta)
             stall = 0
         else:
             stall += 1
-            if stall >= cfg.early_stop_patience:
+            if stall >= patience:
                 break
         # [m, v] = [b1, b2] [m, v] + [1 - b1, 1 - b2] [g, g**2]
-        np.square(grad, grad_sq)
-        np.multiply(grads, gain, grads)
-        np.multiply(moments, decay, moments)
-        np.add(moments, grads, moments)
+        square(grad, grad_sq)
+        multiply(grads, gain, grads)
+        multiply(moments, decay, moments)
+        add(moments, grads, moments)
         # [m_hat, v_hat] = [m, v] / [1 - b1**epoch, 1 - b2**epoch]
-        correction_m.fill(1.0 - _ADAM_BETA1**epoch)
-        correction_v.fill(1.0 - _ADAM_BETA2**epoch)
-        np.divide(moments, correction, hats)
+        fill_m(1.0 - beta1**epoch)
+        fill_v(1.0 - beta2**epoch)
+        divide(moments, correction, hats)
         # theta -= step * m_hat / (sqrt(v_hat) + eps)
-        np.sqrt(v_hat, v_hat)
-        np.add(v_hat, eps, v_hat)
-        np.multiply(m_hat, step, m_hat)
-        np.divide(m_hat, v_hat, m_hat)
-        np.subtract(theta, m_hat, theta)
+        sqrt(v_hat, v_hat)
+        add(v_hat, eps, v_hat)
+        multiply(m_hat, step, m_hat)
+        divide(m_hat, v_hat, m_hat)
+        subtract(theta, m_hat, theta)
         # theta . 0 is 0 while every parameter is finite and NaN once one
         # is not (0 * inf is NaN): one call where isfinite and all are two
-        if not math.isfinite(np.dot(theta, zeros)):
+        if not isfinite(dot(theta, zeros)):
             raise DivergedLoss(f"parameters became non-finite at epoch {epoch}")
     return NarxModel(
         cfg,
@@ -509,7 +533,8 @@ def predict_closed_loop(
     last). Exogenous channels need both their future values over the
     horizon (exo_future) and their own last d values (exo_seed) so the
     first steps have complete lag vectors. Each prediction is clamped to
-    ``clamp``; pass a dict as clamp_stats to get the clamp count back.
+    ``clamp``, a finite (lo, hi) with lo <= hi; pass a dict as clamp_stats
+    to get the clamp count back.
     """
     d = model.config.delay_d
     k = model.config.n_exo_channels
@@ -524,6 +549,9 @@ def predict_closed_loop(
         )
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    lo, hi = clamp
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"clamp must be finite with lo <= hi, got {clamp}")
     for x in fut:
         if x.size < horizon:
             raise SeedLengthMismatch(
@@ -547,7 +575,6 @@ def predict_closed_loop(
     hidden = np.empty(model.config.hidden_width)
     w_hidden, b_hidden = model.w_hidden, model.b_hidden
     w_out, b_out = model.w_out, model.b_out
-    lo, hi = clamp
     n_clamped = 0
     for h in range(horizon):
         np.copyto(u_rows, lags[h])

@@ -75,6 +75,12 @@ class TestMape:
         with pytest.raises(ValueError):
             mape([1.0], [1.0], epsilon_kw=-0.5)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_epsilon(self, epsilon):
+        # rejected as an argument, not reported as AllExcluded
+        with pytest.raises(ValueError, match=f"got {epsilon}"):
+            mape([1.0, 2.0], [1.0, 2.0], epsilon_kw=epsilon)
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             mape([1.0, 2.0], [1.0])

@@ -287,20 +287,24 @@ class TestLossAndGradient:
 
 
     # float64 summation order differs between the layouts; fixed up front
+    # w_out None keeps init_network's output weights
     @pytest.mark.parametrize(
-        "rows, hidden, n_exo",
-        [(50, 1, 0), (1, 4, 0), (1, 3, 4), (2000, 6, 0), (2000, 3, 4), (700, 5, 4)],
+        "rows, hidden, n_exo, w_out",
+        [(50, 1, 0, None), (1, 4, 0, None), (1, 3, 4, None), (2000, 6, 0, None),
+         (2000, 3, 4, None), (700, 5, 4, None),
+         (700, 5, 4, (1e-3, -3e-2, 1.0, -3e1, 1e3))],
         ids=["hidden-1", "one-row", "one-row-narx", "2000-rows", "2000-rows-narx",
-             "narx"],
+             "narx", "narx-w-out-1e-3-to-1e3"],
     )
-    def test_matches_row_major_reference(self, rows, hidden, n_exo):
+    def test_matches_row_major_reference(self, rows, hidden, n_exo, w_out):
         rng = np.random.default_rng(rows + hidden + n_exo)
         cfg = NetworkConfig(
             delay_d=3, hidden_width=hidden, n_exo_channels=n_exo, seed=7
         )
         model = init_network(cfg)
         model = NarxModel(
-            cfg, model.w_hidden, rng.normal(0, 0.3, hidden), model.w_out, 0.2
+            cfg, model.w_hidden, rng.normal(0, 0.3, hidden),
+            model.w_out if w_out is None else w_out, 0.2,
         )
         X = rng.uniform(0.0, 1.2, size=(rows, cfg.input_width))
         t = rng.uniform(0.0, 1.2, size=rows)
@@ -309,6 +313,23 @@ class TestLossAndGradient:
         loss, grad = loss_and_gradient(model, X, t)
         assert loss == pytest.approx(want_loss, rel=1e-10, abs=1e-13)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-13)
+
+    def test_zero_output_weight_zeroes_its_hidden_row(self):
+        # the output weight scales its unit's finished gradient row, so a
+        # unit the output ignores gets exact zeros, not rounding residue
+        rng = np.random.default_rng(4)
+        cfg = NetworkConfig(delay_d=3, hidden_width=4, n_exo_channels=1, seed=9)
+        model = init_network(cfg)
+        w_out = model.w_out.copy()
+        w_out[2] = 0.0
+        model = NarxModel(cfg, model.w_hidden, rng.normal(0, 0.3, 4), w_out, 0.1)
+        X = rng.uniform(0.0, 1.2, size=(40, cfg.input_width))
+        t = rng.uniform(0.0, 1.2, size=40)
+        _, grad = loss_and_gradient(model, X, t)
+        g_w_hidden, g_b_hidden, _, _ = _unflatten(grad, cfg)
+        assert np.all(g_w_hidden[2] == 0.0) and g_b_hidden[2] == 0.0
+        others = np.delete(g_w_hidden, 2, axis=0)
+        assert np.all(others != 0.0)
 
 
 class TestTrain:
@@ -387,9 +408,11 @@ class TestTrain:
             # day-ahead baseline
             (4, dict(delay_d=3, hidden_width=3), None, False, 703),
             (0, dict(delay_d=6, hidden_width=6), None, False, 1756),
+            # and a day-ahead NARX: 4 channels, 30 inputs
+            (4, dict(delay_d=6, hidden_width=6), None, False, 386),
         ],
         ids=["nar", "narx", "early-stop", "hidden-1", "one-row",
-             "narx-3x3-700-rows", "nar-6x6-1750-rows"],
+             "narx-3x3-700-rows", "nar-6x6-1750-rows", "narx-6x6-380-rows"],
     )
     def test_matches_reference_loop(self, n_exo, kw, rows, stops_early, length):
         rng = np.random.default_rng(21)
@@ -519,6 +542,25 @@ class TestPredictClosedLoop:
         )
         assert np.all(out == 0.5)
         assert stats["n_clamped"] == 4
+
+    def test_inverted_clamp_rejected(self):
+        # unchecked, every step would come out as the upper bound, 0.0
+        cfg = NetworkConfig(delay_d=2, hidden_width=2, seed=3)
+        with pytest.raises(ValueError, match=r"lo <= hi, got \(1.0, 0.0\)"):
+            predict_closed_loop(
+                init_network(cfg), np.array([0.1, 0.2]), horizon=3,
+                clamp=(1.0, 0.0),
+            )
+
+    @pytest.mark.parametrize(
+        "clamp", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)],
+        ids=["nan-lo", "inf-hi", "minus-inf-lo"],
+    )
+    def test_non_finite_clamp_rejected(self, clamp):
+        with pytest.raises(ValueError, match="clamp must be finite"):
+            predict_closed_loop(
+                tiny_model(), np.array([0.1]), horizon=2, clamp=clamp
+            )
 
     def test_horizon_zero(self):
         out = predict_closed_loop(
