@@ -283,10 +283,12 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     """Read the flat measurement CSV into per-(level, series_id) series.
 
     Rows may arrive in any order; each group must form a gap-free hourly
-    range with no duplicate timestamps, and every power must be a finite
-    number. The file must be ASCII: a non-ASCII byte raises ParseError
-    naming its line. Every error names the file, and the line where there
-    is one; a file with several bad lines is reported at the first.
+    range with no duplicate timestamps, every level must be one of the
+    labels `write_csv` writes (``customer``, ``feeder``, ``substation``)
+    and every power a finite number. The file must be ASCII: a non-ASCII
+    byte raises ParseError naming its line. Every error names the file,
+    and the line where there is one; a file with several bad lines is
+    reported at the first.
 
     The file is read one line at a time, and a line ends at ``\\n``,
     ``\\r\\n`` or ``\\r``; the other characters `str.splitlines` breaks at
@@ -295,11 +297,9 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     checked for ASCII. Each distinct timestamp text is parsed once, and
     each distinct (level, series_id) text is checked once.
     """
+    levels = {level.label: level for level in MeasurementLevel}
     stamps: dict[str, datetime] = {}
-    # rows by the (level, series_id) text of the line, and by the parsed
-    # pair: labels that name one level ("feeder", "Feeder") share a dict
-    by_text: dict[tuple[str, str], dict[datetime, float]] = {}
-    groups: dict[tuple[MeasurementLevel, str], dict[datetime, float]] = {}
+    groups: dict[tuple[str, str], dict[datetime, float]] = {}
     try:
         with open(path, encoding="latin-1") as fh:
             header = fh.readline()
@@ -324,16 +324,16 @@ def load_csv(path) -> list[HourlyPowerSeries]:
                 ts = stamps.get(stamp)
                 if ts is None:
                     ts = stamps[stamp] = _parse_ts(stamp, path, lineno)
-                rows = by_text.get((label, series_id))
+                rows = groups.get((label, series_id))
                 if rows is None:
-                    try:
-                        level = MeasurementLevel.from_label(label)
-                    except ValueError as exc:
-                        raise ParseError(f"{path} line {lineno}: {exc}") from exc
+                    if label not in levels:
+                        raise ParseError(
+                            f"{path} line {lineno}: "
+                            f"unknown measurement level: {label!r}"
+                        )
                     if not series_id:
                         raise ParseError(f"{path} line {lineno}: empty series_id")
-                    rows = groups.setdefault((level, series_id), {})
-                    by_text[(label, series_id)] = rows
+                    rows = groups[(label, series_id)] = {}
                 # the line's newline stays on power_text: float() skips it
                 try:
                     power = float(power_text)
@@ -345,32 +345,30 @@ def load_csv(path) -> list[HourlyPowerSeries]:
                 n_rows = len(rows)
                 rows[ts] = power
                 if len(rows) == n_rows:
-                    level = MeasurementLevel.from_label(label)
                     raise DuplicateRow(
-                        f"{path} line {lineno}: duplicate "
-                        f"({stamp}, {level.label}, {series_id})"
+                        f"{path} line {lineno}: "
+                        f"duplicate ({stamp}, {label}, {series_id})"
                     )
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not groups:
         raise ParseError(f"{path}: no data rows")
     out = []
-    for (level, series_id) in sorted(groups, key=lambda k: (int(k[0]), k[1])):
-        rows = groups[(level, series_id)]
+    for label, series_id in sorted(groups, key=lambda k: (int(levels[k[0]]), k[1])):
+        rows = groups[(label, series_id)]
         hours = sorted(rows)
         expected = hours[0]
         for ts in hours:
             if ts != expected:
                 missing = _hour_stamps(expected, 1)[0]
                 raise GapError(
-                    f"{path}: series ({level.label}, {series_id}) "
-                    f"is missing hour {missing}"
+                    f"{path}: series ({label}, {series_id}) is missing hour {missing}"
                 )
             expected = expected + HOUR
         out.append(
             HourlyPowerSeries(
                 site_id=series_id,
-                level=level,
+                level=levels[label],
                 start=hours[0],
                 values=np.array([rows[ts] for ts in hours]),
             )
@@ -554,7 +552,7 @@ def cmd_preprocess(run: RunConfig, args) -> int:
     index_rows = []
     summary_rows = []
     for pre in _preprocessed_levels(run, args):
-        stamps = _hour_stamps(pre.source_start, pre.source_n)
+        stamps = _hour_stamps(pre.source_start, pre.day_mask.size)
         for i, index in zip(pre.day_hour_indices().tolist(), pre.index_values.tolist()):
             index_rows.append((stamps[i], pre.level.label, f"{index:.17g}"))
         summary_rows.append(
@@ -594,10 +592,10 @@ def cmd_fit(run: RunConfig, args) -> int:
 def _case_ids(case_arg: str | None) -> list[CaseStudy]:
     if case_arg is None:
         return list(CaseStudy)
-    for cid in CaseStudy:
-        if cid.label == case_arg:
-            return [cid]
-    raise ConfigError(f"unknown case {case_arg!r}; use case1..case4")
+    try:
+        return [CaseStudy(case_arg)]
+    except ValueError:
+        raise ConfigError(f"unknown case {case_arg!r}; use case1..case4") from None
 
 
 def cmd_forecast(run: RunConfig, args) -> int:

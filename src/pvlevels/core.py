@@ -195,6 +195,12 @@ def utc_datetime(year: int, month: int, day: int, hour: int = 0) -> datetime:
     return datetime(year, month, day, hour, tzinfo=timezone.utc)
 
 
+def check_seed(seed: int, what: str = "seed") -> None:
+    """Require a seed that fits in an unsigned 64-bit integer."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{what} must fit in an unsigned 64-bit integer")
+
+
 def derive_seed(base: int, *tags: int) -> int:
     """Independent child seed for a named substream of ``base``.
 
@@ -202,8 +208,7 @@ def derive_seed(base: int, *tags: int) -> int:
     stream's output never depends on which other tags are in use, so
     adding entities (customers, retries) cannot shift existing draws.
     """
-    if not 0 <= base < 2**64:
-        raise ValueError("base seed must fit in an unsigned 64-bit integer")
+    check_seed(base, "base seed")
     seq = np.random.SeedSequence([base, *[int(t) for t in tags]])
     return int(seq.generate_state(1, np.uint64)[0])
 

@@ -77,7 +77,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import MeasurementLevel, make_generator
+from .core import MeasurementLevel, check_seed, make_generator
 from .errors import (
     DimensionMismatch,
     DivergedLoss,
@@ -130,8 +130,7 @@ class NetworkConfig:
             raise ValueError("delay_d and hidden_width must be >= 1")
         if self.n_exo_channels < 0:
             raise ValueError("n_exo_channels must be >= 0")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        check_seed(self.seed)
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):

@@ -41,9 +41,11 @@ from .core import (
     MeasurementLevel,
     MultiLevelDataset,
     Weather,
+    check_seed,
     derive_seed,
 )
 from .errors import (
+    AllNight,
     EmptyDay,
     EmptyList,
     InsufficientHistory,
@@ -130,6 +132,7 @@ class PipelineConfig:
     baseline_net: NetworkConfig = NetworkConfig()
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if len(self.capacity_fractions) != 3 or any(
             not (math.isfinite(f) and f > 0.0) for f in self.capacity_fractions
         ):
@@ -153,24 +156,17 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class LevelErrors:
-    """The per-level baseline errors and the multi-level error beside them.
-
-    target_met states that e_n beat the smallest baseline; consistency
-    with the stored numbers is enforced at construction.
-    """
+    """The per-level baseline errors and the multi-level error beside them."""
 
     e_c: float
     e_f: float
     e_s: float
     e_n: float
-    target_met: bool
 
-    def __post_init__(self) -> None:
-        if self.target_met != (self.e_n < min(self.e_c, self.e_f, self.e_s)):
-            raise ValueError(
-                f"target_met={self.target_met} inconsistent with errors "
-                f"({self.e_c}, {self.e_f}, {self.e_s}, {self.e_n})"
-            )
+    @property
+    def target_met(self) -> bool:
+        """Whether e_n beat the smallest baseline error (a tie does not)."""
+        return self.e_n < min(self.e_c, self.e_f, self.e_s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,62 +240,59 @@ def day_mask(profile: ClearSkyProfile, config: PipelineConfig) -> np.ndarray:
     return profile.power_kw >= config.day_threshold_fraction * float(profile.power_kw.max())
 
 
-def _window_start(dataset: MultiLevelDataset, forecast_day: date) -> int:
-    """Hour index of the site-local midnight that starts ``forecast_day``,
-    which must lie fully inside the dataset."""
+def _day_hours(
+    dataset: MultiLevelDataset, profile: ClearSkyProfile, config: PipelineConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``day_mask`` of a profile aligned with the dataset, and its prefix
+    count: ``before[i]`` day hours lie before hour i, for i in [0, n]."""
+    if dataset.n != profile.n or dataset.start != profile.start:
+        raise MisalignedRange("dataset and clear-sky profile are not aligned")
+    mask = day_mask(profile, config)
+    before = np.zeros(mask.size + 1, dtype=np.int64)
+    np.cumsum(mask, out=before[1:])
+    return mask, before
+
+
+def _forecast_start(dataset: MultiLevelDataset, day: date, before: np.ndarray) -> int:
+    """Hour index of ``day``'s local midnight, under the one rule for a
+    forecastable day: it lies fully inside the dataset, holds a day hour
+    (else AllNight) and has the MIN_FIT_DAY_HOURS day hours of history
+    every level's fitting net needs (``before`` is ``_day_hours``')."""
     tz = dataset.site.tz_offset
     if (tz * 60.0) % 60.0 != 0.0:
         raise MisalignedRange(
             f"tz_offset {tz} does not put local midnight on the hour grid"
         )
-    w0 = datetime(
-        forecast_day.year, forecast_day.month, forecast_day.day, tzinfo=timezone.utc
-    ) - timedelta(hours=tz)
-    i0 = dataset.customer.hour_index(w0)
+    w0 = datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
+    i0 = dataset.customer.hour_index(w0 - timedelta(hours=tz))
     if i0 < 0 or i0 + 24 > dataset.n:
+        raise InsufficientHistory(f"forecast day {day} is not fully inside the dataset")
+    if before[i0 + 24] == before[i0]:
+        raise AllNight(f"no day hours on {day}")
+    history = int(before[i0])
+    if history < MIN_FIT_DAY_HOURS:
         raise InsufficientHistory(
-            f"forecast day {forecast_day} is not fully inside the dataset"
-        )
-    return i0
-
-
-def _aligned_day_mask(
-    dataset: MultiLevelDataset, profile: ClearSkyProfile, config: PipelineConfig
-) -> np.ndarray:
-    """``day_mask`` of a profile that covers exactly the dataset's hours."""
-    if dataset.n != profile.n or dataset.start != profile.start:
-        raise MisalignedRange("dataset and clear-sky profile are not aligned")
-    return day_mask(profile, config)
-
-
-def _check_history(history_day_hours: int, forecast_day: date) -> None:
-    """The one rule for a forecastable day: its history holds the
-    MIN_FIT_DAY_HOURS day hours every level's fitting net needs."""
-    if history_day_hours < MIN_FIT_DAY_HOURS:
-        raise InsufficientHistory(
-            f"{history_day_hours} day hours of history before {forecast_day}; "
+            f"{history} day hours of history before {day}; "
             f"need at least {MIN_FIT_DAY_HOURS}"
         )
+    return i0
 
 
 def valid_forecast_days(
     dataset: MultiLevelDataset, profile: ClearSkyProfile, config: PipelineConfig
 ) -> list[date]:
     """The site-local days ``ForecastDay.at`` accepts, in order: days fully
-    inside the dataset whose history holds MIN_FIT_DAY_HOURS day hours.
-    Like ``at``, raises MisalignedRange for a profile not aligned with
-    the dataset or a tz_offset off the hour grid."""
-    # history_hours[i] counts the day hours before hour i
-    history_hours = np.concatenate(
-        [[0], np.cumsum(_aligned_day_mask(dataset, profile, config))]
-    )
+    inside the dataset that hold a day hour and follow MIN_FIT_DAY_HOURS
+    day hours of history. Like ``at``, raises MisalignedRange for a
+    profile not aligned with the dataset or a tz_offset off the hour grid."""
+    _, before = _day_hours(dataset, profile, config)
     first_local = (dataset.start + timedelta(hours=dataset.site.tz_offset)).date()
     days = []
     for k in range(dataset.n // 24 + 2):
         day = first_local + timedelta(days=k)
         try:
-            _check_history(int(history_hours[_window_start(dataset, day)]), day)
-        except InsufficientHistory:
+            _forecast_start(dataset, day, before)
+        except (AllNight, InsufficientHistory):
             continue
         days.append(day)
     return days
@@ -392,12 +385,11 @@ class ForecastDay:
     ) -> ForecastDay:
         """The context of ``forecast_day``.
 
-        Raises InsufficientHistory or MisalignedRange for a day outside
-        ``valid_forecast_days``, or for a profile not aligned with the data.
+        Raises InsufficientHistory, AllNight or MisalignedRange for a day
+        outside ``valid_forecast_days`` or a profile not aligned with the data.
         """
-        mask = _aligned_day_mask(dataset, profile, config)
-        i0 = _window_start(dataset, forecast_day)
-        _check_history(int(np.count_nonzero(mask[:i0])), forecast_day)
+        mask, before = _day_hours(dataset, profile, config)
+        i0 = _forecast_start(dataset, forecast_day, before)
         weather, mean_index = _measured_weather(dataset, profile, mask, i0, config)
         target = config.target_level
         return cls(
@@ -595,9 +587,7 @@ def forecast_day_ahead(
             break
 
     e_n, final_report, final_forecast, final_seed = best_attempt
-    errors = LevelErrors(
-        e_c=e_c, e_f=e_f, e_s=e_s, e_n=e_n, target_met=e_n < floor
-    )
+    errors = LevelErrors(e_c=e_c, e_f=e_f, e_s=e_s, e_n=e_n)
     result = CaseResult(
         case_id=case_id,
         weather=day.weather,
@@ -669,10 +659,15 @@ class CaseRow:
 
 @dataclass(frozen=True, eq=False)
 class CaseComparison:
-    """All weather rows plus the classes with no candidate day."""
+    """All weather rows, one per class that had a candidate day."""
 
     rows: tuple[CaseRow, ...]
-    missing_classes: tuple[Weather, ...]
+
+    @property
+    def missing_classes(self) -> tuple[Weather, ...]:
+        """The classes with no candidate day, in ``Weather`` order."""
+        present = {row.weather for row in self.rows}
+        return tuple(w for w in Weather if w not in present)
 
 
 def compare_cases(
@@ -692,27 +687,29 @@ def compare_cases(
     stretch of the condition for the same reason.) Among the preferred
     days the steadiest one wins: mean index nearest the previous day's
     mean index, ties to the earliest day. A day the weather happened to
-    jump overnight measures that jump, not the condition. Classes with
-    no candidate are reported, not raised.
+    jump overnight measures that jump, not the condition; a day whose
+    previous day has no day hour is neither preferred nor steady.
+    Classes with no candidate are reported, not raised.
     """
     if not days:
         raise EmptyList("no candidate forecast days")
     candidates = []
     for day in days:
         context = ForecastDay.at(dataset, profile, day, config)
-        prev_weather, prev_mean = _measured_weather(
-            dataset, profile, context.mask, context.i0 - 24, config
-        )
+        try:
+            prev_weather, prev_mean = _measured_weather(
+                dataset, profile, context.mask, context.i0 - 24, config
+            )
+        except AllNight:
+            prev_weather, prev_mean = None, math.inf
         candidates.append(
             (day, context.mean_index, context.weather, prev_weather, prev_mean)
         )
 
     rows = []
-    missing = []
     for weather in Weather:
         matching = [c for c in candidates if c[2] is weather]
         if not matching:
-            missing.append(weather)
             continue
         stable = [c for c in matching if c[3] is weather]
         pool = stable if stable else matching
@@ -722,4 +719,4 @@ def compare_cases(
         context = ForecastDay.at(dataset, profile, chosen, config)
         results = {cid: run_case(cid, context) for cid in CaseStudy}
         rows.append(CaseRow(weather=weather, forecast_day=chosen, results=results))
-    return CaseComparison(rows=tuple(rows), missing_classes=tuple(missing))
+    return CaseComparison(rows=tuple(rows))

@@ -38,18 +38,17 @@ class PreprocessedSeries:
     """Clear-sky-index series (day hours only) with its night mask.
 
     ``index_values[k]`` is the index of the k-th day hour; ``day_mask``
-    has one entry per original hour and exactly ``len(index_values)``
-    True entries. ``offset_kw`` is what was subtracted before
-    normalizing, ``clip_count`` how many indexes hit ``kappa_max``.
+    has one entry per hour of the source series from ``source_start``
+    and exactly ``len(index_values)`` True entries. ``offset_kw`` is
+    what was subtracted before normalizing, ``clip_count`` how many
+    indexes hit ``kappa_max``.
     """
 
-    site_id: str
     level: MeasurementLevel
     index_values: np.ndarray
     day_mask: np.ndarray
     offset_kw: float
     source_start: datetime
-    source_n: int
     clip_count: int
     kappa_max: float = KAPPA_MAX
 
@@ -58,10 +57,6 @@ class PreprocessedSeries:
         mask = np.array(self.day_mask, dtype=bool)
         if index.ndim != 1 or mask.ndim != 1:
             raise ValueError("index_values and day_mask must be 1-d")
-        if mask.size != self.source_n:
-            raise LengthMismatch(
-                f"day_mask length {mask.size} != source_n {self.source_n}"
-            )
         if int(mask.sum()) != index.size:
             raise LengthMismatch(
                 f"{index.size} index values for {int(mask.sum())} day hours"
@@ -163,13 +158,11 @@ def normalize_and_mask(
     clip_count = int(np.count_nonzero(ratio > kappa_max))
     index = np.minimum(kappa_max, ratio)
     return PreprocessedSeries(
-        site_id=series.site_id,
         level=series.level,
         index_values=index,
         day_mask=day,
         offset_kw=offset_kw,
         source_start=series.start,
-        source_n=series.n,
         clip_count=clip_count,
         kappa_max=kappa_max,
     )

@@ -48,6 +48,7 @@ from .core import (
     MultiLevelDataset,
     SiteConfig,
     Weather,
+    check_seed,
     derive_seed,
     make_generator,
     utc_datetime,
@@ -133,8 +134,7 @@ class SynthConfig:
             raise ValueError("shared_fraction must be in [0, 1]")
         if not 0.0 <= self.shared_drift_rho < 1.0:
             raise ValueError("shared_drift_rho must be in [0, 1)")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        check_seed(self.seed)
         if not 0.0 < self.regime_stay_prob < 1.0:
             raise ValueError("regime_stay_prob must be in (0, 1)")
 

@@ -247,13 +247,11 @@ class TestLearnability:
             chunks.append(vals)
         index = np.concatenate(chunks)
         series = pv.PreprocessedSeries(
-            site_id="ar1",
             level=pv.MeasurementLevel.CUSTOMER,
             index_values=index,
             day_mask=mask,
             offset_kw=0.0,
             source_start=profile.start,
-            source_n=profile.n,
             clip_count=0,
         )
         fit_cfg = pv.NetworkConfig(

@@ -288,6 +288,20 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=fragment):
             load_csv(path)
 
+    @pytest.mark.parametrize("label", ["Feeder", " feeder"])
+    def test_only_the_written_level_labels_load(self, tmp_path, label):
+        path = rows_file(
+            tmp_path,
+            [
+                "2023-03-01T00:00:00Z,feeder,f0,1.0",
+                f"2023-03-01T01:00:00Z,{label},f0,2.0",
+            ],
+        )
+        with pytest.raises(
+            ParseError, match=f"line 3: unknown measurement level: '{label}'$"
+        ):
+            load_csv(path)
+
     @pytest.mark.parametrize(
         "rows,header",
         [

@@ -627,13 +627,11 @@ class TestFitNar:
     def make_pre(self, values):
         n = values.size
         return PreprocessedSeries(
-            site_id="t",
             level=MeasurementLevel.CUSTOMER,
             index_values=values,
             day_mask=np.ones(n, dtype=bool),
             offset_kw=0.0,
             source_start=utc_datetime(2023, 3, 1),
-            source_n=n,
             clip_count=0,
         )
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import pvlevels as pv
 from pvlevels.core import MeasurementLevel, Weather, utc_datetime
 from pvlevels.errors import (
+    AllNight,
     EmptyDay,
     EmptyList,
     InsufficientHistory,
@@ -166,6 +167,8 @@ class TestPipelineConfigValidation:
             {"max_retries": 0},
             {"narx_committee": 0},
             {"sunny_threshold": 0.3, "cloudy_threshold": 0.4},
+            {"seed": -1},
+            {"seed": 2**64},
         ],
     )
     def test_rejects(self, kwargs):
@@ -193,18 +196,12 @@ class TestPipelineConfigValidation:
 
 class TestLevelErrors:
     def test_met(self):
-        e = pv.LevelErrors(e_c=0.3, e_f=0.2, e_s=0.25, e_n=0.1, target_met=True)
+        e = pv.LevelErrors(e_c=0.3, e_f=0.2, e_s=0.25, e_n=0.1)
         assert e.target_met
 
     def test_not_met(self):
-        e = pv.LevelErrors(e_c=0.3, e_f=0.2, e_s=0.25, e_n=0.2, target_met=False)
+        e = pv.LevelErrors(e_c=0.3, e_f=0.2, e_s=0.25, e_n=0.2)
         assert not e.target_met  # ties do not count as beating the floor
-
-    def test_inconsistent_flag_rejected(self):
-        with pytest.raises(ValueError):
-            pv.LevelErrors(e_c=0.3, e_f=0.2, e_s=0.25, e_n=0.1, target_met=False)
-        with pytest.raises(ValueError):
-            pv.LevelErrors(e_c=0.3, e_f=0.2, e_s=0.25, e_n=0.5, target_met=True)
 
 
 def dummy_forecast():
@@ -302,6 +299,35 @@ def context(dataset, profile, day, config):
     return pv.ForecastDay.at(dataset, profile, day, config)
 
 
+@pytest.fixture(scope="module")
+def north():
+    """A year at 66 deg N from 1 March 2023, where no hour from 8 November
+    to 1 February clears the day threshold. Every day is cloudy but 8
+    and 9 February, so 10 February is a cloudy day with a sunny eve, and
+    2 February a cloudy day whose eve has no day hour."""
+    schedule = [Weather.CLOUDY] * 365
+    for day in (date(2024, 2, 8), date(2024, 2, 9)):
+        schedule[(day - date(2023, 3, 1)).days] = Weather.SUNNY
+    scfg = pv.SynthConfig(
+        days=365, n_customers=4, n_feeders=2, seed=1, regime_schedule=tuple(schedule)
+    )
+    site = replace(pv.DEFAULT_SITE, latitude=66.0)
+    net = pv.NetworkConfig(delay_d=3, hidden_width=3, max_epochs=5)
+    # the winter days' few day hours all lie below the default MAPE
+    # floor; a zero floor lets them be scored
+    config = pv.PipelineConfig(
+        seed=5,
+        capacity_fractions=pv.capacity_fractions(scfg),
+        epsilon_fraction=0.0,
+        max_retries=1,
+        narx_committee=1,
+        fit_net=net,
+        narx_net=net,
+        baseline_net=net,
+    )
+    return (*pv.gen_dataset(scfg, site), config)
+
+
 class TestForecastWindowErrors:
     def test_too_little_history(self, data, fast):
         dataset, profile = data
@@ -354,6 +380,28 @@ class TestForecastDay:
         first = context(dataset, profile, accepted[0], fast)
         assert np.count_nonzero(mask[: first.i0]) >= pv.MIN_FIT_DAY_HOURS
         assert np.count_nonzero(mask[: first.i0 - 24]) < pv.MIN_FIT_DAY_HOURS
+
+    def test_valid_days_skip_days_without_a_day_hour(self, north):
+        dataset, profile, config = north
+        days = pv.valid_forecast_days(dataset, profile, config)
+        for day in days:
+            assert context(dataset, profile, day, config).day_hours.any()
+        # the days left out after the first are the 86 with no day hour
+        span = [days[0] + timedelta(k) for k in range((days[-1] - days[0]).days + 1)]
+        polar = [d for d in span if d not in days]
+        assert polar == [date(2023, 11, 8) + timedelta(k) for k in range(86)]
+        with pytest.raises(AllNight, match="no day hours on 2023-12-21"):
+            context(dataset, profile, date(2023, 12, 21), config)
+
+    def test_valid_days_at_the_default_site(self):
+        dataset, profile = pv.gen_dataset(
+            pv.SynthConfig(days=730, n_customers=4, n_feeders=2, seed=101)
+        )
+        days = pv.valid_forecast_days(dataset, profile, pv.PipelineConfig())
+        assert (len(days), days[0], days[-1]) == (
+            694, date(2023, 4, 5), date(2025, 2, 26)
+        )
+        assert days == [days[0] + timedelta(k) for k in range(694)]
 
     def test_fields(self, data, fast):
         dataset, profile = data
@@ -544,6 +592,28 @@ class TestCompareCases:
             )
             for cid in (CaseStudy.CASE2, CaseStudy.CASE3, CaseStudy.CASE4):
                 assert row.results[cid].level_errors is not None
+
+    def test_missing_classes_in_weather_order(self):
+        row = pv.CaseRow(
+            weather=Weather.PARTLY_CLOUDY, forecast_day=local_day(40), results={}
+        )
+        assert pv.CaseComparison(rows=(row,)).missing_classes == (
+            Weather.SUNNY, Weather.CLOUDY,
+        )
+        assert pv.CaseComparison(rows=()).missing_classes == tuple(Weather)
+
+    def test_eve_without_day_hours_is_neither_stable_nor_steady(self, north):
+        dataset, profile, config = north
+        (row,) = pv.compare_cases(dataset, profile, [date(2024, 2, 2)], config).rows
+        assert (row.weather, row.forecast_day) == (Weather.CLOUDY, date(2024, 2, 2))
+        # the earlier day loses to one whose eve is merely of another class
+        candidates = [date(2024, 2, 2), date(2024, 2, 10)]
+        (row,) = pv.compare_cases(dataset, profile, candidates, config).rows
+        assert row.forecast_day == date(2024, 2, 10)
+        # and to one with a stable eve
+        candidates = [date(2024, 2, 2), date(2024, 2, 3)]
+        (row,) = pv.compare_cases(dataset, profile, candidates, config).rows
+        assert row.forecast_day == date(2024, 2, 3)
 
     def test_single_candidate_reports_missing_classes(self, data, fast):
         dataset, profile = data

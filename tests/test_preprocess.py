@@ -96,7 +96,7 @@ class TestNormalizeAndMask:
         mask = one_percent_mask(profile)
         pre = normalize_and_mask(clean_series(profile), profile, day_mask=mask)
         assert np.array_equal(pre.day_mask, mask)
-        assert pre.source_n == 96
+        assert pre.day_mask.size == 96
 
     def test_clipping_counted(self, profile):
         hot = series_from(2.0 * profile.power_kw)  # index 2 > kappa_max
@@ -223,13 +223,11 @@ class TestPreprocessedSeries:
         mask = profile.power_kw > 0
         with pytest.raises(LengthMismatch):
             PreprocessedSeries(
-                site_id="t",
                 level=MeasurementLevel.CUSTOMER,
                 index_values=np.ones(3),
                 day_mask=mask,
                 offset_kw=0.0,
                 source_start=START,
-                source_n=96,
                 clip_count=0,
             )
 
@@ -238,13 +236,11 @@ class TestPreprocessedSeries:
         bad = np.full(int(mask.sum()), 2.0)  # above kappa_max
         with pytest.raises(ValueError):
             PreprocessedSeries(
-                site_id="t",
                 level=MeasurementLevel.CUSTOMER,
                 index_values=bad,
                 day_mask=mask,
                 offset_kw=0.0,
                 source_start=START,
-                source_n=96,
                 clip_count=0,
             )
 
