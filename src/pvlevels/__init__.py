@@ -102,7 +102,6 @@ from .synth import (
     SynthConfig,
     aggregate,
     capacity_fractions,
-    gen_customer_index,
     gen_dataset,
     random_regime_schedule,
 )

@@ -49,6 +49,7 @@ from .core import (
 from .errors import (
     DuplicateRow,
     GapError,
+    InsufficientHistory,
     MisalignedRange,
     ParseError,
     PvlevelsError,
@@ -113,12 +114,10 @@ _FIELD_KEYS = {
     "synth.n_feeders": (_SYNTH, "n_feeders"),
     "synth.days": (_SYNTH, "days"),
     "synth.ar_rho": (_SYNTH, "ar_rho"),
-    "synth.loss_fraction": (_SYNTH, "loss_fraction"),
     "synth.meter_noise_sd": (_SYNTH, "meter_noise_sd"),
     "synth.shared_fraction": (_SYNTH, "shared_fraction"),
     "synth.drift_sd": (_SYNTH, "shared_drift_sd"),
     "synth.drift_rho": (_SYNTH, "shared_drift_rho"),
-    "synth.stay_prob": (_SYNTH, "regime_stay_prob"),
 }
 
 # an empty pipeline.fractions is 1.0 per level; empty paths are unset
@@ -280,15 +279,16 @@ def _non_ascii_byte(line: str) -> str:
 
 
 def load_csv(path) -> list[HourlyPowerSeries]:
-    """Read the flat measurement CSV into per-(level, series_id) series.
+    """Read the flat measurement CSV into one series per level, in level order.
 
-    Rows may arrive in any order; each group must form a gap-free hourly
+    Rows may arrive in any order; each series must form a gap-free hourly
     range with no duplicate timestamps, every level must be one of the
-    labels `write_csv` writes (``customer``, ``feeder``, ``substation``)
-    and every power a finite number. The file must be ASCII: a non-ASCII
-    byte raises ParseError naming its line. Every error names the file,
-    and the line where there is one; a file with several bad lines is
-    reported at the first.
+    labels `write_csv` writes (``customer``, ``feeder``, ``substation``;
+    `MeasurementLevel.from_label`), a level holds one series id (a second
+    raises ParseError at its first line) and every power is a finite
+    number. The file must be ASCII: a non-ASCII byte raises ParseError
+    naming its line. Every error names the file, and the line where there
+    is one; a file with several bad lines is reported at the first.
 
     The file is read one line at a time, and a line ends at ``\\n``,
     ``\\r\\n`` or ``\\r``; the other characters `str.splitlines` breaks at
@@ -297,9 +297,9 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     checked for ASCII. Each distinct timestamp text is parsed once, and
     each distinct (level, series_id) text is checked once.
     """
-    levels = {level.label: level for level in MeasurementLevel}
     stamps: dict[str, datetime] = {}
     groups: dict[tuple[str, str], dict[datetime, float]] = {}
+    ids: dict[MeasurementLevel, str] = {}
     try:
         with open(path, encoding="latin-1") as fh:
             header = fh.readline()
@@ -326,13 +326,19 @@ def load_csv(path) -> list[HourlyPowerSeries]:
                     ts = stamps[stamp] = _parse_ts(stamp, path, lineno)
                 rows = groups.get((label, series_id))
                 if rows is None:
-                    if label not in levels:
-                        raise ParseError(
-                            f"{path} line {lineno}: "
-                            f"unknown measurement level: {label!r}"
-                        )
+                    try:
+                        level = MeasurementLevel.from_label(label)
+                    except ValueError as exc:
+                        raise ParseError(f"{path} line {lineno}: {exc}") from None
                     if not series_id:
                         raise ParseError(f"{path} line {lineno}: empty series_id")
+                    if level in ids:
+                        raise ParseError(
+                            f"{path} line {lineno}: second {label} series "
+                            f"{series_id!r} (the first is {ids[level]!r}); "
+                            "need one series per level"
+                        )
+                    ids[level] = series_id
                     rows = groups[(label, series_id)] = {}
                 # the line's newline stays on power_text: float() skips it
                 try:
@@ -354,21 +360,22 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     if not groups:
         raise ParseError(f"{path}: no data rows")
     out = []
-    for label, series_id in sorted(groups, key=lambda k: (int(levels[k[0]]), k[1])):
-        rows = groups[(label, series_id)]
+    for level, series_id in sorted(ids.items()):
+        rows = groups[(level.label, series_id)]
         hours = sorted(rows)
         expected = hours[0]
         for ts in hours:
             if ts != expected:
                 missing = _hour_stamps(expected, 1)[0]
                 raise GapError(
-                    f"{path}: series ({label}, {series_id}) is missing hour {missing}"
+                    f"{path}: series ({level.label}, {series_id}) "
+                    f"is missing hour {missing}"
                 )
             expected = expected + HOUR
         out.append(
             HourlyPowerSeries(
                 site_id=series_id,
-                level=levels[label],
+                level=level,
                 start=hours[0],
                 values=np.array([rows[ts] for ts in hours]),
             )
@@ -409,13 +416,7 @@ def _dataset_from_csv(run: RunConfig, trim: bool) -> MultiLevelDataset:
     series = load_csv(run.input_path)
     if trim:
         series = trim_to_overlap(series)
-    per_level: dict[MeasurementLevel, HourlyPowerSeries] = {}
-    for s in series:
-        if s.level in per_level:
-            raise ParseError(
-                f"need exactly one series per level; several at {s.level.label}"
-            )
-        per_level[s.level] = s
+    per_level = {s.level: s for s in series}
     for level in MeasurementLevel:
         if level not in per_level:
             raise ParseError(f"no series at the {level.label} level")
@@ -659,7 +660,7 @@ def cmd_cases(run: RunConfig, args) -> int:
             raise ConfigError("--days must be >= 1")
         valid = valid[-args.days :]
     if not valid:
-        raise MisalignedRange(
+        raise InsufficientHistory(
             f"no forecast day has {MIN_FIT_DAY_HOURS} day hours of history"
         )
     comparison = compare_cases(dataset, profile, valid, run.pipeline)

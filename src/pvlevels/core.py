@@ -36,10 +36,12 @@ class MeasurementLevel(enum.IntEnum):
 
     @classmethod
     def from_label(cls, label: str) -> "MeasurementLevel":
-        try:
-            return cls[label.strip().upper()]
-        except KeyError:
-            raise ValueError(f"unknown measurement level: {label!r}") from None
+        """The level whose ``label`` is exactly ``label``: another case or
+        added spaces (``"Feeder"``, ``" feeder"``) name no level."""
+        for level in cls:
+            if level.label == label:
+                return level
+        raise ValueError(f"unknown measurement level: {label!r}")
 
 
 class Weather(enum.Enum):

@@ -76,6 +76,12 @@ DEFAULT_SITE = SiteConfig(
 #: Clear-sky index each weather regime centres its customers on.
 REGIME_MEAN = {Weather.SUNNY: 0.95, Weather.CLOUDY: 0.30, Weather.PARTLY_CLOUDY: 0.60}
 
+#: Share of the feeders' summed power lost before the substation meter.
+LOSS_FRACTION = 0.04
+
+#: Chance that a drawn regime schedule keeps yesterday's regime.
+REGIME_STAY_PROB = 0.7
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -97,7 +103,6 @@ class SynthConfig:
     days: int = 90
     regime_schedule: tuple[Weather, ...] | None = None
     ar_rho: float = 0.30
-    loss_fraction: float = 0.04
     meter_noise_sd: float = 0.1
     shared_fraction: float = 0.0
     shared_drift_sd: float = 0.0
@@ -107,7 +112,6 @@ class SynthConfig:
     sigma_sunny: float = 0.02
     sigma_cloudy: float = 0.15
     sigma_partly: float = 0.25
-    regime_stay_prob: float = 0.7
 
     def __post_init__(self) -> None:
         if self.n_customers < 1 or self.n_feeders < 1:
@@ -122,8 +126,6 @@ class SynthConfig:
             )
         if not 0.0 <= self.ar_rho < 1.0:
             raise ValueError("ar_rho must be in [0, 1)")
-        if not 0.0 <= self.loss_fraction < 0.1:
-            raise ValueError("loss_fraction must be in [0, 0.1)")
         for name in (
             "meter_noise_sd", "shared_drift_sd", "sigma_sunny", "sigma_cloudy", "sigma_partly",
         ):
@@ -135,8 +137,6 @@ class SynthConfig:
         if not 0.0 <= self.shared_drift_rho < 1.0:
             raise ValueError("shared_drift_rho must be in [0, 1)")
         check_seed(self.seed)
-        if not 0.0 < self.regime_stay_prob < 1.0:
-            raise ValueError("regime_stay_prob must be in (0, 1)")
 
     def regime_sigma(self, w: Weather) -> float:
         return {
@@ -150,7 +150,7 @@ class SynthConfig:
         if self.regime_schedule is not None:
             return self.regime_schedule
         return random_regime_schedule(
-            self.days, derive_seed(self.seed, _TAG_SCHEDULE), self.regime_stay_prob
+            self.days, derive_seed(self.seed, _TAG_SCHEDULE)
         )
 
     def default_feeder_map(self) -> tuple[int, ...]:
@@ -158,10 +158,8 @@ class SynthConfig:
         return tuple(i % self.n_feeders for i in range(self.n_customers))
 
 
-def random_regime_schedule(
-    days: int, seed: int, stay_prob: float = 0.7
-) -> tuple[Weather, ...]:
-    """Markov weather schedule: keep yesterday's regime with stay_prob.
+def random_regime_schedule(days: int, seed: int) -> tuple[Weather, ...]:
+    """Markov weather schedule: keep yesterday's regime with REGIME_STAY_PROB.
 
     Persistence is the point: with it, yesterday's measurements carry
     information about tomorrow, so day-ahead forecasts can beat the
@@ -169,18 +167,27 @@ def random_regime_schedule(
     """
     if days < 1:
         raise ValueError("days must be >= 1")
-    if not 0.0 < stay_prob < 1.0:
-        raise ValueError("stay_prob must be in (0, 1)")
     rng = make_generator(seed)
     regimes = tuple(Weather)
     out = [regimes[rng.integers(len(regimes))]]
     for _ in range(days - 1):
-        if rng.random() < stay_prob:
+        if rng.random() < REGIME_STAY_PROB:
             out.append(out[-1])
         else:
             others = [w for w in regimes if w is not out[-1]]
             out.append(others[rng.integers(len(others))])
     return tuple(out)
+
+
+def _ar1(eps: np.ndarray, rho: float, first_sd: float, innov_sd: float) -> np.ndarray:
+    """The AR(1) path driven by ``eps``: x[0] = first_sd * eps[0] and
+    x[t] = rho * x[t-1] + innov_sd * eps[t]."""
+    x = np.empty(eps.size, dtype=np.float64)
+    if eps.size:
+        x[0] = first_sd * eps[0]
+    for t in range(1, eps.size):
+        x[t] = rho * x[t - 1] + innov_sd * eps[t]
+    return x
 
 
 def _index_from_innovations(
@@ -199,13 +206,7 @@ def _index_from_innovations(
     kappa_star = REGIME_MEAN[regime]
     sigma = config.regime_sigma(regime)
     rho = config.ar_rho
-    z = np.empty(innovations.size, dtype=np.float64)
-    if innovations.size == 0:
-        return z
-    stationary_sd = sigma / np.sqrt(1.0 - rho * rho)
-    z[0] = stationary_sd * innovations[0]
-    for t in range(1, innovations.size):
-        z[t] = rho * z[t - 1] + sigma * innovations[t]
+    z = _ar1(innovations, rho, sigma / np.sqrt(1.0 - rho * rho), sigma)
     return np.clip(kappa_star + offset + z, 0.0, KAPPA_MAX)
 
 
@@ -219,31 +220,9 @@ def _site_drift(config: SynthConfig, n_hours: int) -> np.ndarray:
     masks and customer count.
     """
     rng = make_generator(derive_seed(config.seed, _TAG_DRIFT))
-    eps = rng.standard_normal(n_hours)
     sd = config.shared_drift_sd
     rho = config.shared_drift_rho
-    drift = np.empty(n_hours, dtype=np.float64)
-    if n_hours == 0:
-        return drift
-    innov_sd = sd * np.sqrt(1.0 - rho * rho)
-    drift[0] = sd * eps[0]
-    for t in range(1, n_hours):
-        drift[t] = rho * drift[t - 1] + innov_sd * eps[t]
-    return drift
-
-
-def gen_customer_index(
-    day_regime: Weather,
-    hours: int,
-    config: SynthConfig,
-    stream: np.random.Generator,
-) -> np.ndarray:
-    """One customer-day of clear-sky-index values, one per daylight hour."""
-    if hours < 0:
-        raise ValueError("hours must be >= 0")
-    return _index_from_innovations(
-        day_regime, stream.standard_normal(hours), config
-    )
+    return _ar1(rng.standard_normal(n_hours), rho, sd, sd * np.sqrt(1.0 - rho * rho))
 
 
 def _meter_noise(
@@ -268,8 +247,8 @@ def aggregate(
     ``customers`` are the config.n_customers customers, assigned to
     feeders by ``config.default_feeder_map()``. Summation order is fixed:
     customers in index order within each feeder, then feeders in index
-    order; with zero noise and zero loss the substation equals the
-    customer total computed in that grouping exactly (bit-for-bit).
+    order; with zero noise the substation is (1 - LOSS_FRACTION) times
+    the customer total computed in that grouping exactly (bit-for-bit).
     Meter noise lands on each feeder and on the substation, daylight
     hours only, clamped at zero.
     """
@@ -296,7 +275,7 @@ def aggregate(
     bus = np.zeros(first.n, dtype=np.float64)
     for f in feeders:
         bus = bus + f.values
-    bus = (1.0 - config.loss_fraction) * bus
+    bus = (1.0 - LOSS_FRACTION) * bus
     rng = make_generator(derive_seed(config.seed, _TAG_SUBSTATION_METER))
     substation = HourlyPowerSeries(
         site_id="substation",
@@ -317,7 +296,7 @@ def capacity_fractions(config: SynthConfig) -> tuple[float, float, float]:
     """
     n = config.n_customers
     on_feeder0 = sum(1 for j in config.default_feeder_map() if j == 0)
-    return (1.0 / n, on_feeder0 / n, 1.0 - config.loss_fraction)
+    return (1.0 / n, on_feeder0 / n, 1.0 - LOSS_FRACTION)
 
 
 def gen_dataset(

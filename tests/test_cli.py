@@ -22,7 +22,13 @@ from pvlevels.cli import (
 )
 from pvlevels.clearsky import clearsky_profile
 from pvlevels.core import HOUR, HourlyPowerSeries, MeasurementLevel, utc_datetime
-from pvlevels.errors import DuplicateRow, GapError, MisalignedRange, ParseError
+from pvlevels.errors import (
+    DuplicateRow,
+    GapError,
+    InsufficientHistory,
+    MisalignedRange,
+    ParseError,
+)
 from pvlevels.narnet import MIN_FIT_DAY_HOURS
 from pvlevels.pipeline import PipelineConfig, day_mask
 from pvlevels.synth import DEFAULT_SITE, SynthConfig
@@ -179,20 +185,23 @@ class TestLoadCsv:
             assert s.start == utc_datetime(2023, 3, 1)
             assert np.array_equal(s.values, [k * h + 0.5 for h in range(6)])
 
-    def test_groups_split_and_sorted(self, tmp_path):
+    def test_second_series_at_a_level_fails_at_its_line(self, tmp_path):
         path = rows_file(
             tmp_path,
             [
                 "2023-03-01T00:00:00Z,substation,s,30.0",
                 "2023-03-01T00:00:00Z,customer,c1,1.0",
+                "2023-03-01T01:00:00Z,customer,c1,1.5",
                 "2023-03-01T00:00:00Z,customer,c0,2.0",
                 "2023-03-01T00:00:00Z,feeder,f0,10.0",
             ],
         )
-        series = load_csv(path)
-        assert [(s.level, s.site_id) for s in series] == [
-            (C, "c0"), (C, "c1"), (F, "f0"), (S, "s"),
-        ]
+        with pytest.raises(
+            ParseError,
+            match=r"data.csv line 5: second customer series 'c0' "
+            r"\(the first is 'c1'\); need one series per level$",
+        ):
+            load_csv(path)
 
     def test_missing_hour_named(self, tmp_path):
         path = rows_file(
@@ -801,8 +810,35 @@ class TestCasesCommand:
         assert "--days must be >= 1" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_too_short_for_any_day(self, workspace, tmp_path, capsys):
-        root, _, _ = workspace
+    def test_series_ids_change_no_output(self, workspace, cases_dir, tmp_path):
+        """Labels: renaming every series id, to names that sort against the
+        level order, leaves every file `cases` writes byte-identical."""
+        _, _, data_dir = workspace
+        ids = {"customer-0": "zz top", "feeder-0": "mid_7", "substation": "a"}
+        lines = (data_dir / "dataset.csv").read_text(encoding="ascii").splitlines()
+        renamed = [lines[0]]
+        for line in lines[1:]:
+            stamp, level, series_id, power = line.split(",")
+            renamed.append(f"{stamp},{level},{ids[series_id]},{power}")
+        data = tmp_path / "renamed.csv"
+        data.write_text("\n".join(renamed) + "\n", encoding="ascii")
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "\n".join(TINY_KEYS + [f"paths.input = {data}"]) + "\n", encoding="ascii"
+        )
+        out = tmp_path / "out"
+        code = cmd_dispatch(
+            ["--config", str(config), "--out", str(out), "cases", "--days", "1"]
+        )
+        assert code == 0
+        names = sorted(p.name for p in cases_dir.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (cases_dir / name).read_bytes()
+
+    @pytest.fixture
+    def short_config(self, tmp_path):
+        """A 31-day dataset: no day has MIN_FIT_DAY_HOURS of history."""
         short_dir = tmp_path / "short"
         config = tmp_path / "short.cfg"
         config.write_text(
@@ -818,14 +854,27 @@ class TestCasesCommand:
             encoding="ascii",
         )
         assert cmd_dispatch(["--config", str(config), "--out", str(short_dir), "synth"]) == 0
+        return config
+
+    def test_too_short_for_any_day(self, short_config, tmp_path, capsys):
         code = cmd_dispatch(
-            ["--config", str(config), "--out", str(tmp_path / "out"), "cases"]
+            ["--config", str(short_config), "--out", str(tmp_path / "out"), "cases"]
         )
         assert code == 1
         assert (
             f"no forecast day has {MIN_FIT_DAY_HOURS} day hours of history"
             in capsys.readouterr().err
         )
+
+    def test_too_short_raises_insufficient_history(self, short_config):
+        # the class ForecastDay.at raises for the same shortfall
+        run = build_run_config(parse_config_text(short_config.read_text()))
+        args = argparse.Namespace(trim_to_overlap=False, days=None)
+        with pytest.raises(
+            InsufficientHistory,
+            match=f"^no forecast day has {MIN_FIT_DAY_HOURS} day hours of history$",
+        ):
+            cli.cmd_cases(run, args)
 
     def test_fractional_tz_names_tz_offset(self, workspace, tmp_path, capsys):
         _, config, _ = workspace
@@ -971,6 +1020,39 @@ class TestDispatchErrors:
         code = cmd_dispatch(["--config", str(cfg), "--out", str(tmp_path), "preprocess"])
         assert code == 1
         assert f"error: {data} line 2: non-ASCII byte 0xc3\n" in capsys.readouterr().err
+
+    @staticmethod
+    def three_level_rows(*extra):
+        stamps = ("2023-03-01T00:00:00Z", "2023-03-01T01:00:00Z")
+        series = [("customer", "c0"), ("feeder", "f0"), ("substation", "s0"), *extra]
+        return [f"{ts},{level},{sid},1.0" for level, sid in series for ts in stamps]
+
+    def test_second_series_at_a_level_exits_1_at_its_line(self, tmp_path, capsys):
+        data = rows_file(tmp_path, self.three_level_rows(("feeder", "f1")))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"paths.input = {data}\n", encoding="ascii")
+        code = cmd_dispatch(["--config", str(cfg), "--out", str(tmp_path), "preprocess"])
+        assert code == 1
+        assert (
+            f"error: {data} line 8: second feeder series 'f1' (the first is 'f0'); "
+            "need one series per level\n"
+        ) in capsys.readouterr().err
+
+    def test_missing_level_exits_1(self, tmp_path, capsys):
+        data = rows_file(tmp_path, self.three_level_rows()[:4])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"paths.input = {data}\n", encoding="ascii")
+        code = cmd_dispatch(["--config", str(cfg), "--out", str(tmp_path), "preprocess"])
+        assert code == 1
+        assert "error: no series at the substation level\n" in capsys.readouterr().err
+
+    def test_target_level_in_another_spelling_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pipeline.target_level = Feeder\n", encoding="ascii")
+        assert cmd_dispatch(["--config", str(cfg), "clearsky", "--days", "1"]) == 2
+        assert (
+            "error: unknown measurement level: 'Feeder'\n" in capsys.readouterr().err
+        )
 
     def test_missing_input_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -46,6 +46,11 @@ class TestMeasurementLevel:
         with pytest.raises(ValueError):
             MeasurementLevel.from_label("transformer")
 
+    @pytest.mark.parametrize("label", ["Feeder", "FEEDER", " feeder", "feeder "])
+    def test_only_the_exact_label_reads(self, label):
+        with pytest.raises(ValueError, match=f"unknown measurement level: {label!r}$"):
+            MeasurementLevel.from_label(label)
+
 
 class TestHourlyPowerSeries:
     def test_timestamps(self):

@@ -1,5 +1,7 @@
-"""Smoke test of the scripts: each runs to exit 0 at a tiny size."""
+"""The scripts: each runs to exit 0 at a tiny size and takes no
+underscore name from pvlevels, which keeps them on the public API."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +32,56 @@ def test_script_runs(script, args):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def underscore_names(tree: ast.Module) -> list[str]:
+    """Every underscore name the module takes from pvlevels: in an import
+    of pvlevels, or as an attribute reached from a name such an import
+    binds (``pv._x``, ``pv.cli._y``)."""
+    bound = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "pvlevels":
+                    found += [p for p in alias.name.split(".") if p.startswith("_")]
+                    bound.add(alias.asname or "pvlevels")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "pvlevels":
+                found += [p for p in node.module.split(".") if p.startswith("_")]
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        found.append(alias.name)
+                    bound.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize(
+    "script", sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+)
+def test_script_takes_no_underscore_name_from_pvlevels(script):
+    tree = ast.parse((ROOT / "scripts" / script).read_text(encoding="utf-8"))
+    assert underscore_names(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("from pvlevels.cli import load_csv, _emit", ["_emit"]),
+        ("from pvlevels import _x as y", ["_x"]),
+        ("import pvlevels._private as p", ["_private"]),
+        ("import pvlevels as pv\npv.cli._hour_stamps(pv.HOUR)", ["pv.cli._hour_stamps"]),
+        ("import pvlevels.cli\npvlevels.cli._emit", ["pvlevels.cli._emit"]),
+        ("from pvlevels import cli as c\nc._emit.__doc__", ["c._emit.__doc__", "c._emit"]),
+        ("import pvlevels as pv\nimport numpy as np\npv.cli.load_csv\nnp._x", []),
+    ],
+)
+def test_underscore_names_finds_each_way_in(source, names):
+    assert underscore_names(ast.parse(source)) == names

@@ -10,10 +10,12 @@ from pvlevels.pipeline import classify_weather_day
 from pvlevels.preprocess import KAPPA_MAX
 from pvlevels.synth import (
     DEFAULT_SITE,
+    LOSS_FRACTION,
+    REGIME_STAY_PROB,
     SynthConfig,
+    _index_from_innovations,
     aggregate,
     capacity_fractions,
-    gen_customer_index,
     gen_dataset,
     random_regime_schedule,
 )
@@ -23,7 +25,6 @@ ALL_SUNNY = SynthConfig(
     regime_schedule=tuple([Weather.SUNNY] * 31),
     sigma_sunny=0.0,
     meter_noise_sd=0.0,
-    loss_fraction=0.0,
     shared_drift_sd=0.0,
     seed=11,
 )
@@ -65,10 +66,6 @@ class TestSynthConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(ar_rho=-0.1)
 
-    def test_loss_bounds(self):
-        with pytest.raises(ValueError):
-            SynthConfig(loss_fraction=0.1)
-
     def test_more_feeders_than_customers(self):
         with pytest.raises(ValueError):
             SynthConfig(n_customers=2, n_feeders=3)
@@ -97,83 +94,90 @@ class TestSynthConfigValidation:
 
 
 class TestGenCustomerIndex:
+    """One customer-day of index values from a stream's innovations."""
+
     def test_noise_free_sunny_is_constant(self):
         cfg = SynthConfig(sigma_sunny=0.0)
-        rng = make_generator(0)
-        idx = gen_customer_index(Weather.SUNNY, 14, cfg, rng)
+        eps = make_generator(0).standard_normal(14)
+        idx = _index_from_innovations(Weather.SUNNY, eps, cfg)
         assert np.array_equal(idx, np.full(14, 0.95))
 
     def test_noise_free_means_per_regime(self):
         cfg = SynthConfig(sigma_sunny=0.0, sigma_cloudy=0.0, sigma_partly=0.0)
         rng = make_generator(0)
-        assert gen_customer_index(Weather.CLOUDY, 5, cfg, rng)[0] == 0.30
-        assert gen_customer_index(Weather.PARTLY_CLOUDY, 5, cfg, rng)[0] == 0.60
+        for regime, mean in ((Weather.CLOUDY, 0.30), (Weather.PARTLY_CLOUDY, 0.60)):
+            idx = _index_from_innovations(regime, rng.standard_normal(5), cfg)
+            assert idx[0] == mean
 
     def test_values_bounded(self):
         cfg = SynthConfig(sigma_cloudy=0.5)
-        rng = make_generator(3)
-        idx = gen_customer_index(Weather.CLOUDY, 500, cfg, rng)
+        eps = make_generator(3).standard_normal(500)
+        idx = _index_from_innovations(Weather.CLOUDY, eps, cfg)
         assert np.all(idx >= 0.0)
         assert np.all(idx <= KAPPA_MAX)
 
     def test_same_stream_same_series(self):
         cfg = SynthConfig()
-        a = gen_customer_index(Weather.PARTLY_CLOUDY, 20, cfg, make_generator(7))
-        b = gen_customer_index(Weather.PARTLY_CLOUDY, 20, cfg, make_generator(7))
+        a, b = (
+            _index_from_innovations(
+                Weather.PARTLY_CLOUDY, make_generator(7).standard_normal(20), cfg
+            )
+            for _ in range(2)
+        )
         assert np.array_equal(a, b)
-
-    def test_negative_hours_rejected(self):
-        with pytest.raises(ValueError):
-            gen_customer_index(Weather.SUNNY, -1, SynthConfig(), make_generator(0))
 
     @given(st.integers(0, 60), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_bounded_for_any_stream(self, hours, seed):
         cfg = SynthConfig(sigma_partly=0.4, ar_rho=0.8)
-        idx = gen_customer_index(
-            Weather.PARTLY_CLOUDY, hours, cfg, make_generator(seed)
-        )
+        eps = make_generator(seed).standard_normal(hours)
+        idx = _index_from_innovations(Weather.PARTLY_CLOUDY, eps, cfg)
         assert idx.shape == (hours,)
         assert np.all((idx >= 0.0) & (idx <= KAPPA_MAX))
 
 
 class TestAggregate:
     def test_conservation_exact(self):
-        cfg = SynthConfig(
-            n_customers=6, n_feeders=2, loss_fraction=0.0, meter_noise_sd=0.0
-        )
-        customers = flat_customers(6)
+        # noise-free: each feeder sums its round-robin customers in index
+        # order, and the substation is the feeders' sum, in feeder order,
+        # less LOSS_FRACTION, bit for bit
+        cfg = SynthConfig(n_customers=6, n_feeders=2, meter_noise_sd=0.0)
+        customers = [
+            c.with_values(c.values * (1.0 + i / 7.0))
+            for i, c in enumerate(flat_customers(6))
+        ]
         feeders, substation = aggregate(customers, cfg)
-        total = np.sum([c.values for c in customers], axis=0)
-        assert np.array_equal(substation.values, total)
         assert len(feeders) == 2
+        bus = np.zeros(customers[0].n)
+        for j, feeder in enumerate(feeders):
+            total = np.zeros(customers[0].n)
+            for c in customers[j::2]:
+                total = total + c.values
+            assert np.array_equal(feeder.values, total)
+            bus = bus + total
+        assert np.array_equal(substation.values, (1.0 - LOSS_FRACTION) * bus)
 
     def test_loss_fraction_applied(self):
-        # 10 customers at 10 kW each: feeders total 100 kW, 5% loss -> 95
-        cfg = SynthConfig(
-            n_customers=10, n_feeders=2, loss_fraction=0.05, meter_noise_sd=0.0
-        )
+        # 10 customers at 10 kW each: feeders total 100 kW, 4% loss -> 96
+        cfg = SynthConfig(n_customers=10, n_feeders=2, meter_noise_sd=0.0)
         customers = flat_customers(10, value=10.0)
         _, substation = aggregate(customers, cfg)
         day = customers[0].values > 0
-        assert np.allclose(substation.values[day], 95.0)
+        assert LOSS_FRACTION == 0.04
+        assert np.allclose(substation.values[day], 96.0)
 
     def test_noise_bounded_six_sigma(self):
         sd = 0.4
-        cfg_noisy = SynthConfig(
-            n_customers=6, n_feeders=3, loss_fraction=0.0, meter_noise_sd=sd, seed=5
-        )
-        cfg_clean = SynthConfig(
-            n_customers=6, n_feeders=3, loss_fraction=0.0, meter_noise_sd=0.0, seed=5
-        )
+        cfg_noisy = SynthConfig(n_customers=6, n_feeders=3, meter_noise_sd=sd, seed=5)
+        cfg_clean = SynthConfig(n_customers=6, n_feeders=3, meter_noise_sd=0.0, seed=5)
         customers = flat_customers(6, hours=744)
         _, noisy = aggregate(customers, cfg_noisy)
         _, clean = aggregate(customers, cfg_clean)
         delta = noisy.values - clean.values
         assert np.any(delta != 0.0)
-        # the difference stacks three feeder meters and the substation
-        # meter, so six sigma is six of the stacked deviation
-        sigma_delta = sd * np.sqrt(1.0 + 3.0)
+        # the difference stacks three feeder meters, less the loss, and the
+        # substation meter, so six sigma is six of the stacked deviation
+        sigma_delta = sd * np.sqrt(1.0 + 3.0 * (1.0 - LOSS_FRACTION) ** 2)
         assert np.all(np.abs(delta) < 6.0 * sigma_delta)
 
     def test_night_hours_stay_zero(self):
@@ -188,13 +192,13 @@ class TestAggregate:
 
 class TestCapacityFractions:
     def test_round_robin_counts(self):
-        cfg = SynthConfig(n_customers=12, n_feeders=3, loss_fraction=0.04)
+        cfg = SynthConfig(n_customers=12, n_feeders=3)
         assert capacity_fractions(cfg) == (1.0 / 12, 4.0 / 12, 0.96)
 
     def test_uneven_split(self):
-        cfg = SynthConfig(n_customers=7, n_feeders=3, loss_fraction=0.0)
+        cfg = SynthConfig(n_customers=7, n_feeders=3)
         # round-robin: feeder 0 gets customers 0, 3, 6
-        assert capacity_fractions(cfg) == (1.0 / 7, 3.0 / 7, 1.0)
+        assert capacity_fractions(cfg) == (1.0 / 7, 3.0 / 7, 1.0 - LOSS_FRACTION)
 
 
 class TestGenDataset:
@@ -260,7 +264,7 @@ class TestRegimeSeparability:
         total = 0
         for regime in Weather:
             for _ in range(per_regime):
-                idx = gen_customer_index(regime, 14, cfg, rng)
+                idx = _index_from_innovations(regime, rng.standard_normal(14), cfg)
                 got = classify_weather_day(idx)
                 hits += got is regime
                 total += 1
@@ -301,15 +305,15 @@ class TestRandomRegimeSchedule:
         assert all(w in tuple(Weather) for w in sched)
 
     def test_high_stay_prob_persists(self):
-        sched = random_regime_schedule(200, 5, stay_prob=0.9)
+        # 199 transitions: the share kept is REGIME_STAY_PROB within about
+        # three binomial standard deviations (0.032 each)
+        sched = random_regime_schedule(200, 5)
         stays = sum(a is b for a, b in zip(sched, sched[1:]))
-        assert stays / 199 > 0.8
+        assert abs(stays / 199 - REGIME_STAY_PROB) < 0.1
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             random_regime_schedule(0, 1)
-        with pytest.raises(ValueError):
-            random_regime_schedule(10, 1, stay_prob=1.0)
 
     def test_markov_schedule_used_when_none(self):
         cfg = SynthConfig(days=40, seed=8)
