@@ -37,8 +37,6 @@ def main() -> None:
     ap.add_argument("--patience", type=int, default=200)
     ap.add_argument("--eps", type=float, default=0.05)
     ap.add_argument("--meter", type=float, default=0.02)
-    ap.add_argument("--shared", type=float, default=0.0)
-    ap.add_argument("--rho", type=float, default=0.3)
     ap.add_argument("--drift", type=float, default=0.23)
     ap.add_argument("--sigma-sunny", type=float, default=0.2)
     ap.add_argument("--sigma-cloudy", type=float, default=0.15)
@@ -46,7 +44,6 @@ def main() -> None:
     ap.add_argument("--ncust", type=int, default=72)
     ap.add_argument("--nfeeders", type=int, default=36)
     ap.add_argument("--thresh", type=float, default=0.10)
-    ap.add_argument("--sunny-th", type=float, default=0.8)
     ap.add_argument("--cloudy-th", type=float, default=0.5)
     ap.add_argument("--committee", type=int, default=3)
     ap.add_argument("--retries", type=int, default=5)
@@ -60,8 +57,6 @@ def main() -> None:
         n_feeders=args.nfeeders,
         seed=args.synth_seed,
         meter_noise_sd=args.meter,
-        shared_fraction=args.shared,
-        ar_rho=args.rho,
         shared_drift_sd=args.drift,
         sigma_sunny=args.sigma_sunny,
         sigma_cloudy=args.sigma_cloudy,
@@ -81,7 +76,6 @@ def main() -> None:
         capacity_fractions=pv.capacity_fractions(scfg),
         epsilon_fraction=args.eps,
         day_threshold_fraction=args.thresh,
-        sunny_threshold=args.sunny_th,
         cloudy_threshold=args.cloudy_th,
         max_retries=args.retries,
         narx_committee=args.committee,

@@ -50,6 +50,7 @@ from .errors import (
     DuplicateRow,
     GapError,
     InsufficientHistory,
+    LengthMismatch,
     MisalignedRange,
     ParseError,
     PvlevelsError,
@@ -104,20 +105,15 @@ _FIELD_KEYS = {
     "net.max_epochs": (_NET, "max_epochs"),
     "net.step_size": (_NET, "step_size"),
     "net.patience": (_NET, "early_stop_patience"),
-    "pipeline.kappa_max": (_PIPELINE, "kappa_max"),
     "pipeline.epsilon_fraction": (_PIPELINE, "epsilon_fraction"),
     "pipeline.day_threshold_fraction": (_PIPELINE, "day_threshold_fraction"),
     "pipeline.max_retries": (_PIPELINE, "max_retries"),
-    "pipeline.sunny_threshold": (_PIPELINE, "sunny_threshold"),
     "pipeline.cloudy_threshold": (_PIPELINE, "cloudy_threshold"),
     "synth.n_customers": (_SYNTH, "n_customers"),
     "synth.n_feeders": (_SYNTH, "n_feeders"),
     "synth.days": (_SYNTH, "days"),
-    "synth.ar_rho": (_SYNTH, "ar_rho"),
     "synth.meter_noise_sd": (_SYNTH, "meter_noise_sd"),
-    "synth.shared_fraction": (_SYNTH, "shared_fraction"),
     "synth.drift_sd": (_SYNTH, "shared_drift_sd"),
-    "synth.drift_rho": (_SYNTH, "shared_drift_rho"),
 }
 
 # an empty pipeline.fractions is 1.0 per level; empty paths are unset
@@ -413,19 +409,19 @@ def trim_to_overlap(series_list: list[HourlyPowerSeries]) -> list[HourlyPowerSer
 def _dataset_from_csv(run: RunConfig, trim: bool) -> MultiLevelDataset:
     if run.input_path is None:
         raise ConfigError("paths.input is required for this command")
-    series = load_csv(run.input_path)
-    if trim:
-        series = trim_to_overlap(series)
-    per_level = {s.level: s for s in series}
+    path = run.input_path
+    series = load_csv(path)
+    levels = {s.level for s in series}
     for level in MeasurementLevel:
-        if level not in per_level:
-            raise ParseError(f"no series at the {level.label} level")
-    return MultiLevelDataset(
-        customer=per_level[MeasurementLevel.CUSTOMER],
-        feeder=per_level[MeasurementLevel.FEEDER],
-        substation=per_level[MeasurementLevel.SUBSTATION],
-        site=run.site,
-    )
+        if level not in levels:
+            raise ParseError(f"{path}: no series at the {level.label} level")
+    # like load_csv's own errors, these name the file
+    try:
+        if trim:
+            series = trim_to_overlap(series)
+        return MultiLevelDataset(*series, site=run.site)
+    except (MisalignedRange, LengthMismatch) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _profile_for(run: RunConfig, dataset: MultiLevelDataset) -> ClearSkyProfile:
@@ -542,7 +538,6 @@ def _preprocessed_levels(run: RunConfig, args) -> list[PreprocessedSeries]:
         preprocess(
             dataset.series(level),
             profile.scaled(cfg.fraction(level)),
-            kappa_max=cfg.kappa_max,
             day_mask=mask,
         )
         for level in MeasurementLevel

@@ -31,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -77,6 +77,9 @@ _TAG_FIT = 101
 _TAG_NARX = 102
 _TAG_BASELINE = 103
 
+#: Mean clear-sky index at or above which a day is sunny.
+SUNNY_THRESHOLD = 0.8
+
 
 class CaseStudy(enum.Enum):
     """The four benchmark configurations."""
@@ -115,21 +118,26 @@ class PipelineConfig:
     customer's clear-sky power sinks below the meter's absolute noise,
     and the measured index there is garbage (often an exact 0 after
     offset removal and clamping) that poisons the tapped-delay lags.
+    A day is cloudy at a mean clear-sky index of cloudy_threshold or
+    less, and sunny at SUNNY_THRESHOLD or more.
     """
 
     seed: int = 0
     target_level: MeasurementLevel = MeasurementLevel.CUSTOMER
     capacity_fractions: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    kappa_max: float = KAPPA_MAX
     epsilon_fraction: float = 0.05
     day_threshold_fraction: float = 0.10
     max_retries: int = 5
     narx_committee: int = 3
-    sunny_threshold: float = 0.8
     cloudy_threshold: float = 0.4
     fit_net: NetworkConfig = NetworkConfig()
     narx_net: NetworkConfig = NetworkConfig()
     baseline_net: NetworkConfig = NetworkConfig()
+    # not fields, and not settable: the benchmark's day classifier
+    # (bench/workloads.day_weather) reads both from a config, so they
+    # stay here until it reads the module constants
+    kappa_max: ClassVar[float] = KAPPA_MAX
+    sunny_threshold: ClassVar[float] = SUNNY_THRESHOLD
 
     def __post_init__(self) -> None:
         check_seed(self.seed)
@@ -137,8 +145,6 @@ class PipelineConfig:
             not (math.isfinite(f) and f > 0.0) for f in self.capacity_fractions
         ):
             raise ValueError("capacity_fractions must be three finite positive numbers")
-        if not (math.isfinite(self.kappa_max) and self.kappa_max > 0.0):
-            raise ValueError("kappa_max must be finite and > 0")
         if not (math.isfinite(self.epsilon_fraction) and self.epsilon_fraction >= 0.0):
             raise ValueError("epsilon_fraction must be finite and >= 0")
         if not 0.0 < self.day_threshold_fraction < 1.0:
@@ -147,8 +153,8 @@ class PipelineConfig:
             raise ValueError("max_retries must be >= 1 (it counts attempts)")
         if self.narx_committee < 1:
             raise ValueError("narx_committee must be >= 1")
-        if not 0.0 < self.cloudy_threshold < self.sunny_threshold < 2.0:
-            raise ValueError("need 0 < cloudy_threshold < sunny_threshold")
+        if not 0.0 < self.cloudy_threshold < SUNNY_THRESHOLD:
+            raise ValueError("need 0 < cloudy_threshold < SUNNY_THRESHOLD")
 
     def fraction(self, level: MeasurementLevel) -> float:
         return self.capacity_fractions[int(level)]
@@ -212,7 +218,7 @@ class CaseResult:
 
 def classify_weather_day(
     day_index_values,
-    sunny_threshold: float = PipelineConfig.sunny_threshold,
+    sunny_threshold: float = SUNNY_THRESHOLD,
     cloudy_threshold: float = PipelineConfig.cloudy_threshold,
 ) -> Weather:
     """Weather class of one day from its mean clear-sky index."""
@@ -311,11 +317,10 @@ def _measured_weather(
     measured = normalize_and_mask(
         dataset.series(target).sliced(a, a + 24),
         profile.sliced(a, a + 24).scaled(config.fraction(target)),
-        kappa_max=config.kappa_max,
         day_mask=mask[a : a + 24],
     )
     weather = classify_weather_day(
-        measured.index_values, config.sunny_threshold, config.cloudy_threshold
+        measured.index_values, cloudy_threshold=config.cloudy_threshold
     )
     return weather, float(measured.index_values.mean())
 
@@ -353,8 +358,7 @@ class ForecastDay:
     ``i0`` is the hour index of the day's local midnight; ``mask`` is the
     day mask all levels share, over the whole dataset; ``day_profile``
     is the target level's clear-sky profile over the day's 24 hours;
-    ``weather`` and ``mean_index`` are the class and mean clear-sky
-    index the target level measured that day.
+    ``weather`` is the class of the target level's measured day.
 
     The level histories, baselines and fitting models of the day are kept
     as they are first asked for, so the cases run on one context
@@ -370,7 +374,6 @@ class ForecastDay:
     mask: np.ndarray
     day_profile: ClearSkyProfile
     weather: Weather
-    mean_index: float
     _histories: dict = field(default_factory=dict, init=False, repr=False)
     _baselines: dict = field(default_factory=dict, init=False, repr=False)
     _fits: dict = field(default_factory=dict, init=False, repr=False)
@@ -390,7 +393,7 @@ class ForecastDay:
         """
         mask, before = _day_hours(dataset, profile, config)
         i0 = _forecast_start(dataset, forecast_day, before)
-        weather, mean_index = _measured_weather(dataset, profile, mask, i0, config)
+        weather, _ = _measured_weather(dataset, profile, mask, i0, config)
         target = config.target_level
         return cls(
             dataset=dataset,
@@ -401,7 +404,6 @@ class ForecastDay:
             mask=mask,
             day_profile=profile.sliced(i0, i0 + 24).scaled(config.fraction(target)),
             weather=weather,
-            mean_index=mean_index,
         )
 
     @property
@@ -429,7 +431,6 @@ class ForecastDay:
             self._histories[level] = preprocess(
                 self.dataset.series(level).sliced(0, i0),
                 self.profile.sliced(0, i0).scaled(config.fraction(level)),
-                kappa_max=config.kappa_max,
                 day_mask=self.mask[:i0],
             )
         return self._histories[level]
@@ -451,7 +452,7 @@ class ForecastDay:
         """Raw-kW NAR baseline for one level: its report and forecast.
 
         No preprocessing: the net sees the measured series scaled by the
-        level's full index-domain range (kappa_max times its share of the
+        level's full index-domain range (KAPPA_MAX times its share of the
         AC rating) purely to keep tanh inputs in a sane band. The
         architecture is deliberately the same as the forecasting nets so
         the comparison isolates what actually differs between the cases:
@@ -461,7 +462,7 @@ class ForecastDay:
         if level in self._baselines:
             return self._baselines[level]
         config, i0 = self.config, self.i0
-        scale = config.kappa_max * self.dataset.site.ac_rating_kw * config.fraction(level)
+        scale = KAPPA_MAX * self.dataset.site.ac_rating_kw * config.fraction(level)
         series = self.dataset.series(level)
         u = series.values[:i0] / scale
         cfg = replace(
@@ -521,7 +522,7 @@ def forecast_day_ahead(
                 fm.net,
                 own[-fm.net.config.delay_d :],
                 horizon=horizon,
-                clamp=(0.0, config.kappa_max),
+                clamp=(0.0, KAPPA_MAX),
             )
         )
     k = fit_models.index(best)
@@ -569,7 +570,7 @@ def forecast_day_ahead(
                     exo_future,
                     horizon=horizon,
                     exo_seed=exo_seed,
-                    clamp=(0.0, config.kappa_max),
+                    clamp=(0.0, KAPPA_MAX),
                 )
             )
         pred_index = np.median(member_preds, axis=0)
@@ -693,18 +694,19 @@ def compare_cases(
     """
     if not days:
         raise EmptyList("no candidate forecast days")
+    mask, before = _day_hours(dataset, profile, config)
     candidates = []
     for day in days:
-        context = ForecastDay.at(dataset, profile, day, config)
+        i0 = _forecast_start(dataset, day, before)
+        weather, mean = _measured_weather(dataset, profile, mask, i0, config)
         try:
             prev_weather, prev_mean = _measured_weather(
-                dataset, profile, context.mask, context.i0 - 24, config
+                dataset, profile, mask, i0 - 24, config
             )
         except AllNight:
             prev_weather, prev_mean = None, math.inf
-        candidates.append(
-            (day, context.mean_index, context.weather, prev_weather, prev_mean)
-        )
+        candidates.append((day, mean, weather, prev_weather, prev_mean))
+    del mask, before  # whole-dataset arrays; each row's context makes its own
 
     rows = []
     for weather in Weather:
@@ -714,8 +716,7 @@ def compare_cases(
         stable = [c for c in matching if c[3] is weather]
         pool = stable if stable else matching
         chosen = min(pool, key=lambda c: (abs(c[1] - c[4]), c[0]))[0]
-        # one context per row, shared by its four cases; the candidates'
-        # contexts are not kept, each holds a whole-dataset day mask
+        # one context per row, shared by its four cases
         context = ForecastDay.at(dataset, profile, chosen, config)
         results = {cid: run_case(cid, context) for cid in CaseStudy}
         rows.append(CaseRow(weather=weather, forecast_day=chosen, results=results))

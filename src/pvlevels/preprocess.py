@@ -173,16 +173,11 @@ def preprocess(
     profile: ClearSkyProfile,
     *,
     day_mask: np.ndarray,
-    kappa_max: float = KAPPA_MAX,
 ) -> PreprocessedSeries:
     """Offset removal followed by normalization and night masking."""
     corrected, offset = remove_offset(series, profile)
     return normalize_and_mask(
-        corrected,
-        profile,
-        day_mask=day_mask,
-        offset_kw=offset,
-        kappa_max=kappa_max,
+        corrected, profile, day_mask=day_mask, offset_kw=offset
     )
 
 

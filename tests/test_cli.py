@@ -1044,7 +1044,50 @@ class TestDispatchErrors:
         cfg.write_text(f"paths.input = {data}\n", encoding="ascii")
         code = cmd_dispatch(["--config", str(cfg), "--out", str(tmp_path), "preprocess"])
         assert code == 1
-        assert "error: no series at the substation level\n" in capsys.readouterr().err
+        assert (
+            f"error: {data}: no series at the substation level\n"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "flags,substation_hours,message",
+        [
+            ([], (1, 2), "series starts differ"),
+            ([], (0,), "series lengths differ"),
+            (["--trim-to-overlap"], (2, 3), "series have no overlapping hours"),
+        ],
+    )
+    def test_unequal_ranges_name_the_file(
+        self, tmp_path, capsys, flags, substation_hours, message
+    ):
+        """Customer and feeder hold hours 0-1; the substation holds others."""
+        stamp = "2023-03-01T{:02d}:00:00Z".format
+        rows = [f"{stamp(h)},{level},x,1.0" for level in ("customer", "feeder") for h in (0, 1)]
+        rows += [f"{stamp(h)},substation,x,1.0" for h in substation_hours]
+        data = rows_file(tmp_path, rows)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"paths.input = {data}\n", encoding="ascii")
+        code = cmd_dispatch(
+            ["--config", str(cfg), "--out", str(tmp_path), *flags, "preprocess"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {data}: {message}")
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "pipeline.kappa_max",
+            "pipeline.sunny_threshold",
+            "synth.ar_rho",
+            "synth.shared_fraction",
+            "synth.drift_rho",
+        ],
+    )
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0.5\n", encoding="ascii")
+        assert cmd_dispatch(["--config", str(cfg), "clearsky", "--days", "1"]) == 2
+        assert f"error: {cfg}:1: unknown key {key!r}\n" in capsys.readouterr().err
 
     def test_target_level_in_another_spelling_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -5,7 +5,7 @@ The forecasting fixtures use deliberately tiny networks (3 hidden units,
 """
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -160,13 +160,13 @@ class TestPipelineConfigValidation:
         [
             {"capacity_fractions": (1.0, 1.0)},
             {"capacity_fractions": (1.0, 0.0, 1.0)},
-            {"kappa_max": 0.0},
             {"epsilon_fraction": -0.01},
             {"day_threshold_fraction": 0.0},
             {"day_threshold_fraction": 1.0},
             {"max_retries": 0},
             {"narx_committee": 0},
-            {"sunny_threshold": 0.3, "cloudy_threshold": 0.4},
+            {"cloudy_threshold": 0.8},
+            {"cloudy_threshold": 0.0},
             {"seed": -1},
             {"seed": 2**64},
         ],
@@ -180,12 +180,25 @@ class TestPipelineConfigValidation:
         [
             ("epsilon_fraction", math.nan),
             ("capacity_fractions", (1.0, math.inf, 1.0)),
-            ("kappa_max", math.inf),
         ],
     )
     def test_rejects_non_finite_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be .*finite"):
             pv.PipelineConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "name,value", [("kappa_max", pv.KAPPA_MAX), ("sunny_threshold", 0.8)]
+    )
+    def test_constants_are_not_settable(self, name, value):
+        assert name not in {f.name for f in fields(pv.PipelineConfig)}
+        cfg = pv.PipelineConfig()
+        assert getattr(cfg, name) == getattr(pv.PipelineConfig, name) == value
+        with pytest.raises(TypeError):
+            pv.PipelineConfig(**{name: value})
+        with pytest.raises(TypeError):
+            replace(cfg, **{name: value})
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)
 
     def test_fraction_maps_levels(self):
         cfg = pv.PipelineConfig(capacity_fractions=(0.1, 0.4, 0.9))
@@ -293,6 +306,20 @@ class TestCaseLevels:
         assert CASE_LEVELS[CaseStudy.CASE3] == frozenset((C, F))
         assert CASE_LEVELS[CaseStudy.CASE4] == frozenset((C,))
         assert CaseStudy.CASE1 not in CASE_LEVELS
+
+
+def day_mean(data, config, day):
+    """Mean measured customer index of one local day at UTC-7 (test-side copy)."""
+    dataset, profile = data
+    i0 = dataset.customer.hour_index(utc_datetime(day.year, day.month, day.day, 7))
+    scaled = profile.scaled(config.fraction(C))
+    threshold = config.day_threshold_fraction * float(profile.power_kw.max())
+    pre = normalize_and_mask(
+        dataset.customer.sliced(i0, i0 + 24),
+        scaled.sliced(i0, i0 + 24),
+        day_mask=(profile.power_kw >= threshold)[i0 : i0 + 24],
+    )
+    return float(pre.index_values.mean())
 
 
 def context(dataset, profile, day, config):
@@ -414,7 +441,7 @@ class TestForecastDay:
         assert day.day_profile.start == dataset.customer.timestamp(day.i0)
         assert day.weather is Weather.CLOUDY
         assert pv.classify_weather_day(
-            [day.mean_index], fast.sunny_threshold, fast.cloudy_threshold
+            [day_mean(data, fast, day.day)], cloudy_threshold=fast.cloudy_threshold
         ) is day.weather
 
     def test_score_is_the_measured_day_hours_above_the_floor(self, data, fast):
@@ -534,22 +561,6 @@ class TestRunCase:
 
 
 class TestCompareCases:
-    def day_mean(self, data, fast, day):
-        """Mean measured customer index of one local day (test-side copy)."""
-        dataset, profile = data
-        i0 = dataset.customer.hour_index(
-            utc_datetime(day.year, day.month, day.day, 7)
-        )
-        scaled = profile.scaled(fast.fraction(C))
-        threshold = fast.day_threshold_fraction * float(profile.power_kw.max())
-        pre = normalize_and_mask(
-            dataset.customer.sliced(i0, i0 + 24),
-            scaled.sliced(i0, i0 + 24),
-            kappa_max=fast.kappa_max,
-            day_mask=(profile.power_kw >= threshold)[i0 : i0 + 24],
-        )
-        return float(pre.index_values.mean())
-
     def test_all_classes_present(self, comparison):
         assert comparison.missing_classes == ()
         assert [row.weather for row in comparison.rows] == [
@@ -572,8 +583,8 @@ class TestCompareCases:
         assert cloudy.forecast_day in (local_day(40), local_day(41))
         deltas = {
             k: abs(
-                self.day_mean(data, fast, local_day(k))
-                - self.day_mean(data, fast, local_day(k - 1))
+                day_mean(data, fast, local_day(k))
+                - day_mean(data, fast, local_day(k - 1))
             )
             for k in (40, 41)
         }
@@ -633,6 +644,22 @@ class TestCompareCases:
         assert row.case2_mape == cloudy.case2_mape
         assert row.case3_mape == cloudy.case3_mape
         assert row.case4_mape == cloudy.case4_mape
+
+    def test_one_context_per_row(self, data, fast, monkeypatch):
+        """Candidates are ranked without a ForecastDay; only each row's
+        chosen day gets one."""
+        built = []
+        at = pv.ForecastDay.at.__func__
+
+        def counting_at(cls, dataset, profile, day, config):
+            built.append(day)
+            return at(cls, dataset, profile, day, config)
+
+        monkeypatch.setattr(pv.ForecastDay, "at", classmethod(counting_at))
+        dataset, profile = data
+        days = [local_day(k) for k in range(38, 43)]
+        comparison = pv.compare_cases(dataset, profile, days, fast)
+        assert built == [row.forecast_day for row in comparison.rows]
 
     def test_empty_days(self, data, fast):
         dataset, profile = data
