@@ -383,8 +383,16 @@ def write_csv(path, series_list: list[HourlyPowerSeries]) -> None:
     """Write series to the flat CSV schema, deterministically ordered.
 
     Series are written one at a time; series sharing an hourly range
-    share one formatting of its timestamps.
+    share one formatting of its timestamps. A series id that load_csv
+    could not read back (empty, or holding a comma or a line break)
+    raises ValueError before the file is opened.
     """
+    for s in series_list:
+        if not s.site_id or any(c in s.site_id for c in ",\n\r"):
+            raise ValueError(
+                f"series id {s.site_id!r} cannot be written: it must be "
+                "non-empty with no comma or line break"
+            )
     stamps: dict[tuple[datetime, int], list[str]] = {}
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")

@@ -169,12 +169,14 @@ class MultiLevelDataset:
                 raise LevelTagMismatch(
                     f"series in {level.label} position is tagged {series.level.label}"
                 )
-        starts = {s.start for s, _ in expected}
-        if len(starts) != 1:
-            raise MisalignedRange(f"series starts differ: {sorted(starts)}")
-        lengths = {s.n for s, _ in expected}
-        if len(lengths) != 1:
-            raise LengthMismatch(f"series lengths differ: {sorted(lengths)}")
+        if len({s.start for s, _ in expected}) != 1:
+            raise MisalignedRange("series starts differ: " + ", ".join(
+                f"{level.label} {s.start:%Y-%m-%dT%H:00:00Z}" for s, level in expected
+            ))
+        if len({s.n for s, _ in expected}) != 1:
+            raise LengthMismatch("series lengths differ: " + ", ".join(
+                f"{level.label} {s.n} h" for s, level in expected
+            ))
 
     @property
     def n(self) -> int:

@@ -41,13 +41,13 @@ that holds w_out[j] * 2/n for hidden unit j's row of [g_W_h | g_b_h] and
 2/n for [g_w_out, g_b_out]; one small multiply refreshes its hidden
 block from w_out at each call. No (hidden, rows) pass carries w_out or
 2/n. (Applying w_out to g_z row by row gives the same gradient up to
-rounding in the last bits.) For those GEMMs the kernel keeps the
-parameters in its own order, each hidden unit's weights followed by its
-bias, then [w_out, b_out], so that each layer is one contiguous matrix.
-The serialized order, [w_hidden, b_hidden, w_out, b_out], stays the
-public one (loss_and_gradient's gradient, the model text);
-loss_and_gradient and train convert at the boundary. Adam is
-elementwise, so running it in kernel order gives the same numbers.
+rounding in the last bits.)
+
+A net's parameters are one flat vector, ``NarxModel.theta``, in the
+order those GEMMs read: each hidden unit's weights followed by its bias,
+then [w_out, b_out], so each layer is one contiguous matrix (_layers).
+The kernel, Adam and loss_and_gradient's gradient all use that order;
+``w_hidden``, ``b_hidden``, ``w_out`` and ``b_out`` are views of it.
 
 A net has at most a couple of hundred parameters, so a numpy call on
 them costs its fixed overhead, about a microsecond, and next to nothing
@@ -64,8 +64,8 @@ Python-float operand costs more per call than an array operand, and a
 epoch reaches them, and the kernel its buffers, through local names and
 closure cells bound once per ``train`` call, not through attribute
 loads. Every element still goes through the same operations in the same
-order, so the numbers are those of the textbook formulas over the
-public gradient (tests/test_narnet.py: reference_train).
+order, so the numbers are those of the textbook formulas over
+loss_and_gradient's gradient (tests/test_narnet.py: reference_train).
 """
 
 from __future__ import annotations
@@ -143,42 +143,73 @@ class NetworkConfig:
         return self.delay_d * (1 + self.n_exo_channels)
 
 
+def _layers(theta: np.ndarray, config: NetworkConfig):
+    """The (hidden, input_width + 1) matrix [W_h | b_h] and the vector
+    [w_out, b_out], as views of a parameter vector."""
+    h, w = config.hidden_width, config.input_width
+    return theta[: h * (w + 1)].reshape(h, w + 1), theta[h * (w + 1) :]
+
+
 @dataclass(frozen=True, eq=False)
 class NarxModel:
-    """A net's parameters plus its config and training record."""
+    """A net's parameters plus its config and training record.
+
+    ``theta`` is a read-only copy of the parameters, [W_h | b_h]
+    row-major, then [w_out, b_out]; the four parts are views of it.
+    """
 
     config: NetworkConfig
-    w_hidden: np.ndarray
-    b_hidden: np.ndarray
-    w_out: np.ndarray
-    b_out: float
+    theta: np.ndarray
     trained: bool = False
     training_history: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         h, w = self.config.hidden_width, self.config.input_width
-        wh = np.array(self.w_hidden, dtype=np.float64)
-        bh = np.array(self.b_hidden, dtype=np.float64)
-        wo = np.array(self.w_out, dtype=np.float64)
+        theta = np.array(self.theta, dtype=np.float64)
+        if theta.shape != (h * (w + 2) + 1,):
+            raise DimensionMismatch(
+                f"parameter shape {theta.shape} does not fit hidden={h}, input={w}"
+            )
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("all parameters must be finite")
+        theta.setflags(write=False)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "training_history", tuple(self.training_history))
+
+    @classmethod
+    def from_layers(
+        cls, config: NetworkConfig, w_hidden, b_hidden, w_out, b_out: float, **kw
+    ) -> NarxModel:
+        """A model from its four parts; ``kw`` goes to the constructor."""
+        h, w = config.hidden_width, config.input_width
+        wh = np.asarray(w_hidden, dtype=np.float64)
+        bh = np.asarray(b_hidden, dtype=np.float64)
+        wo = np.asarray(w_out, dtype=np.float64)
         if wh.shape != (h, w) or bh.shape != (h,) or wo.shape != (h,):
             raise DimensionMismatch(
                 f"parameter shapes {wh.shape}/{bh.shape}/{wo.shape} "
                 f"do not fit hidden={h}, input={w}"
             )
-        if not (
-            np.all(np.isfinite(wh))
-            and np.all(np.isfinite(bh))
-            and np.all(np.isfinite(wo))
-            and math.isfinite(self.b_out)
-        ):
-            raise ValueError("all parameters must be finite")
-        for arr in (wh, bh, wo):
-            arr.setflags(write=False)
-        object.__setattr__(self, "w_hidden", wh)
-        object.__setattr__(self, "b_hidden", bh)
-        object.__setattr__(self, "w_out", wo)
-        object.__setattr__(self, "b_out", float(self.b_out))
-        object.__setattr__(self, "training_history", tuple(self.training_history))
+        theta = np.empty(h * (w + 2) + 1)
+        wa, woa = _layers(theta, config)
+        wa[:, :-1], wa[:, -1], woa[:-1], woa[-1] = wh, bh, wo, b_out
+        return cls(config, theta, **kw)
+
+    @property
+    def w_hidden(self) -> np.ndarray:
+        return _layers(self.theta, self.config)[0][:, :-1]
+
+    @property
+    def b_hidden(self) -> np.ndarray:
+        return _layers(self.theta, self.config)[0][:, -1]
+
+    @property
+    def w_out(self) -> np.ndarray:
+        return _layers(self.theta, self.config)[1][:-1]
+
+    @property
+    def b_out(self) -> float:
+        return float(_layers(self.theta, self.config)[1][-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,14 +239,12 @@ def init_network(config: NetworkConfig) -> NarxModel:
     h, w = config.hidden_width, config.input_width
     bound_h = math.sqrt(6.0 / (w + h))
     bound_o = math.sqrt(6.0 / (h + 1))
-    return NarxModel(
-        config=config,
-        w_hidden=rng.uniform(-bound_h, bound_h, size=(h, w)),
-        b_hidden=np.zeros(h),
-        w_out=rng.uniform(-bound_o, bound_o, size=h),
-        b_out=0.0,
-        trained=False,
-        training_history=(),
+    return NarxModel.from_layers(
+        config,
+        rng.uniform(-bound_h, bound_h, size=(h, w)),
+        np.zeros(h),
+        rng.uniform(-bound_o, bound_o, size=h),
+        0.0,
     )
 
 
@@ -282,24 +311,6 @@ def make_training_set(
     return lags.reshape(lags.shape[0], -1), series[-1, d:][keep]
 
 
-def _flatten(w_hidden, b_hidden, w_out, b_out) -> np.ndarray:
-    return np.concatenate(
-        [w_hidden.ravel(), b_hidden, w_out, np.array([b_out])]
-    )
-
-
-def _unflatten(theta: np.ndarray, config: NetworkConfig):
-    h, w = config.hidden_width, config.input_width
-    i = 0
-    w_hidden = theta[i : i + h * w].reshape(h, w)
-    i += h * w
-    b_hidden = theta[i : i + h]
-    i += h
-    w_out = theta[i : i + h]
-    i += h
-    return w_hidden, b_hidden, w_out, float(theta[i])
-
-
 def _check_batch(
     config: NetworkConfig, inputs, targets
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -314,39 +325,17 @@ def _check_batch(
     return X, t
 
 
-def _kernel_theta(model: NarxModel) -> np.ndarray:
-    """The parameters in kernel order: [W_h | b_h] row-major, then
-    [w_out, b_out]. A copy, so the kernel never writes through to a model."""
-    return np.concatenate([
-        np.column_stack([model.w_hidden, model.b_hidden]).ravel(),
-        model.w_out,
-        np.array([model.b_out]),
-    ])
-
-
-def _layers(theta: np.ndarray, config: NetworkConfig):
-    """The (hidden, input_width + 1) matrix [W_h | b_h] and the vector
-    [w_out, b_out], as views of a kernel-order vector."""
-    h, w = config.hidden_width, config.input_width
-    return theta[: h * (w + 1)].reshape(h, w + 1), theta[h * (w + 1) :]
-
-
-def _split_kernel_theta(theta: np.ndarray, config: NetworkConfig):
-    """(w_hidden, b_hidden, w_out, b_out) views of a kernel-order vector."""
-    wa, woa = _layers(theta, config)
-    return wa[:, :-1], wa[:, -1], woa[:-1], float(woa[-1])
-
-
 class _Kernel:
     """Forward pass and gradient over one augmented batch.
 
     Holds the batch as ``XTa``, (input_width + 1, rows), and the
     activations as ``A``, (hidden + 1, rows), each with a last row of
     ones, so each bias rides in a GEMM. Every buffer is made once, here;
-    ``theta`` and ``grad`` are kernel-order vectors the caller owns and
-    updates in place, and the kernel reads and writes them through views
-    taken once. ``forward`` and ``loss_and_gradient`` are closures over
-    those views and numpy's functions, so a call loads no attributes.
+    ``theta`` (which the kernel only reads) and ``grad`` are parameter
+    vectors the caller owns and may update in place, and the kernel
+    reads and writes them through views taken once. ``forward`` and
+    ``loss_and_gradient`` are closures over those views and numpy's
+    functions, so a call loads no attributes.
     """
 
     def __init__(self, config: NetworkConfig, X: np.ndarray,
@@ -405,7 +394,7 @@ class _Kernel:
 
 def _predict_batch(model: NarxModel, X: np.ndarray) -> np.ndarray:
     """Predictions for the rows of a row-major batch."""
-    theta = _kernel_theta(model)
+    theta = model.theta
     return _Kernel(model.config, X, theta, np.empty_like(theta)).forward()
 
 
@@ -414,14 +403,12 @@ def loss_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Mean squared error over the batch and its analytic gradient.
 
-    The gradient is flat, ordered [w_hidden row-major, b_hidden, w_out,
-    b_out], matching the serialization order.
+    The gradient is flat, in the order of ``model.theta``.
     """
     X, t = _check_batch(model.config, inputs, targets)
-    theta = _kernel_theta(model)
-    grad = np.empty_like(theta)
-    loss = _Kernel(model.config, X, theta, grad).loss_and_gradient(t)
-    return loss, _flatten(*_split_kernel_theta(grad, model.config))
+    grad = np.empty_like(model.theta)
+    loss = _Kernel(model.config, X, model.theta, grad).loss_and_gradient(t)
+    return loss, grad
 
 
 def train(model: NarxModel, inputs, targets) -> NarxModel:
@@ -442,10 +429,9 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
     if cfg.max_epochs == 0:
         return model
     # theta, the gradient, the moments and the step are updated in
-    # place, in kernel order; Adam is elementwise, so the order does not
-    # change its arithmetic. Row 0 of each (2, P) array is for the first
-    # moment, row 1 for the second.
-    theta = _kernel_theta(model)
+    # place. Row 0 of each (2, P) array is for the first moment, row 1
+    # for the second.
+    theta = model.theta.copy()
     P = theta.size
     grads = np.empty((2, P))  # [g, g**2]
     grad, grad_sq = grads
@@ -503,10 +489,7 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
         if not isfinite(dot(theta, zeros)):
             raise DivergedLoss(f"parameters became non-finite at epoch {epoch}")
     return NarxModel(
-        cfg,
-        *_split_kernel_theta(best_theta, cfg),
-        trained=True,
-        training_history=tuple(history),
+        cfg, best_theta, trained=True, training_history=tuple(history)
     )
 
 
@@ -692,14 +675,9 @@ def model_from_text(text: str) -> NarxModel:
         raise ParseError(f"malformed model text: {exc}") from exc
     if pos != len(lines):
         raise ParseError(f"{len(lines) - pos} trailing lines after parameters")
-    return NarxModel(
-        config=config,
-        w_hidden=w_hidden,
-        b_hidden=b_hidden,
-        w_out=w_out,
-        b_out=b_out,
-        trained=trained,
-        training_history=history,
+    return NarxModel.from_layers(
+        config, w_hidden, b_hidden, w_out, b_out,
+        trained=trained, training_history=history,
     )
 
 

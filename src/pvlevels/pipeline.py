@@ -457,7 +457,8 @@ class ForecastDay:
         architecture is deliberately the same as the forecasting nets so
         the comparison isolates what actually differs between the cases:
         normalization and the extra measurement channels, not network
-        capacity.
+        capacity. Hours with zero clear-sky power (the same hours at
+        every level) forecast 0 kW, as in every other case.
         """
         if level in self._baselines:
             return self._baselines[level]
@@ -475,11 +476,13 @@ class ForecastDay:
         pred_u = predict_closed_loop(
             net, u[-cfg.delay_d :], horizon=24, clamp=(0.0, 1.0)
         )
+        values = pred_u * scale
+        values[self.day_profile.night_mask] = 0.0
         forecast = HourlyPowerSeries(
             site_id=f"baseline-{level.label}",
             level=level,
             start=series.timestamp(i0),
-            values=pred_u * scale,
+            values=values,
         )
         self._baselines[level] = (self.score(level, forecast.values), forecast)
         return self._baselines[level]

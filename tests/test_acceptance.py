@@ -100,19 +100,10 @@ class TestGradientCheck:
             X = rng.normal(0.0, 1.0, (rows, cfg.input_width))
             targets = rng.normal(0.0, 1.0, rows)
             _, grad = loss_and_gradient(net, X, targets)
-            h, w = hidden, cfg.input_width
-            theta = np.concatenate(
-                [net.w_hidden.ravel(), net.b_hidden, net.w_out, [net.b_out]]
-            )
+            theta = net.theta
 
             def rebuild(vec):
-                return NarxModel(
-                    config=cfg,
-                    w_hidden=vec[: h * w].reshape(h, w),
-                    b_hidden=vec[h * w : h * w + h],
-                    w_out=vec[h * w + h : h * w + 2 * h],
-                    b_out=float(vec[-1]),
-                )
+                return NarxModel(cfg, vec)
 
             step = 1e-6
             for j in range(theta.size):

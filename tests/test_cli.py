@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import re
 import tracemalloc
 import warnings
 from datetime import datetime, timezone
@@ -498,6 +499,19 @@ class TestWriteCsv:
                 write_csv(tmp_path / "a.csv", series)
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+    @pytest.mark.parametrize("site_id", ["", "a,b", "x\ny", "x\ry"])
+    def test_rejects_an_id_load_csv_cannot_read(self, tmp_path, site_id):
+        start = utc_datetime(2023, 3, 1)
+        series = [
+            self.series("c0", C, start, 5, 1),
+            self.series(site_id, F, start, 5, 2),
+        ]
+        path = tmp_path / "a.csv"
+        with pytest.raises(ValueError, match=re.escape(f"series id {site_id!r}")):
+            write_csv(path, series)
+        assert not path.exists()
 
 
 class TestCsvRoundTrip:
@@ -1052,8 +1066,10 @@ class TestDispatchErrors:
     @pytest.mark.parametrize(
         "flags,substation_hours,message",
         [
-            ([], (1, 2), "series starts differ"),
-            ([], (0,), "series lengths differ"),
+            ([], (1, 2), "series starts differ: customer 2023-03-01T00:00:00Z, "
+             "feeder 2023-03-01T00:00:00Z, substation 2023-03-01T01:00:00Z"),
+            ([], (0,), "series lengths differ: customer 2 h, feeder 2 h, "
+             "substation 1 h"),
             (["--trim-to-overlap"], (2, 3), "series have no overlapping hours"),
         ],
     )
@@ -1071,7 +1087,7 @@ class TestDispatchErrors:
             ["--config", str(cfg), "--out", str(tmp_path), *flags, "preprocess"]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {data}: {message}")
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
 
     @pytest.mark.parametrize(
         "key",

@@ -99,11 +99,16 @@ def test_future_blindness(reference, offset, factor):
 
 
 def test_forecast_bounds(reference):
-    """Cases 2-4 forecast exactly 0 kW outside the day mask, and at most
-    KAPPA_MAX times the target level's clear-sky power inside it. Case 1
-    is left out: its raw-kW baseline forecasts the night readings it was
-    trained on, so it is not 0 at night (README)."""
+    """Every case forecasts exactly 0 kW where the clear-sky power is 0.
+    Cases 2-4 forecast 0 kW outside the day mask, and at most KAPPA_MAX
+    times the target level's clear-sky power inside it. Case 1 is left out
+    of those two checks: its raw-kW baseline forecasts the dawn and dusk
+    readings it was trained on (README)."""
     _, _, context, results = reference
+    night = context.day_profile.night_mask
+    assert night.any()
+    for result in results.values():
+        assert np.all(result.forecast.values[night] == 0.0)
     day_hours = context.day_hours
     ceiling = pv.KAPPA_MAX * context.day_profile.power_kw[day_hours]
     for cid in NARX_CASES:

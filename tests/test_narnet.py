@@ -17,8 +17,6 @@ from pvlevels.errors import (
 )
 from pvlevels.narnet import (
     MIN_FIT_DAY_HOURS,
-    _flatten,
-    _unflatten,
     NarxModel,
     NetworkConfig,
     fit_nar,
@@ -40,18 +38,14 @@ from pvlevels.preprocess import PreprocessedSeries
 def tiny_model(w=5.0, out=2.0):
     """One input, one hidden unit: f(u) = out * tanh(w * u)."""
     cfg = NetworkConfig(delay_d=1, hidden_width=1)
-    return NarxModel(
-        config=cfg,
-        w_hidden=np.array([[w]]),
-        b_hidden=np.zeros(1),
-        w_out=np.array([out]),
-        b_out=0.0,
-    )
+    return NarxModel.from_layers(cfg, [[w]], [0.0], [out], 0.0)
 
 
-def reference_loss_and_gradient(theta, config, X, t):
+def reference_loss_and_gradient(model, X, t):
     """The row-major kernel: activations stored as (rows x hidden)."""
-    w_hidden, b_hidden, w_out, b_out = _unflatten(theta, config)
+    w_hidden, b_hidden, w_out, b_out = (
+        model.w_hidden, model.b_hidden, model.w_out, model.b_out
+    )
     acts = np.tanh(X @ w_hidden.T + b_hidden)
     preds = acts @ w_out + b_out
     n = X.shape[0]
@@ -63,7 +57,10 @@ def reference_loss_and_gradient(theta, config, X, t):
     g_z = np.outer(g_pred, w_out) * (1.0 - acts**2)
     g_b_hidden = g_z.sum(axis=0)
     g_w_hidden = g_z.T @ X
-    return loss, _flatten(g_w_hidden, g_b_hidden, g_w_out, g_b_out)
+    grad = NarxModel.from_layers(
+        model.config, g_w_hidden, g_b_hidden, g_w_out, g_b_out
+    )
+    return loss, grad.theta
 
 
 def reference_train(model, X, t):
@@ -71,7 +68,7 @@ def reference_train(model, X, t):
     every epoch, gradients from the public loss_and_gradient, and a loss
     improvement counted when it exceeds 1e-9."""
     cfg = model.config
-    theta = _flatten(model.w_hidden, model.b_hidden, model.w_out, model.b_out)
+    theta = model.theta
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     history = []
@@ -91,9 +88,9 @@ def reference_train(model, X, t):
         m_hat = m / (1.0 - 0.9**epoch)
         v_hat = v / (1.0 - 0.999**epoch)
         theta = theta - cfg.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
-        work = NarxModel(cfg, *_unflatten(theta, cfg))
+        work = NarxModel(cfg, theta)
     return NarxModel(
-        cfg, *_unflatten(best_theta, cfg), trained=True, training_history=tuple(history)
+        cfg, best_theta, trained=True, training_history=tuple(history)
     )
 
 
@@ -147,6 +144,66 @@ class TestInitNetwork:
         assert not m.trained
 
 
+class TestNarxModel:
+    """The parameters live in one vector, theta: [W_h | b_h] row-major,
+    then [w_out, b_out]."""
+
+    cfg = NetworkConfig(delay_d=2, hidden_width=3, n_exo_channels=1)
+
+    def parts(self):
+        rng = np.random.default_rng(5)
+        return (rng.normal(size=(3, 4)), rng.normal(size=3),
+                rng.normal(size=3), 0.7)
+
+    def test_from_layers_packs_theta(self):
+        wh, bh, wo, bo = self.parts()
+        m = NarxModel.from_layers(self.cfg, wh, bh, wo, bo)
+        want = np.concatenate([np.column_stack([wh, bh]).ravel(), wo, [bo]])
+        assert np.array_equal(m.theta, want)
+        assert np.array_equal(m.w_hidden, wh) and np.array_equal(m.b_hidden, bh)
+        assert np.array_equal(m.w_out, wo)
+        assert m.b_out == bo and type(m.b_out) is float
+
+    def test_parts_are_read_only_views(self):
+        m = NarxModel.from_layers(self.cfg, *self.parts())
+        assert not m.theta.flags.writeable
+        for part in (m.w_hidden, m.b_hidden, m.w_out):
+            assert np.shares_memory(part, m.theta)
+            assert not part.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m.w_out[0] = 1.0
+
+    def test_keeps_its_own_copy(self):
+        theta = NarxModel.from_layers(self.cfg, *self.parts()).theta.copy()
+        m = NarxModel(self.cfg, theta)
+        theta[0] += 1.0
+        assert m.theta[0] == theta[0] - 1.0
+
+    @pytest.mark.parametrize("size", [18, 20])
+    def test_wrong_theta_length(self, size):
+        with pytest.raises(DimensionMismatch):
+            NarxModel(self.cfg, np.zeros(size))
+
+    @pytest.mark.parametrize(
+        "index, shape", [(0, (4, 3)), (0, (12,)), (1, (4,)), (2, (3, 1))],
+        ids=["w_hidden-transposed", "w_hidden-flat", "b_hidden", "w_out"],
+    )
+    def test_wrong_part_shape(self, index, shape):
+        parts = list(self.parts())
+        parts[index] = np.zeros(shape)
+        with pytest.raises(DimensionMismatch):
+            NarxModel.from_layers(self.cfg, *parts)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_theta(self, bad):
+        theta = np.zeros(19)
+        theta[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            NarxModel(self.cfg, theta)
+        with pytest.raises(ValueError, match="finite"):
+            NarxModel.from_layers(self.cfg, *self.parts()[:3], bad)
+
+
 class TestForward:
     def test_hand_value(self):
         # 2 * tanh(5 * 1) = 1.99982...
@@ -157,12 +214,8 @@ class TestForward:
 
     def test_output_bias(self):
         m = tiny_model()
-        shifted = NarxModel(
-            config=m.config,
-            w_hidden=m.w_hidden,
-            b_hidden=m.b_hidden,
-            w_out=m.w_out,
-            b_out=0.5,
+        shifted = NarxModel.from_layers(
+            m.config, m.w_hidden, m.b_hidden, m.w_out, 0.5
         )
         assert forward(shifted, [0.0]) == 0.5
 
@@ -271,14 +324,14 @@ class TestLossAndGradient:
         t = rng.normal(size=12)
         _, grad = loss_and_gradient(model, X, t)
 
-        theta = _flatten(model.w_hidden, model.b_hidden, model.w_out, model.b_out)
+        theta = model.theta
         h = 1e-6
         for i in range(theta.size):
             up, down = theta.copy(), theta.copy()
             up[i] += h
             down[i] -= h
-            m_up = NarxModel(cfg, *_unflatten(up, cfg))
-            m_down = NarxModel(cfg, *_unflatten(down, cfg))
+            m_up = NarxModel(cfg, up)
+            m_down = NarxModel(cfg, down)
             l_up, _ = loss_and_gradient(m_up, X, t)
             l_down, _ = loss_and_gradient(m_down, X, t)
             numeric = (l_up - l_down) / (2 * h)
@@ -302,14 +355,13 @@ class TestLossAndGradient:
             delay_d=3, hidden_width=hidden, n_exo_channels=n_exo, seed=7
         )
         model = init_network(cfg)
-        model = NarxModel(
+        model = NarxModel.from_layers(
             cfg, model.w_hidden, rng.normal(0, 0.3, hidden),
             model.w_out if w_out is None else w_out, 0.2,
         )
         X = rng.uniform(0.0, 1.2, size=(rows, cfg.input_width))
         t = rng.uniform(0.0, 1.2, size=rows)
-        theta = _flatten(model.w_hidden, model.b_hidden, model.w_out, model.b_out)
-        want_loss, want_grad = reference_loss_and_gradient(theta, cfg, X, t)
+        want_loss, want_grad = reference_loss_and_gradient(model, X, t)
         loss, grad = loss_and_gradient(model, X, t)
         assert loss == pytest.approx(want_loss, rel=1e-10, abs=1e-13)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-13)
@@ -322,11 +374,14 @@ class TestLossAndGradient:
         model = init_network(cfg)
         w_out = model.w_out.copy()
         w_out[2] = 0.0
-        model = NarxModel(cfg, model.w_hidden, rng.normal(0, 0.3, 4), w_out, 0.1)
+        model = NarxModel.from_layers(
+            cfg, model.w_hidden, rng.normal(0, 0.3, 4), w_out, 0.1
+        )
         X = rng.uniform(0.0, 1.2, size=(40, cfg.input_width))
         t = rng.uniform(0.0, 1.2, size=40)
         _, grad = loss_and_gradient(model, X, t)
-        g_w_hidden, g_b_hidden, _, _ = _unflatten(grad, cfg)
+        g = NarxModel(cfg, grad)
+        g_w_hidden, g_b_hidden = g.w_hidden, g.b_hidden
         assert np.all(g_w_hidden[2] == 0.0) and g_b_hidden[2] == 0.0
         others = np.delete(g_w_hidden, 2, axis=0)
         assert np.all(others != 0.0)
@@ -470,8 +525,9 @@ class TestPredictOpenLoop:
     def test_narx_matches_forward_rowwise(self):
         cfg = NetworkConfig(delay_d=3, hidden_width=4, n_exo_channels=2, seed=2)
         model = init_network(cfg)
-        model = NarxModel(cfg, model.w_hidden, np.linspace(-0.3, 0.3, 4),
-                          model.w_out, 0.2)
+        model = NarxModel.from_layers(
+            cfg, model.w_hidden, np.linspace(-0.3, 0.3, 4), model.w_out, 0.2
+        )
         y = np.linspace(0.1, 1.0, 10)
         exo = [np.cos(np.arange(10.0)), np.linspace(1.0, 0.0, 10)]
         preds = predict_open_loop(model, y, exo)
