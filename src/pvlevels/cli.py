@@ -20,13 +20,14 @@ error. Diagnostics go to stderr; data goes to files or stdout only.
 
 All CSV output is deterministic byte-for-byte for a given (config,
 seed): fixed header order, fixed row order, floats at 17 significant
-digits (lossless for doubles). Human-facing tables render MAPE as
-percent with 2 decimals and always have a full-precision `_full` mirror.
+digits (lossless for doubles). Each human-facing table is a rounded view
+of the rows of its `_full` mirror, with MAPE as percent at 2 decimals.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import re
 import sys
@@ -129,9 +130,13 @@ _CONFIG_DEFAULTS = {
 
 
 def parse_config_text(text: str, where: str = "<config>") -> dict[str, str]:
-    """`key = value` lines; '#' comments; every key optional."""
+    """`key = value` lines; '#' comments; every key optional. ASCII only; a
+    line ends at ``\\n``, ``\\r\\n`` or ``\\r``, as a `load_csv` row does."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        if not raw.isascii():
+            raise ConfigError(f"{where}:{lineno}: {_non_ascii_byte(raw)}")
+        raw = raw.rstrip("\n")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -384,14 +389,14 @@ def write_csv(path, series_list: list[HourlyPowerSeries]) -> None:
 
     Series are written one at a time; series sharing an hourly range
     share one formatting of its timestamps. A series id that load_csv
-    could not read back (empty, or holding a comma or a line break)
-    raises ValueError before the file is opened.
+    could not read back (empty, not ASCII, or holding a comma or a line
+    break) raises ValueError before the file is opened.
     """
     for s in series_list:
-        if not s.site_id or any(c in s.site_id for c in ",\n\r"):
+        if not s.site_id or not s.site_id.isascii() or re.search("[,\n\r]", s.site_id):
             raise ValueError(
                 f"series id {s.site_id!r} cannot be written: it must be "
-                "non-empty with no comma or line break"
+                "non-empty ASCII with no comma or line break"
             )
     stamps: dict[tuple[datetime, int], list[str]] = {}
     with open(path, "w", encoding="ascii", newline="") as fh:
@@ -448,8 +453,17 @@ def _pct(fraction: float) -> str:
     return f"{100.0 * fraction:.2f}"
 
 
-def _g(x: float | None) -> str:
-    return "" if x is None else f"{x:.17g}"
+def _cell(value) -> str:
+    """A table cell: text as it is, None as empty, a number at ``%.17g``."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else f"{value:.17g}"
+
+
+def _table(header: str, rows) -> str:
+    """CSV text of ``header`` and ``rows`` of cell values."""
+    lines = [header, *(",".join(map(_cell, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _out_dir(run: RunConfig) -> Path:
@@ -468,23 +482,25 @@ def _emit(run: RunConfig, name: str, text: str) -> None:
         _write_text(_out_dir(run) / name, text)
 
 
-def _series_csv(profile_rows: list[tuple[str, ...]], header: str) -> str:
-    return "\n".join([header, *(",".join(row) for row in profile_rows)]) + "\n"
+def _write_tables(out: Path, stem, header, rows: list, view_header, view) -> None:
+    """`<stem>_full.csv` holds ``rows``; `<stem>.csv` holds ``view(*row)`` of each."""
+    _write_text(out / f"{stem}_full.csv", _table(header, rows))
+    _write_text(out / f"{stem}.csv", _table(view_header, [view(*row) for row in rows]))
 
 
-def _day_series_file(result, dataset: MultiLevelDataset, target: MeasurementLevel) -> str:
+def _day_series_file(result, dataset: MultiLevelDataset) -> str:
+    """The target level's measured and forecast kW over the forecast day."""
     forecast = result.forecast
     i0 = dataset.customer.hour_index(forecast.start)
-    actual = dataset.series(target).values[i0 : i0 + forecast.n]
-    rows = [
-        (ts, f"{a:.17g}", f"{f:.17g}")
-        for ts, a, f in zip(
+    actual = dataset.series(forecast.level).values[i0 : i0 + forecast.n]
+    return _table(
+        "timestamp_utc,actual_kw,forecast_kw",
+        zip(
             _hour_stamps(forecast.start, forecast.n),
             actual.tolist(),
             forecast.values.tolist(),
-        )
-    ]
-    return _series_csv(rows, "timestamp_utc,actual_kw,forecast_kw")
+        ),
+    )
 
 
 # ------------------------------------------------------------- commands
@@ -500,15 +516,12 @@ def cmd_clearsky(run: RunConfig, args) -> int:
     if days < 1:
         raise ConfigError("--days must be >= 1")
     profile = clearsky_profile(run.site, begin, days * 24)
-    rows = [
-        (ts, f"{p:.17g}", f"{g:.17g}")
-        for ts, p, g in zip(
-            _hour_stamps(profile.start, profile.n),
-            profile.power_kw.tolist(),
-            profile.ghi_wm2.tolist(),
-        )
-    ]
-    _emit(run, "clearsky.csv", _series_csv(rows, "timestamp_utc,power_kw,ghi_wm2"))
+    rows = zip(
+        _hour_stamps(profile.start, profile.n),
+        profile.power_kw.tolist(),
+        profile.ghi_wm2.tolist(),
+    )
+    _emit(run, "clearsky.csv", _table("timestamp_utc,power_kw,ghi_wm2", rows))
     return 0
 
 
@@ -558,38 +571,27 @@ def cmd_preprocess(run: RunConfig, args) -> int:
     for pre in _preprocessed_levels(run, args):
         stamps = _hour_stamps(pre.source_start, pre.day_mask.size)
         for i, index in zip(pre.day_hour_indices().tolist(), pre.index_values.tolist()):
-            index_rows.append((stamps[i], pre.level.label, f"{index:.17g}"))
-        summary_rows.append(
-            (
-                pre.level.label,
-                f"{pre.offset_kw:.17g}",
-                str(pre.clip_count),
-                str(pre.n_day),
-            )
-        )
+            index_rows.append((stamps[i], pre.level.label, index))
+        summary_rows.append((pre.level.label, pre.offset_kw, pre.clip_count, pre.n_day))
     out = _out_dir(run)
-    _write_text(
-        out / "preprocessed.csv",
-        _series_csv(index_rows, "timestamp_utc,level,index"),
-    )
+    _write_text(out / "preprocessed.csv", _table("timestamp_utc,level,index", index_rows))
     _write_text(
         out / "preprocess_summary.csv",
-        _series_csv(summary_rows, "level,offset_kw,clip_count,n_day_hours"),
+        _table("level,offset_kw,clip_count,n_day_hours", summary_rows),
     )
     return 0
 
 
 def cmd_fit(run: RunConfig, args) -> int:
     models = build_fitting_models(_preprocessed_levels(run, args), run.pipeline)
-    human = [
-        (m.level.label, _pct(m.fit_mape), f"{m.fit_r2:.4f}") for m in models
-    ]
-    full = [
-        (m.level.label, f"{m.fit_mape:.17g}", f"{m.fit_r2:.17g}") for m in models
-    ]
-    out = _out_dir(run)
-    _write_text(out / "fit.csv", _series_csv(human, "level,mape_pct,r_squared"))
-    _write_text(out / "fit_full.csv", _series_csv(full, "level,mape,r_squared"))
+    _write_tables(
+        _out_dir(run),
+        "fit",
+        "level,mape,r_squared",
+        [(m.level.label, m.fit_mape, m.fit_r2) for m in models],
+        "level,mape_pct,r_squared",
+        lambda level, mape, r2: (level, _pct(mape), f"{r2:.4f}"),
+    )
     return 0
 
 
@@ -607,49 +609,34 @@ def cmd_forecast(run: RunConfig, args) -> int:
     profile = _profile_for(run, dataset)
     day = _parse_date(args.day, "--day")
     out = _out_dir(run)
-    human = []
-    full = []
+    rows = []
     for cid in _case_ids(args.case):
         # one context per case, so no case reuses another's nets: the
         # benchmark's day-ahead-cli workload pins these train counts
         result = run_case(cid, ForecastDay.at(dataset, profile, day, run.pipeline))
-        _write_text(
-            out / f"forecast_{cid.label}.csv",
-            _day_series_file(result, dataset, run.pipeline.target_level),
-        )
+        _write_text(out / f"forecast_{cid.label}.csv", _day_series_file(result, dataset))
         rep = result.report
         if rep is None:
             rep = result.per_level_reports[run.pipeline.target_level]
-        met = (
-            ""
-            if result.level_errors is None
-            else str(int(result.level_errors.target_met))
+        errors = result.level_errors
+        met = None if errors is None else int(errors.target_met)
+        rows.append(
+            (cid.label, result.weather.label, rep.mape, rep.rmse, rep.r_squared, met)
         )
-        human.append(
-            (
-                cid.label,
-                result.weather.label,
-                _pct(rep.mape),
-                f"{rep.rmse:.2f}",
-                "" if rep.r_squared is None else f"{rep.r_squared:.4f}",
-                met,
-            )
-        )
-        full.append(
-            (
-                cid.label,
-                result.weather.label,
-                _g(rep.mape),
-                _g(rep.rmse),
-                _g(rep.r_squared),
-                met,
-            )
-        )
-    header = "case,weather,mape_pct,rmse_kw,r_squared,target_met"
-    _write_text(out / "forecast_summary.csv", _series_csv(human, header))
-    _write_text(
-        out / "forecast_summary_full.csv",
-        _series_csv(full, "case,weather,mape,rmse_kw,r_squared,target_met"),
+    _write_tables(
+        out,
+        "forecast_summary",
+        "case,weather,mape,rmse_kw,r_squared,target_met",
+        rows,
+        "case,weather,mape_pct,rmse_kw,r_squared,target_met",
+        lambda case, weather, mape, rmse, r2, met: (
+            case,
+            weather,
+            _pct(mape),
+            f"{rmse:.2f}",
+            None if r2 is None else f"{r2:.4f}",
+            met,
+        ),
     )
     return 0
 
@@ -668,54 +655,37 @@ def cmd_cases(run: RunConfig, args) -> int:
         )
     comparison = compare_cases(dataset, profile, valid, run.pipeline)
     out = _out_dir(run)
-    human = [
-        (
-            row.weather.label,
-            _pct(row.case1_min_mape),
-            _pct(row.case2_mape),
-            _pct(row.case3_mape),
-            _pct(row.case4_mape),
-            _pct(row.reduction_vs_case1),
-        )
-        for row in comparison.rows
-    ]
-    full = [
-        (
-            row.weather.label,
-            row.forecast_day.isoformat(),
-            _g(row.case1_min_mape),
-            _g(row.case2_mape),
-            _g(row.case3_mape),
-            _g(row.case4_mape),
-            _g(row.reduction_vs_case1),
-            _g(row.reduction_vs_case3),
-            _g(row.reduction_vs_case4),
-            str(int(row.results[CaseStudy.CASE2].level_errors.target_met)),
-        )
-        for row in comparison.rows
-    ]
-    _write_text(
-        out / "cases.csv",
-        _series_csv(
-            human,
-            "weather,case1_min_mape,case2_mape,case3_mape,case4_mape,"
-            "reduction_vs_case1_pct",
-        ),
-    )
-    _write_text(
-        out / "cases_full.csv",
-        _series_csv(
-            full,
-            "weather,forecast_day,case1_min_mape,case2_mape,case3_mape,case4_mape,"
-            "reduction_vs_case1,reduction_vs_case3,reduction_vs_case4,"
-            "case2_target_met",
-        ),
+    _write_tables(
+        out,
+        "cases",
+        "weather,forecast_day,case1_min_mape,case2_mape,case3_mape,case4_mape,"
+        "reduction_vs_case1,reduction_vs_case3,reduction_vs_case4,"
+        "case2_target_met",
+        [
+            (
+                row.weather.label,
+                row.forecast_day.isoformat(),
+                row.case1_min_mape,
+                row.case2_mape,
+                row.case3_mape,
+                row.case4_mape,
+                row.reduction_vs_case1,
+                row.reduction_vs_case3,
+                row.reduction_vs_case4,
+                int(row.results[CaseStudy.CASE2].level_errors.target_met),
+            )
+            for row in comparison.rows
+        ],
+        "weather,case1_min_mape,case2_mape,case3_mape,case4_mape,"
+        "reduction_vs_case1_pct",
+        # the four MAPEs and the reduction against case 1
+        lambda weather, _day, *values: (weather, *map(_pct, values[:5])),
     )
     for row in comparison.rows:
         for cid, result in row.results.items():
             _write_text(
                 out / f"{cid.label}_{row.weather.label}.csv",
-                _day_series_file(result, dataset, run.pipeline.target_level),
+                _day_series_file(result, dataset),
             )
     for weather in comparison.missing_classes:
         print(f"note: no candidate day classified {weather.label}", file=sys.stderr)
@@ -782,11 +752,6 @@ def cmd_dispatch(argv: list[str]) -> int:
                 text = Path(args.config).read_text(encoding="latin-1")
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-            # lines as parse_config_text counts them; keepends keeps a
-            # latin-1 NEL (0x85), which splitlines breaks at, on its line
-            for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
-                if not line.isascii():
-                    raise ConfigError(f"{args.config}:{lineno}: {_non_ascii_byte(line)}")
             file_values = parse_config_text(text, where=args.config)
             rel = file_values.get("paths.input", "")
             if rel and not Path(rel).is_absolute():

@@ -545,13 +545,9 @@ def forecast_day_ahead(
     y_seed = y[-d:]
     exo_seed = [ch[-d:] for ch in exo_hist]
 
-    reports = {lv: day.baseline(lv)[0] for lv in MeasurementLevel}
-    e_c = reports[MeasurementLevel.CUSTOMER].mape
-    e_f = reports[MeasurementLevel.FEEDER].mape
-    e_s = reports[MeasurementLevel.SUBSTATION].mape
-    floor = min(e_c, e_f, e_s)
+    e_c, e_f, e_s = (day.baseline(lv)[0].mape for lv in MeasurementLevel)
 
-    best_attempt: tuple[float, MetricReport, HourlyPowerSeries, int] | None = None
+    best_attempt: tuple[LevelErrors, MetricReport, HourlyPowerSeries, int] | None = None
     for attempt in range(config.max_retries):
         seed = derive_seed(config.seed, _TAG_NARX, i0, attempt)
         # a small committee: tanh nets this size occasionally land in a
@@ -585,13 +581,14 @@ def forecast_day_ahead(
             level=target_level,
         )
         rep = day.score(target_level, forecast.values)
-        if best_attempt is None or rep.mape < best_attempt[0]:
-            best_attempt = (rep.mape, rep, forecast, seed)
-        if rep.mape < floor:
+        errors = LevelErrors(e_c=e_c, e_f=e_f, e_s=e_s, e_n=rep.mape)
+        # a later attempt replaces the kept one only when strictly better
+        if best_attempt is None or rep.mape < best_attempt[0].e_n:
+            best_attempt = (errors, rep, forecast, seed)
+        if errors.target_met:
             break
 
-    e_n, final_report, final_forecast, final_seed = best_attempt
-    errors = LevelErrors(e_c=e_c, e_f=e_f, e_s=e_s, e_n=e_n)
+    errors, final_report, final_forecast, final_seed = best_attempt
     result = CaseResult(
         case_id=case_id,
         weather=day.weather,

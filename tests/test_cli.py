@@ -487,21 +487,32 @@ class TestWriteCsv:
         write_csv(tmp_path / "a.csv", series)
         assert (tmp_path / "a.csv").read_bytes() == reference_csv(series)
 
-    def test_closes_its_file_when_a_write_fails(self, tmp_path):
+    def test_closes_its_file_when_a_write_fails(self, tmp_path, monkeypatch):
         start = utc_datetime(2023, 3, 1)
         series = [
             self.series("c0", C, start, 5, 1),
-            self.series("f\u00e9", F, start, 5, 2),  # not ASCII: fails mid-write
+            self.series("f0", F, start + HOUR, 5, 2),  # a second range of stamps
         ]
+        stamps = cli._hour_stamps
+        calls = []
+
+        def fail_on_second_range(first, n):
+            calls.append(first)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return stamps(first, n)
+
+        # the second range is formatted after the first series is written
+        monkeypatch.setattr(cli, "_hour_stamps", fail_on_second_range)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            with pytest.raises(UnicodeEncodeError):
+            with pytest.raises(OSError, match="disk full"):
                 write_csv(tmp_path / "a.csv", series)
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert len((tmp_path / "a.csv").read_text().splitlines()) == 1 + 5
 
-
-    @pytest.mark.parametrize("site_id", ["", "a,b", "x\ny", "x\ry"])
+    @pytest.mark.parametrize("site_id", ["", "a,b", "x\ny", "x\ry", "f\u00e9"])
     def test_rejects_an_id_load_csv_cannot_read(self, tmp_path, site_id):
         start = utc_datetime(2023, 3, 1)
         series = [
@@ -691,12 +702,9 @@ class TestPreprocessAndFit:
         summary = (tmp_path / "preprocess_summary.csv").read_text().splitlines()
         assert [int(line.split(",")[3]) for line in summary[1:]] == [n_mask] * 3
 
-    def test_fit_outputs(self, workspace, tmp_path):
-        _, config, _ = workspace
-        code = cmd_dispatch(["--config", str(config), "--out", str(tmp_path), "fit"])
-        assert code == 0
-        human = (tmp_path / "fit.csv").read_text().splitlines()
-        full = (tmp_path / "fit_full.csv").read_text().splitlines()
+    def test_fit_outputs(self, fit_dir):
+        human = (fit_dir / "fit.csv").read_text().splitlines()
+        full = (fit_dir / "fit_full.csv").read_text().splitlines()
         assert human[0] == "level,mape_pct,r_squared"
         assert len(human) == len(full) == 4
         for line in full[1:]:
@@ -723,23 +731,37 @@ class TestForecastCommand:
         assert series[0] == "timestamp_utc,actual_kw,forecast_kw"
         assert len(series) == 25
 
-    def test_series_are_the_cases_series(self, workspace, cases_dir, tmp_path):
+    def test_series_are_the_cases_series(self, forecast_dir, cases_dir):
         # the same day in both commands: one per-case hourly format
-        _, config, _ = workspace
-        code = cmd_dispatch(
-            [
-                "--config", str(config), "--out", str(tmp_path),
-                "forecast", "--day", "2023-04-08",
-            ]
-        )
-        assert code == 0
         full = (cases_dir / "cases_full.csv").read_text().splitlines()
         weather, day = full[1].split(",")[:2]
         assert day == "2023-04-08"
         for case in ("case1", "case2", "case3", "case4"):
-            assert (tmp_path / f"forecast_{case}.csv").read_bytes() == (
+            assert (forecast_dir / f"forecast_{case}.csv").read_bytes() == (
                 cases_dir / f"{case}_{weather}.csv"
             ).read_bytes()
+
+    def test_feeder_target_writes_the_feeders_kw(self, workspace, tmp_path):
+        _, config, data_dir = workspace
+        feeder_cfg = tmp_path / "feeder.cfg"
+        feeder_cfg.write_text(
+            config.read_text() + "pipeline.target_level = feeder\n", encoding="ascii"
+        )
+        code = cmd_dispatch(
+            [
+                "--config", str(feeder_cfg), "--out", str(tmp_path / "out"),
+                "forecast", "--day", "2023-04-08",
+            ]
+        )
+        assert code == 0
+        customer, feeder, _ = load_csv(data_dir / "dataset.csv")
+        for case in ("case1", "case2", "case3", "case4"):
+            lines = (tmp_path / "out" / f"forecast_{case}.csv").read_text().splitlines()
+            stamps, actual, _ = zip(*(line.split(",") for line in lines[1:]))
+            start = datetime.strptime(stamps[0], "%Y-%m-%dT%H:%M:%SZ")
+            i0 = feeder.hour_index(start.replace(tzinfo=timezone.utc))
+            assert list(actual) == [f"{v:.17g}" for v in feeder.values[i0 : i0 + 24]]
+            assert list(actual) != [f"{v:.17g}" for v in customer.values[i0 : i0 + 24]]
 
     def test_unknown_case(self, workspace, tmp_path, capsys):
         _, config, _ = workspace
@@ -765,6 +787,25 @@ class TestForecastCommand:
 
 
 @pytest.fixture(scope="module")
+def fit_dir(workspace, tmp_path_factory):
+    _, config, _ = workspace
+    out = tmp_path_factory.mktemp("fit")
+    assert cmd_dispatch(["--config", str(config), "--out", str(out), "fit"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def forecast_dir(workspace, tmp_path_factory):
+    _, config, _ = workspace
+    out = tmp_path_factory.mktemp("forecast")
+    code = cmd_dispatch(
+        ["--config", str(config), "--out", str(out), "forecast", "--day", "2023-04-08"]
+    )
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def cases_dir(workspace, tmp_path_factory):
     _, config, _ = workspace
     out = tmp_path_factory.mktemp("cases")
@@ -773,6 +814,54 @@ def cases_dir(workspace, tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+def as_text(cell: str) -> str:
+    return cell
+
+
+def as_pct(cell: str) -> str:
+    return f"{100.0 * float(cell):.2f}"
+
+
+def as_fixed(places: int):
+    return lambda cell: cell and f"{float(cell):.{places}f}"
+
+
+# each human table: the fixture whose directory holds it, and per column
+# its name, the `_full` column it renders, and how
+TABLE_VIEWS = {
+    "fit": (
+        "fit_dir",
+        [
+            ("level", "level", as_text),
+            ("mape_pct", "mape", as_pct),
+            ("r_squared", "r_squared", as_fixed(4)),
+        ],
+    ),
+    "forecast_summary": (
+        "forecast_dir",
+        [
+            ("case", "case", as_text),
+            ("weather", "weather", as_text),
+            ("mape_pct", "mape", as_pct),
+            ("rmse_kw", "rmse_kw", as_fixed(2)),
+            ("r_squared", "r_squared", as_fixed(4)),
+            ("target_met", "target_met", as_text),
+        ],
+    ),
+    "cases": (
+        "cases_dir",
+        [
+            ("weather", "weather", as_text),
+            ("case1_min_mape", "case1_min_mape", as_pct),
+            ("case2_mape", "case2_mape", as_pct),
+            ("case3_mape", "case3_mape", as_pct),
+            ("case4_mape", "case4_mape", as_pct),
+            ("reduction_vs_case1_pct", "reduction_vs_case1", as_pct),
+        ],
+    ),
+}
 
 
 class TestCasesCommand:
@@ -789,11 +878,19 @@ class TestCasesCommand:
         # final UTC hours, so the last forecastable day is day 38
         assert full[1].split(",")[1] == "2023-04-08"
 
-    def test_percent_rendering(self, cases_dir):
-        human = (cases_dir / "cases.csv").read_text().splitlines()[1].split(",")
-        full = (cases_dir / "cases_full.csv").read_text().splitlines()[1].split(",")
-        # human table is the full-precision fraction rendered as percent
-        assert human[1] == f"{100.0 * float(full[2]):.2f}"
+    @pytest.mark.parametrize("stem", sorted(TABLE_VIEWS))
+    def test_human_table_renders_its_full_rows(self, request, stem):
+        fixture, columns = TABLE_VIEWS[stem]
+        out = request.getfixturevalue(fixture)
+        human, full = (
+            [line.split(",") for line in (out / name).read_text().splitlines()]
+            for name in (f"{stem}.csv", f"{stem}_full.csv")
+        )
+        assert human[0] == [name for name, _, _ in columns]
+        assert len(human) == len(full) > 1
+        for human_row, full_row in zip(human[1:], full[1:]):
+            cells = dict(zip(full[0], full_row))
+            assert human_row == [render(cells[src]) for _, src, render in columns]
 
     def test_per_day_series_files(self, cases_dir):
         weather = (cases_dir / "cases.csv").read_text().splitlines()[1].split(",")[0]
@@ -981,6 +1078,18 @@ class TestDispatchErrors:
         cfg.write_bytes(b"seed = 7\n# a\x85b\n")
         assert cmd_dispatch(["--config", str(cfg), "clearsky", "--days", "1"]) == 2
         assert f"error: {cfg}:2: non-ASCII byte 0x85\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_config_lines_end_where_csv_rows_do(self, tmp_path, capsys, sep):
+        # str.splitlines breaks at these; a config line, like a CSV row, does not
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 7{sep}net.delay_d = 4\n", encoding="ascii")
+        assert cmd_dispatch(["--config", str(cfg), "clearsky", "--days", "1"]) == 2
+        value = f"7{sep}net.delay_d = 4"
+        assert f"error: seed must be an integer, got {value!r}\n" in capsys.readouterr().err
+        cfg.write_text(f"seed = 7\n# x{sep}y\nbogus = 1\n", encoding="ascii")
+        assert cmd_dispatch(["--config", str(cfg), "clearsky", "--days", "1"]) == 2
+        assert f"error: {cfg}:3: unknown key 'bogus'\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", ["pipeline.epsilon_fraction", "synth.meter_noise_sd"])
