@@ -31,6 +31,14 @@ single customer's history.
 All randomness flows from one seed through named substreams (schedule,
 shared sky, drift, one per customer, one per meter), so the dataset is
 reproducible and adding customers never perturbs existing series.
+
+Layout: the shared sky and each customer draw their innovations in one
+draw per stream, over the daylight hours in time order. For a customer,
+those values are scattered into an (hour of day, day) array, one
+zero-padded column per local day. The AR(1) recursion then advances all
+days together, one hour of day per step. A draw of a + b normals is a
+draw of a followed by one of b, so this gives the same values as
+drawing and running day by day.
 """
 
 from __future__ import annotations
@@ -179,33 +187,48 @@ def random_regime_schedule(days: int, seed: int) -> tuple[Weather, ...]:
     return tuple(out)
 
 
-def _ar1(eps: np.ndarray, rho: float, first_sd: float, innov_sd: float) -> np.ndarray:
-    """The AR(1) path driven by ``eps``: x[0] = first_sd * eps[0] and
-    x[t] = rho * x[t-1] + innov_sd * eps[t]."""
-    x = np.empty(eps.size, dtype=np.float64)
-    if eps.size:
+def _ar1(eps: np.ndarray, rho: float, first_sd, innov_sd) -> np.ndarray:
+    """The AR(1) path driven by ``eps``, stepping along axis 0:
+    x[0] = first_sd * eps[0] and x[t] = rho * x[t-1] + innov_sd * eps[t].
+
+    For a 1-D ``eps`` the sds are scalars; for an (hours, days) ``eps``
+    each column is one path and the sds may be per-column arrays.
+    """
+    x = np.empty(eps.shape, dtype=np.float64)
+    if len(eps):
         x[0] = first_sd * eps[0]
-    for t in range(1, eps.size):
+    for t in range(1, len(eps)):
         x[t] = rho * x[t - 1] + innov_sd * eps[t]
     return x
 
 
+def _day_columns(
+    schedule: tuple[Weather, ...], config: SynthConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each day's regime mean and innovation sd, one entry per day."""
+    sigma = {w: config.regime_sigma(w) for w in Weather}
+    return (
+        np.array([REGIME_MEAN[w] for w in schedule]),
+        np.array([sigma[w] for w in schedule]),
+    )
+
+
 def _index_from_innovations(
-    regime: Weather,
     innovations: np.ndarray,
-    config: SynthConfig,
+    kappa_star: np.ndarray,
+    sigma: np.ndarray,
+    rho: float,
     offset=0.0,
 ) -> np.ndarray:
-    """One day's index values from pre-drawn standard-normal innovations.
+    """Index values from pre-drawn standard-normal innovations.
 
-    The first innovation seeds z at its stationary scale so a day's
-    statistics do not depend on where it sits in the calendar. offset is
-    added before clamping (scalar or per-hour array); the site drift
-    enters here.
+    ``innovations`` is (hours, days): column j holds day j's daylight
+    hours in order, under regime mean kappa_star[j] and innovation sd
+    sigma[j] (see ``_day_columns``). The first hour seeds z at its
+    stationary scale so a day's statistics do not depend on where it
+    sits in the calendar. offset is added before clamping (scalar or
+    an array shaped like ``innovations``); the site drift enters here.
     """
-    kappa_star = REGIME_MEAN[regime]
-    sigma = config.regime_sigma(regime)
-    rho = config.ar_rho
     z = _ar1(innovations, rho, sigma / np.sqrt(1.0 - rho * rho), sigma)
     return np.clip(kappa_star + offset + z, 0.0, KAPPA_MAX)
 
@@ -307,43 +330,55 @@ def gen_dataset(
     The dataset's customer series is customer 0 (with its own meter
     noise), its feeder series is feeder 0, and the levels nest: the
     measured customer feeds the measured feeder feeds the substation.
+
+    Each customer makes one pass: one draw of its stream over every
+    daylight hour, and one AR(1) run with the days as columns, advanced
+    together by hour of day (see the module docstring).
     """
     n_hours = config.days * 24
     profile = clearsky_profile(site, config.start_utc, n_hours)
-    schedule = config.schedule()
-    share = profile.power_kw / config.n_customers
     daylight = profile.power_kw > 0.0
 
-    # Per-day daylight slices on the hourly grid. A weather day is a
-    # site-local calendar day, not a UTC one: otherwise every local
+    # Each daylight hour's day and its rank within the day. A weather day
+    # is a site-local calendar day, not a UTC one: otherwise every local
     # afternoon would straddle a regime boundary and the schedule would
     # paint phantom weather fronts at a fixed hour. Stray daylight hours
-    # before the first local midnight borrow the first day's regime.
+    # before the first local midnight borrow the first day's regime, and
+    # those after the last one the last day's. The local day never
+    # decreases, so idx is the days' daylight hours joined in day order
+    # and one draw of idx.size values per stream is its per-day draws.
     local_day = np.floor(
         (np.arange(n_hours) + site.tz_offset) / 24.0
     ).astype(int)
     local_day = np.clip(local_day, 0, config.days - 1)
-    day_slices = []
-    for d in range(config.days):
-        idx = np.flatnonzero(daylight & (local_day == d))
-        day_slices.append(idx)
+    idx = np.flatnonzero(daylight)
+    day = local_day[idx]
+    counts = np.bincount(day, minlength=config.days)
+    rank = np.arange(idx.size) - (np.cumsum(counts) - counts)[day]
+    columns = (rank, day)
 
-    shared_rng = make_generator(derive_seed(config.seed, _TAG_SHARED))
-    shared = [shared_rng.standard_normal(idx.size) for idx in day_slices]
-    drift = _site_drift(config, n_hours)
+    def by_hour_of_day(values: np.ndarray) -> np.ndarray:
+        """``values`` on idx scattered into a zero-padded (hours, days) array."""
+        out = np.zeros((counts.max(), config.days), dtype=np.float64)
+        out[columns] = values
+        return out
+
+    kappa_star, sigma = _day_columns(config.schedule(), config)
+    drift = by_hour_of_day(_site_drift(config, n_hours)[idx])
+    share = profile.power_kw[idx] / config.n_customers
 
     c = config.shared_fraction
+    shared_rng = make_generator(derive_seed(config.seed, _TAG_SHARED))
+    shared = np.sqrt(c) * shared_rng.standard_normal(idx.size)
     customers = []
     for i in range(config.n_customers):
         rng = make_generator(derive_seed(config.seed, _TAG_CUSTOMER, i))
+        eps = shared + np.sqrt(1.0 - c) * rng.standard_normal(idx.size)
+        kappa = _index_from_innovations(
+            by_hour_of_day(eps), kappa_star, sigma, config.ar_rho, offset=drift
+        )
         values = np.zeros(n_hours, dtype=np.float64)
-        for d, idx in enumerate(day_slices):
-            own = rng.standard_normal(idx.size)
-            eps = np.sqrt(c) * shared[d] + np.sqrt(1.0 - c) * own
-            kappa = _index_from_innovations(
-                schedule[d], eps, config, offset=drift[idx]
-            )
-            values[idx] = kappa * share[idx]
+        values[idx] = kappa[columns] * share
         customers.append(
             HourlyPowerSeries(
                 site_id=f"customer-{i}",

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pvlevels as pv
+from pvlevels import pipeline
 from pvlevels.pipeline import CaseStudy
 
 NET = pv.NetworkConfig(delay_d=3, hidden_width=3, max_epochs=300)
@@ -115,3 +116,27 @@ def test_forecast_bounds(reference):
         values = results[cid].forecast.values
         assert np.all(values[~day_hours] == 0.0)
         assert np.all((values[day_hours] >= 0.0) & (values[day_hours] <= ceiling))
+
+
+def test_clamp_bounds_a_net_that_leaves_the_range(reference, monkeypatch):
+    """NARX members whose output bias puts every closed-loop step above
+    3 * KAPPA_MAX, whatever the hidden layer does: cases 2-4 then forecast
+    exactly KAPPA_MAX times the target level's clear-sky power on every
+    day hour, so the clamp, not the trained nets, holds the bound."""
+    _, _, context, _ = reference
+    train = pipeline.train
+
+    def out_of_range(model, inputs, targets):
+        if model.config.n_exo_channels == 0:
+            return train(model, inputs, targets)
+        theta = model.theta.copy()
+        theta[-1] = 3.0 * pv.KAPPA_MAX + np.abs(model.w_out).sum() + 1.0
+        return replace(model, theta=theta, trained=True)
+
+    monkeypatch.setattr(pipeline, "train", out_of_range)
+    day_hours = context.day_hours
+    ceiling = pv.KAPPA_MAX * context.day_profile.power_kw[day_hours]
+    for cid in NARX_CASES:
+        values = pv.run_case(cid, context).forecast.values
+        assert np.array_equal(values[day_hours], ceiling)
+        assert np.all(values[~day_hours] == 0.0)

@@ -5,15 +5,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvlevels.clearsky import clearsky_profile
-from pvlevels.core import HourlyPowerSeries, MeasurementLevel, Weather, make_generator
+from pvlevels.core import (
+    HourlyPowerSeries,
+    MeasurementLevel,
+    MultiLevelDataset,
+    SiteConfig,
+    Weather,
+    derive_seed,
+    make_generator,
+    utc_datetime,
+)
 from pvlevels.pipeline import classify_weather_day
 from pvlevels.preprocess import KAPPA_MAX
 from pvlevels.synth import (
     DEFAULT_SITE,
     LOSS_FRACTION,
+    REGIME_MEAN,
     REGIME_STAY_PROB,
     SynthConfig,
+    _day_columns,
     _index_from_innovations,
+    _meter_noise,
     aggregate,
     capacity_fractions,
     gen_dataset,
@@ -93,46 +105,52 @@ class TestSynthConfigValidation:
             SynthConfig(shared_drift_sd=-0.01)
 
 
+def day_index(regimes, innovations, cfg):
+    """Index values of one column per day, day j under ``regimes[j]``."""
+    return _index_from_innovations(innovations, *_day_columns(regimes, cfg), cfg.ar_rho)
+
+
 class TestGenCustomerIndex:
-    """One customer-day of index values from a stream's innovations."""
+    """Customer-days of index values from a stream's innovations, one
+    column per day."""
 
     def test_noise_free_sunny_is_constant(self):
         cfg = SynthConfig(sigma_sunny=0.0)
         eps = make_generator(0).standard_normal(14)
-        idx = _index_from_innovations(Weather.SUNNY, eps, cfg)
-        assert np.array_equal(idx, np.full(14, 0.95))
+        idx = day_index((Weather.SUNNY,), eps[:, None], cfg)
+        assert np.array_equal(idx, np.full((14, 1), 0.95))
 
     def test_noise_free_means_per_regime(self):
         cfg = SynthConfig(sigma_sunny=0.0, sigma_cloudy=0.0, sigma_partly=0.0)
         rng = make_generator(0)
         for regime, mean in ((Weather.CLOUDY, 0.30), (Weather.PARTLY_CLOUDY, 0.60)):
-            idx = _index_from_innovations(regime, rng.standard_normal(5), cfg)
-            assert idx[0] == mean
+            idx = day_index((regime,), rng.standard_normal((5, 1)), cfg)
+            assert idx[0, 0] == mean
 
     def test_values_bounded(self):
         cfg = SynthConfig(sigma_cloudy=0.5)
-        eps = make_generator(3).standard_normal(500)
-        idx = _index_from_innovations(Weather.CLOUDY, eps, cfg)
+        eps = make_generator(3).standard_normal((500, 1))
+        idx = day_index((Weather.CLOUDY,), eps, cfg)
         assert np.all(idx >= 0.0)
         assert np.all(idx <= KAPPA_MAX)
 
     def test_same_stream_same_series(self):
         cfg = SynthConfig()
         a, b = (
-            _index_from_innovations(
-                Weather.PARTLY_CLOUDY, make_generator(7).standard_normal(20), cfg
+            day_index(
+                (Weather.PARTLY_CLOUDY,), make_generator(7).standard_normal((20, 1)), cfg
             )
             for _ in range(2)
         )
         assert np.array_equal(a, b)
 
-    @given(st.integers(0, 60), st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 60), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_bounded_for_any_stream(self, hours, seed):
+    def test_bounded_for_any_stream(self, hours, days, seed):
         cfg = SynthConfig(sigma_partly=0.4, ar_rho=0.8)
-        eps = make_generator(seed).standard_normal(hours)
-        idx = _index_from_innovations(Weather.PARTLY_CLOUDY, eps, cfg)
-        assert idx.shape == (hours,)
+        eps = make_generator(seed).standard_normal((hours, days))
+        idx = day_index((Weather.PARTLY_CLOUDY,) * days, eps, cfg)
+        assert idx.shape == (hours, days)
         assert np.all((idx >= 0.0) & (idx <= KAPPA_MAX))
 
 
@@ -253,6 +271,161 @@ class TestGenDataset:
         assert c.n == s.n == dataset.n
 
 
+def reference_ar1(eps, rho, first_sd, innov_sd):
+    """One AR(1) path, one scalar step at a time."""
+    x = np.empty(eps.size)
+    if eps.size:
+        x[0] = first_sd * eps[0]
+    for t in range(1, eps.size):
+        x[t] = rho * x[t - 1] + innov_sd * eps[t]
+    return x
+
+
+def reference_gen_dataset(config, site=DEFAULT_SITE):
+    """``gen_dataset`` as a loop over customers and days: each customer
+    draws its innovations one local day at a time, and each day's index
+    is its own AR(1) path and clamp. The substream tags are spelled out
+    so a moved tag fails the comparison too."""
+    tag_shared, tag_customer, tag_customer_meter, tag_drift = 2, 3, 4, 7
+    n_hours = config.days * 24
+    profile = clearsky_profile(site, config.start_utc, n_hours)
+    schedule = config.schedule()
+    share = profile.power_kw / config.n_customers
+    daylight = profile.power_kw > 0.0
+    local_day = np.floor((np.arange(n_hours) + site.tz_offset) / 24.0).astype(int)
+    local_day = np.clip(local_day, 0, config.days - 1)
+    day_slices = [
+        np.flatnonzero(daylight & (local_day == d)) for d in range(config.days)
+    ]
+    shared_rng = make_generator(derive_seed(config.seed, tag_shared))
+    shared = [shared_rng.standard_normal(idx.size) for idx in day_slices]
+    drift_rng = make_generator(derive_seed(config.seed, tag_drift))
+    sd, drift_rho = config.shared_drift_sd, config.shared_drift_rho
+    drift = reference_ar1(
+        drift_rng.standard_normal(n_hours),
+        drift_rho,
+        sd,
+        sd * np.sqrt(1.0 - drift_rho * drift_rho),
+    )
+    c, rho = config.shared_fraction, config.ar_rho
+    customers = []
+    for i in range(config.n_customers):
+        rng = make_generator(derive_seed(config.seed, tag_customer, i))
+        values = np.zeros(n_hours)
+        for d, idx in enumerate(day_slices):
+            own = rng.standard_normal(idx.size)
+            eps = np.sqrt(c) * shared[d] + np.sqrt(1.0 - c) * own
+            sigma = config.regime_sigma(schedule[d])
+            z = reference_ar1(eps, rho, sigma / np.sqrt(1.0 - rho * rho), sigma)
+            kappa = np.clip(REGIME_MEAN[schedule[d]] + drift[idx] + z, 0.0, KAPPA_MAX)
+            values[idx] = kappa * share[idx]
+        customers.append(
+            HourlyPowerSeries(
+                site_id=f"customer-{i}",
+                level=MeasurementLevel.CUSTOMER,
+                start=config.start_utc,
+                values=values,
+            )
+        )
+    feeders, substation = aggregate(customers, config)
+    meter_rng = make_generator(derive_seed(config.seed, tag_customer_meter, 0))
+    measured = customers[0].with_values(
+        _meter_noise(customers[0].values, daylight, config.meter_noise_sd, meter_rng)
+    )
+    return MultiLevelDataset(measured, feeders[0], substation, site=site), profile
+
+
+EAST_SITE = SiteConfig(
+    latitude=-33.9,
+    longitude=151.2,
+    tz_offset=10.0,
+    dc_rating_kw=50.0,
+    ac_rating_kw=45.0,
+    system_efficiency=0.9,
+)
+POLAR_SITE = SiteConfig(
+    latitude=75.0,
+    longitude=15.0,
+    tz_offset=1.0,
+    dc_rating_kw=50.0,
+    ac_rating_kw=50.0,
+    system_efficiency=0.96,
+)
+CYCLE = (Weather.SUNNY, Weather.CLOUDY, Weather.PARTLY_CLOUDY)
+MIXED = dict(
+    days=40,
+    n_customers=7,
+    n_feeders=3,
+    shared_fraction=0.35,
+    shared_drift_sd=0.08,
+    shared_drift_rho=0.98,
+    ar_rho=0.6,
+    seed=21,
+)
+
+
+class TestAgainstDayLoop:
+    """``gen_dataset`` draws each stream once and advances all days
+    together; its three series equal the day-by-day loop's to the bit."""
+
+    @pytest.mark.parametrize(
+        "config, site",
+        [
+            pytest.param(
+                SynthConfig(regime_schedule=tuple(CYCLE[k % 3] for k in range(40)), **MIXED),
+                DEFAULT_SITE,
+                id="shared-and-drift",
+            ),
+            pytest.param(SynthConfig(**MIXED), DEFAULT_SITE, id="drawn-schedule"),
+            pytest.param(
+                SynthConfig(days=31, n_customers=1, n_feeders=1, seed=5),
+                DEFAULT_SITE,
+                id="one-customer",
+            ),
+            pytest.param(SynthConfig(**MIXED), EAST_SITE, id="east-of-utc"),
+            pytest.param(
+                SynthConfig(start_utc=utc_datetime(2023, 10, 20), **MIXED),
+                POLAR_SITE,
+                id="polar-night-falls",
+            ),
+            pytest.param(
+                SynthConfig(start_utc=utc_datetime(2023, 12, 1), **MIXED),
+                POLAR_SITE,
+                id="no-daylight",
+            ),
+        ],
+    )
+    def test_series_equal_the_day_loop(self, config, site):
+        got, _ = gen_dataset(config, site)
+        want, _ = reference_gen_dataset(config, site)
+        for level in MeasurementLevel:
+            assert got.series(level).values.tobytes() == want.series(level).values.tobytes()
+
+    def test_cases_cover_what_they_name(self):
+        # the east site's trailing UTC hours are daylight folded into the
+        # last local day; the polar ranges have dark days, then no light
+        def daylight(config, site):
+            return clearsky_profile(site, config.start_utc, config.days * 24).power_kw > 0.0
+
+        east = daylight(SynthConfig(**MIXED), EAST_SITE)
+        assert east[-24 + 14 :].any()
+        falls = daylight(SynthConfig(start_utc=utc_datetime(2023, 10, 20), **MIXED), POLAR_SITE)
+        by_day = falls.reshape(-1, 24).any(axis=1)
+        assert by_day.any() and not by_day.all()
+        dark = daylight(SynthConfig(start_utc=utc_datetime(2023, 12, 1), **MIXED), POLAR_SITE)
+        assert not dark.any()
+
+    @pytest.mark.parametrize("a, b", [(0, 0), (0, 5), (7, 0), (1, 1), (13, 29), (500, 333)])
+    def test_one_draw_is_its_parts_in_order(self, a, b):
+        # the whole-stream draw rests on this: a standard-normal draw of
+        # a + b values is a draw of a values followed by one of b
+        for seed in (0, derive_seed(21, 3, 0)):
+            whole = make_generator(seed).standard_normal(a + b)
+            rng = make_generator(seed)
+            parts = np.concatenate([rng.standard_normal(a), rng.standard_normal(b)])
+            assert whole.tobytes() == parts.tobytes()
+
+
 class TestRegimeSeparability:
     def test_scheduled_regimes_recovered(self):
         # one generated day per draw, classified by its mean index; the
@@ -263,9 +436,11 @@ class TestRegimeSeparability:
         hits = 0
         total = 0
         for regime in Weather:
-            for _ in range(per_regime):
-                idx = _index_from_innovations(regime, rng.standard_normal(14), cfg)
-                got = classify_weather_day(idx)
+            # 100 days of 14 hours, one column each, drawn day by day
+            eps = rng.standard_normal(14 * per_regime).reshape(per_regime, 14).T
+            idx = day_index((regime,) * per_regime, eps, cfg)
+            for day in idx.T:
+                got = classify_weather_day(day)
                 hits += got is regime
                 total += 1
         assert hits / total >= 0.95
