@@ -7,10 +7,14 @@ The worker's ``peak_rss_mb`` steps with the length of the checkout's path
 (ROADMAP item 5), so two checkouts at one pair of paths can differ by a
 step that is not the code's. This script copies its own checkout's ``src/``,
 ``bench/`` and ``BENCHMARK.json`` into directories whose names are
-1..N characters long, runs one ``bench/run.py --workload W --seconds 0
---trace 0`` repetition in each, and prints the three end-to-end metrics,
+1..N characters long, byte-compiles each copy (``python -m compileall -q
+src bench``), runs one ``bench/run.py --workload W --seconds 0 --trace 0``
+repetition in each, and prints the three end-to-end metrics,
 ``peak_rss_mb``, ``setup_s`` and ``run_s``, per length, then each
-checkout's median and range over the lengths.
+checkout's median and range over the lengths. Compiling first makes
+each measured repetition a warm one that loads the compiled modules, as
+every repetition of ``bench/run.py`` after its first does; an uncompiled
+copy would measure the heap layout of compiling the package from source.
 
 With ``--against PATH`` a second checkout is copied to paths of the same
 lengths and run alternately with the first; which one goes first switches
@@ -35,11 +39,15 @@ METRICS = ("peak_rss_mb", "setup_s", "run_s")
 
 
 def copy_checkout(checkout: Path, dest: Path) -> None:
-    """The files a bench run reads: ``src/``, ``bench/``, ``BENCHMARK.json``."""
+    """The files a bench run reads: ``src/``, ``bench/``, ``BENCHMARK.json``,
+    byte-compiled in place."""
     skip = shutil.ignore_patterns("__pycache__", ".bench_work", ".bench_out")
     for name in ("src", "bench"):
         shutil.copytree(checkout / name, dest / name, ignore=skip)
     shutil.copy2(checkout / "BENCHMARK.json", dest / "BENCHMARK.json")
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src", "bench"], cwd=dest, check=True
+    )
 
 
 def run_once(copy: Path, workload: str, seed: int, tiny: bool) -> dict:

@@ -26,7 +26,9 @@ and ``maximum``, in the order of `solar_zenith`. The transcendentals stay
 per hour in `math` (``acos``, ``cos``, ``exp``): numpy's vectorized
 ``arccos`` and ``exp`` may differ from the C library in the last bit on
 some CPUs, and the profile must equal `solar_position` -> `clearsky_ghi`
--> `clearsky_power` hour by hour, bit for bit, on every machine.
+-> `clearsky_power` hour by hour, bit for bit, on every machine. They run
+on daylight hours only: an hour whose cos z is not above zero gets the
++0.0 the chain gives it, written without running the chain.
 """
 
 from __future__ import annotations
@@ -239,7 +241,11 @@ def clearsky_profile(site: SiteConfig, start: datetime, n_hours: int) -> ClearSk
     lat = math.radians(site.latitude)
     cos_z = math.sin(lat) * sin_dec + math.cos(lat) * cos_dec * cos_ha
     cos_z = np.minimum(1.0, np.maximum(-1.0, cos_z))
-    ghi = np.array([clearsky_ghi(math.degrees(math.acos(c))) for c in cos_z.tolist()])
+    # Where cos z <= 0 the chain gives +0.0, through its own night branch
+    # or because exp(-b / cos z) underflows; only daylight hours run it.
+    ghi = np.zeros(n_hours)
+    lit = np.flatnonzero(cos_z > 0.0)
+    ghi[lit] = [clearsky_ghi(math.degrees(math.acos(c))) for c in cos_z[lit].tolist()]
     power = np.minimum(
         site.ac_rating_kw, site.system_efficiency * site.dc_rating_kw * ghi / 1000.0
     )

@@ -236,18 +236,22 @@ def build_run_config(
 # ---------------------------------------------------------------- CSV I/O
 
 _HOUR_SUFFIXES = [f"{h:02d}:00:00Z" for h in range(24)]
+_HOUR_OF_SUFFIX = {suffix: h for h, suffix in enumerate(_HOUR_SUFFIXES)}
+# `load_csv` keys each row by its whole hours since this instant.
+_EPOCH = utc_datetime(1970, 1, 1)
 
 
 def _hour_stamps(start: datetime, n: int) -> list[str]:
     """`YYYY-MM-DDTHH:00:00Z` text of the ``n`` hours from the UTC hour ``start``.
 
-    Each calendar day is formatted once and joined to its hour suffixes;
-    the text equals ``strftime("%Y-%m-%dT%H:%M:%SZ")`` of every hour.
+    Each calendar day is formatted once and joined to its hour suffixes.
+    The year has four digits in every year, where ``strftime("%Y")``
+    writes years before 1000 unpadded on some C libraries.
     """
     midnight = start.replace(hour=0)
     first = start.hour
     n_days = (first + n + 23) // 24
-    days = [(midnight + k * DAY).strftime("%Y-%m-%dT") for k in range(n_days)]
+    days = [(midnight + k * DAY).date().isoformat() + "T" for k in range(n_days)]
     return [days[j // 24] + _HOUR_SUFFIXES[j % 24] for j in range(first, first + n)]
 
 
@@ -273,6 +277,24 @@ def _parse_ts(text: str, path, lineno: int) -> datetime:
     return ts
 
 
+def _stamp_hour(text: str, days: dict[str, int], path, lineno: int) -> int:
+    """Hours since `_EPOCH` of a stamp, parsing its calendar day only once.
+
+    ``days`` maps a `YYYY-MM-DDT` prefix to its midnight's hour count. A
+    prefix enters it only after `_parse_ts` has read a whole stamp with
+    that prefix, so a stamp whose prefix is there and whose suffix is one
+    of `_HOUR_SUFFIXES` is a real, hour-aligned date in the one form read;
+    any other stamp goes to `_parse_ts`, which raises its error.
+    """
+    hour = _HOUR_OF_SUFFIX.get(text[11:])
+    midnight = days.get(text[:11])
+    if hour is None or midnight is None:
+        ts = _parse_ts(text, path, lineno)
+        hour = ts.hour
+        midnight = days[text[:11]] = (ts - _EPOCH) // HOUR - hour
+    return midnight + hour
+
+
 def _non_ascii_byte(line: str) -> str:
     """`non-ASCII byte 0x..` for the first non-ASCII character of a latin-1 line."""
     byte = next(ch for ch in line if not ch.isascii())
@@ -295,11 +317,14 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     ``\\r\\n`` or ``\\r``; the other characters `str.splitlines` breaks at
     (``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``) end no row. It is decoded as
     latin-1, which maps each byte to one character, and each line is
-    checked for ASCII. Each distinct timestamp text is parsed once, and
-    each distinct (level, series_id) text is checked once.
+    checked for ASCII. Each calendar day's date is parsed once, and each
+    distinct (level, series_id) text is checked once. Rows are kept by
+    their whole hours since 1970-01-01T00:00Z, so a series is gap-free
+    when its last hour less its first is its row count less one.
     """
-    stamps: dict[str, datetime] = {}
-    groups: dict[tuple[str, str], dict[datetime, float]] = {}
+    stamps: dict[str, int] = {}
+    days: dict[str, int] = {}
+    groups: dict[tuple[str, str], dict[int, float]] = {}
     ids: dict[MeasurementLevel, str] = {}
     try:
         with open(path, encoding="latin-1") as fh:
@@ -322,9 +347,9 @@ def load_csv(path) -> list[HourlyPowerSeries]:
                         f"{path} line {lineno}: expected 4 fields, got {len(parts)}"
                     )
                 stamp, label, series_id, power_text = parts
-                ts = stamps.get(stamp)
-                if ts is None:
-                    ts = stamps[stamp] = _parse_ts(stamp, path, lineno)
+                hour = stamps.get(stamp)
+                if hour is None:
+                    hour = stamps[stamp] = _stamp_hour(stamp, days, path, lineno)
                 rows = groups.get((label, series_id))
                 if rows is None:
                     try:
@@ -350,7 +375,7 @@ def load_csv(path) -> list[HourlyPowerSeries]:
                     bad = power_text.rstrip("\n")
                     raise ParseError(f"{path} line {lineno}: bad power value {bad!r}")
                 n_rows = len(rows)
-                rows[ts] = power
+                rows[hour] = power
                 if len(rows) == n_rows:
                     raise DuplicateRow(
                         f"{path} line {lineno}: "
@@ -364,21 +389,19 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     for level, series_id in sorted(ids.items()):
         rows = groups[(level.label, series_id)]
         hours = sorted(rows)
-        expected = hours[0]
-        for ts in hours:
-            if ts != expected:
-                missing = _hour_stamps(expected, 1)[0]
-                raise GapError(
-                    f"{path}: series ({level.label}, {series_id}) "
-                    f"is missing hour {missing}"
-                )
-            expected = expected + HOUR
+        first = hours[0]
+        if hours[-1] - first != len(hours) - 1:
+            missing = next(h for h, have in enumerate(hours, start=first) if h != have)
+            raise GapError(
+                f"{path}: series ({level.label}, {series_id}) is missing hour "
+                f"{_hour_stamps(_EPOCH + missing * HOUR, 1)[0]}"
+            )
         out.append(
             HourlyPowerSeries(
                 site_id=series_id,
                 level=level,
-                start=hours[0],
-                values=np.array([rows[ts] for ts in hours]),
+                start=_EPOCH + first * HOUR,
+                values=np.array([rows[h] for h in hours]),
             )
         )
     return out

@@ -240,10 +240,13 @@ def _site_drift(config: SynthConfig, n_hours: int) -> np.ndarray:
     distribution, parametrized by the stationary standard deviation so
     the typical drift magnitude does not move when the time constant is
     tuned. Drawn full-length so its stream layout is independent of day
-    masks and customer count.
+    masks and customer count. With a zero sd the drift is zero: the
+    drift has its own substream, so no other draw moves.
     """
-    rng = make_generator(derive_seed(config.seed, _TAG_DRIFT))
     sd = config.shared_drift_sd
+    if sd == 0.0:
+        return np.zeros(n_hours)
+    rng = make_generator(derive_seed(config.seed, _TAG_DRIFT))
     rho = config.shared_drift_rho
     return _ar1(rng.standard_normal(n_hours), rho, sd, sd * np.sqrt(1.0 - rho * rho))
 

@@ -215,6 +215,30 @@ class TestLoadCsv:
         with pytest.raises(GapError, match="2023-03-01T01:00:00Z"):
             load_csv(path)
 
+    def test_first_of_two_gaps_named(self, tmp_path):
+        # rows out of order; the gaps are 2023-03-02T00 and 2023-03-02T02
+        stamps = ["2023-03-02T03", "2023-03-01T22", "2023-03-02T01", "2023-03-01T23"]
+        path = rows_file(tmp_path, [f"{ts}:00:00Z,feeder,f0,1.0" for ts in stamps])
+        with pytest.raises(
+            GapError,
+            match=r"data.csv: series \(feeder, f0\) is missing hour 2023-03-02T00:00:00Z$",
+        ):
+            load_csv(path)
+
+    def test_series_across_the_epoch(self, tmp_path):
+        stamps = [
+            "1969-12-31T22:00:00Z",
+            "1969-12-31T23:00:00Z",
+            "1970-01-01T00:00:00Z",
+            "1970-01-01T01:00:00Z",
+        ]
+        path = rows_file(
+            tmp_path, [f"{ts},customer,c0,{k}" for k, ts in enumerate(reversed(stamps))]
+        )
+        (series,) = load_csv(path)
+        assert series.start == utc_datetime(1969, 12, 31, 22)
+        assert np.array_equal(series.values, [3.0, 2.0, 1.0, 0.0])
+
     def test_duplicate_row(self, tmp_path):
         path = rows_file(
             tmp_path,
@@ -245,6 +269,8 @@ class TestLoadCsv:
         [
             "2023-03-01T05:00:00Z",
             "2024-02-29T23:00:00Z",
+            "0001-01-01T00:00:00Z",
+            "9999-12-31T23:00:00Z",
             "2023-02-29T00:00:00Z",
             "2023-04-31T00:00:00Z",
             "2023-13-01T00:00:00Z",
@@ -259,7 +285,12 @@ class TestLoadCsv:
         """Of the stamps strptime reads, only the zero-padded upper-case
         form `write_csv` writes loads; every other stamp is rejected."""
         path = rows_file(tmp_path, [f"{stamp},customer,c0,1.0"])
-        if stamp in ("2023-03-01T05:00:00Z", "2024-02-29T23:00:00Z"):
+        if stamp in (
+            "2023-03-01T05:00:00Z",
+            "2024-02-29T23:00:00Z",
+            "0001-01-01T00:00:00Z",
+            "9999-12-31T23:00:00Z",
+        ):
             (series,) = load_csv(path)
             expected = datetime.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ")
             assert series.start == expected.replace(tzinfo=timezone.utc)
@@ -270,6 +301,26 @@ class TestLoadCsv:
     def test_half_hour_timestamp(self, tmp_path):
         path = rows_file(tmp_path, ["2016-07-01T12:30:00Z,customer,c0,1.0"])
         with pytest.raises(ParseError, match="not hour-aligned"):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "stamp,fault",
+        [
+            ("2023-03-01T5:00:00Z", "bad timestamp '{}'"),
+            ("2023-03-01T05:30:00Z", "timestamp '{}' is not hour-aligned"),
+            ("2023-03-01T24:00:00Z", "bad timestamp '{}'"),
+            ("2023-03-01T05:00:00z", "bad timestamp '{}'"),
+            ("2023-03-01T05:00:00Z ", "bad timestamp '{}'"),
+        ],
+    )
+    def test_a_seen_day_lets_no_bad_hour_through(self, tmp_path, stamp, fault):
+        # line 2 parses the day 2023-03-01, so line 3's date is not parsed again
+        path = rows_file(
+            tmp_path,
+            ["2023-03-01T05:00:00Z,customer,c0,1.0", f"{stamp},customer,c0,2.0"],
+        )
+        message = f"data.csv line 3: {fault.format(stamp)}"
+        with pytest.raises(ParseError, match=re.escape(message) + "$"):
             load_csv(path)
 
     def test_bad_header(self, tmp_path):
@@ -552,6 +603,18 @@ class TestCsvRoundTrip:
         write_csv(tmp_path / "a.csv", series)
         write_csv(tmp_path / "b.csv", series)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_years_before_1000_keep_four_digits(self, tmp_path):
+        start = utc_datetime(999, 12, 31, 22)
+        path = tmp_path / "rt.csv"
+        write_csv(path, [HourlyPowerSeries("c0", C, start, np.arange(4.0))])
+        assert path.read_text().splitlines()[1:3] == [
+            "0999-12-31T22:00:00Z,customer,c0,0",
+            "0999-12-31T23:00:00Z,customer,c0,1",
+        ]
+        (back,) = load_csv(path)
+        assert back.start == start
+        assert np.array_equal(back.values, np.arange(4.0))
 
 
 class TestTrimToOverlap:

@@ -2,6 +2,7 @@
 underscore name from pvlevels, which keeps them on the public API."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -32,6 +33,22 @@ def test_script_runs(script, args):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_rss_by_path_copies_are_byte_compiled(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "rss_by_path", ROOT / "scripts" / "rss_by_path.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.copy_checkout(ROOT, tmp_path / "x")
+    for package in ("src/pvlevels", "bench"):
+        sources = {p.stem for p in (tmp_path / "x" / package).glob("*.py")}
+        compiled = {
+            p.name.split(".")[0]
+            for p in (tmp_path / "x" / package / "__pycache__").glob("*.pyc")
+        }
+        assert sources and sources <= compiled, package
 
 
 def underscore_names(tree: ast.Module) -> list[str]:
