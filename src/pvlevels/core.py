@@ -170,8 +170,10 @@ class MultiLevelDataset:
                     f"series in {level.label} position is tagged {series.level.label}"
                 )
         if len({s.start for s, _ in expected}) != 1:
+            # isoformat keeps four year digits where strftime's %Y may not
             raise MisalignedRange("series starts differ: " + ", ".join(
-                f"{level.label} {s.start:%Y-%m-%dT%H:00:00Z}" for s, level in expected
+                f"{level.label} {s.start.date().isoformat()}T{s.start.hour:02d}:00:00Z"
+                for s, level in expected
             ))
         if len({s.n for s, _ in expected}) != 1:
             raise LengthMismatch("series lengths differ: " + ", ".join(

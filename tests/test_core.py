@@ -139,6 +139,23 @@ class TestMultiLevelDataset:
         with pytest.raises(MisalignedRange):
             self.build(f=late)
 
+    def test_start_mismatch_names_year_one_in_csv_form(self):
+        # the stamps keep four year digits, as load_csv reads them
+        start = utc_datetime(1, 1, 1)
+        series = {
+            key: make_series(level=level, start=start)
+            for key, level in zip("cfs", MeasurementLevel)
+        }
+        series["f"] = make_series(
+            level=MeasurementLevel.FEEDER, start=utc_datetime(1, 1, 1, 1)
+        )
+        with pytest.raises(MisalignedRange) as info:
+            self.build(**series)
+        assert str(info.value) == (
+            "series starts differ: customer 0001-01-01T00:00:00Z, "
+            "feeder 0001-01-01T01:00:00Z, substation 0001-01-01T00:00:00Z"
+        )
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             self.build(s=make_series(n=24, level=MeasurementLevel.SUBSTATION))

@@ -63,6 +63,38 @@ def reference_loss_and_gradient(model, X, t):
     return loss, grad.theta
 
 
+def reference_hidden_major(model, X, t):
+    """The kernel's arithmetic written with np.matmul: (input_width + 1,
+    rows) batch and (hidden + 1, rows) activations, each with a ones row,
+    the residual unscaled through both GEMMs, and w_out and 2/n applied
+    to the finished gradient."""
+    cfg = model.config
+    h, n = cfg.hidden_width, X.shape[0]
+    # row-major, as the kernel stores it (np.vstack of X.T would not be)
+    XTa = np.empty((cfg.input_width + 1, n))
+    XTa[:-1] = X.T
+    XTa[-1] = 1.0
+    theta = model.theta
+    Wa = theta[: h * (cfg.input_width + 1)].reshape(h, -1)
+    woa = theta[h * (cfg.input_width + 1):]
+    A = np.empty((h + 1, n))
+    A[h] = 1.0
+    np.matmul(Wa, XTa, A[:h])
+    np.tanh(A[:h], A[:h])
+    r = np.matmul(woa, A)
+    np.subtract(r, t, r)
+    loss = float(np.dot(r, r)) / n
+    grad = np.empty_like(theta)
+    g_Wa = grad[: Wa.size].reshape(Wa.shape)
+    np.matmul(A, r, grad[Wa.size:])
+    g_z = (1.0 - np.square(A[:h])) * r
+    np.matmul(g_z, XTa.T, g_Wa)
+    scale = np.full(theta.shape, 2.0 / n)
+    scale[: Wa.size].reshape(Wa.shape)[:] = woa[:h, None] * np.full(Wa.shape, 2.0 / n)
+    np.multiply(grad, scale, grad)
+    return loss, grad
+
+
 def reference_train(model, X, t):
     """Adam as a plain loop: a NarxModel rebuilt from the flat parameters
     every epoch, gradients from the public loss_and_gradient, and a loss
@@ -92,6 +124,34 @@ def reference_train(model, X, t):
     return NarxModel(
         cfg, best_theta, trained=True, training_history=tuple(history)
     )
+
+
+class CountingNumpy:
+    """numpy as narnet sees it, with the calls to the dispatched products
+    and copies (``matmul``, ``dot``, ``copyto``) counted by name."""
+
+    COUNTED = ("matmul", "dot", "copyto")
+
+    def __init__(self):
+        self.calls = dict.fromkeys(self.COUNTED, 0)
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.COUNTED:
+            return attr
+
+        def counted(*args, **kw):
+            self.calls[name] += 1
+            return attr(*args, **kw)
+
+        return counted
+
+
+@pytest.fixture
+def counting_np(monkeypatch):
+    counting = CountingNumpy()
+    monkeypatch.setattr("pvlevels.narnet.np", counting)
+    return counting
 
 
 class TestNetworkConfig:
@@ -386,6 +446,30 @@ class TestLossAndGradient:
         others = np.delete(g_w_hidden, 2, axis=0)
         assert np.all(others != 0.0)
 
+    # the shapes the benchmark trains; the kernel's products must give
+    # the bits np.matmul gives
+    @pytest.mark.parametrize(
+        "rows, d, hidden, n_exo",
+        [(1, 3, 3, 4), (703, 3, 3, 4), (1756, 6, 6, 0), (386, 6, 6, 4)],
+        ids=["one-row", "narx-3x3-703-rows", "nar-6x6-1756-rows",
+             "narx-6x6-386-rows"],
+    )
+    def test_bits_match_matmul_kernel(self, rows, d, hidden, n_exo):
+        rng = np.random.default_rng(rows)
+        cfg = NetworkConfig(
+            delay_d=d, hidden_width=hidden, n_exo_channels=n_exo, seed=3
+        )
+        model = init_network(cfg)
+        model = NarxModel.from_layers(
+            cfg, model.w_hidden, rng.normal(0, 0.3, hidden), model.w_out, 0.2
+        )
+        X = rng.uniform(0.0, 1.2, size=(rows, cfg.input_width))
+        t = rng.uniform(0.0, 1.2, size=rows)
+        want_loss, want_grad = reference_hidden_major(model, X, t)
+        loss, grad = loss_and_gradient(model, X, t)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
 
 class TestTrain:
     def make_batch(self, n=200, seed=0):
@@ -511,6 +595,22 @@ class TestTrain:
             for q in params(b) + params(model):
                 assert not np.shares_memory(p, q)
 
+    def test_epoch_makes_no_dispatched_call(self, counting_np):
+        # matmul, dot and copyto go through numpy's dispatch; an epoch
+        # reaches the same routines through bound ndarray methods, so the
+        # counts are those of set-up alone and do not grow with the budget
+        X, t = self.make_batch()
+        counts = []
+        for epochs in (10, 20):
+            model = init_network(
+                NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=epochs)
+            )
+            counting_np.calls = dict.fromkeys(CountingNumpy.COUNTED, 0)
+            trained = train(model, X, t)
+            assert len(trained.training_history) == epochs
+            counts.append(counting_np.calls)
+        assert counts[0] == counts[1]
+
 
 class TestPredictOpenLoop:
     def test_matches_forward_rowwise(self):
@@ -573,6 +673,20 @@ class TestPredictClosedLoop:
         assert out.size == inputs.shape[0] == horizon
         for h in range(horizon):
             assert out[h] == forward(model, inputs[h])
+
+    def test_step_makes_no_dispatched_call(self, counting_np):
+        model = init_network(
+            NetworkConfig(delay_d=3, hidden_width=4, n_exo_channels=1, seed=8)
+        )
+        counts = []
+        for horizon in (10, 20):
+            counting_np.calls = dict.fromkeys(CountingNumpy.COUNTED, 0)
+            predict_closed_loop(
+                model, np.full(3, 0.5), [np.full(horizon, 0.5)],
+                horizon=horizon, exo_seed=[np.full(3, 0.5)],
+            )
+            counts.append(counting_np.calls)
+        assert counts[0] == counts[1]
 
     def test_feeds_back_own_predictions(self):
         cfg = NetworkConfig(delay_d=1, hidden_width=1)
