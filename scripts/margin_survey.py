@@ -105,8 +105,9 @@ def main() -> None:
                 mapes[cid] = res.mape * 100
                 if cid is pv.CaseStudy.CASE2:
                     met = res.level_errors.target_met
-        except pv.PvlevelsError as exc:
-            # e.g. a deep-overcast day with every actual below epsilon
+        except (pv.Unforecastable, pv.TrainingFailed) as exc:
+            # e.g. a deep-overcast day with every actual below epsilon;
+            # a broken input is not a day to skip, so it stops the survey
             print(f"  {day} {w.label[:6]:6s} skipped: {exc}", flush=True)
             continue
         c1m, c2 = mapes[order[0]], mapes[order[1]]

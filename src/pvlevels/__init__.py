@@ -32,25 +32,10 @@ from .core import (
 )
 from .errors import (
     AllExcluded,
-    AllNight,
-    ConstantActual,
-    DimensionMismatch,
-    DivergedLoss,
-    DuplicateRow,
-    EmptyBatch,
-    EmptyDay,
-    EmptyList,
-    GapError,
-    InsufficientHistory,
-    LengthMismatch,
-    LevelTagMismatch,
-    MisalignedRange,
-    NoNightHours,
-    OutOfRangeDay,
-    ParseError,
+    InputError,
     PvlevelsError,
-    SeedLengthMismatch,
-    TooShort,
+    TrainingFailed,
+    Unforecastable,
 )
 from .metrics import MetricReport, mape, r_squared, report, rmse
 from .narnet import (

@@ -40,7 +40,6 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .core import DAY, HOUR, SiteConfig, check_utc_hour
-from .errors import OutOfRangeDay
 
 #: Haurwitz GHI at zenith 0 before the exponential attenuation, W/m^2.
 GHI_SCALE_WM2 = 1098.0
@@ -64,7 +63,7 @@ def solar_declination(day_of_year: int) -> float:
         Declination in degrees, within +-23.45.
     """
     if not 1 <= int(day_of_year) <= 366:
-        raise OutOfRangeDay(f"day_of_year out of [1, 366]: {day_of_year}")
+        raise ValueError(f"day_of_year out of [1, 366]: {day_of_year}")
     return 23.45 * math.sin(math.radians(360.0 * (284 + int(day_of_year)) / 365.0))
 
 

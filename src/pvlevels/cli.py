@@ -47,15 +47,7 @@ from .core import (
     SiteConfig,
     utc_datetime,
 )
-from .errors import (
-    DuplicateRow,
-    GapError,
-    InsufficientHistory,
-    LengthMismatch,
-    MisalignedRange,
-    ParseError,
-    PvlevelsError,
-)
+from .errors import InputError, PvlevelsError, Unforecastable
 from .narnet import MIN_FIT_DAY_HOURS, NetworkConfig
 from .pipeline import (
     CaseStudy,
@@ -265,13 +257,13 @@ _TIMESTAMP = re.compile(
 def _parse_ts(text: str, path, lineno: int) -> datetime:
     fields = _TIMESTAMP.fullmatch(text)
     if fields is None:
-        raise ParseError(f"{path} line {lineno}: bad timestamp {text!r}")
+        raise InputError(f"{path} line {lineno}: bad timestamp {text!r}")
     try:
         ts = datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
     except ValueError as exc:
-        raise ParseError(f"{path} line {lineno}: bad timestamp {text!r}") from exc
+        raise InputError(f"{path} line {lineno}: bad timestamp {text!r}") from exc
     if ts.minute or ts.second:
-        raise ParseError(
+        raise InputError(
             f"{path} line {lineno}: timestamp {text!r} is not hour-aligned"
         )
     return ts
@@ -308,8 +300,8 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     range with no duplicate timestamps, every level must be one of the
     labels `write_csv` writes (``customer``, ``feeder``, ``substation``;
     `MeasurementLevel.from_label`), a level holds one series id (a second
-    raises ParseError at its first line) and every power is a finite
-    number. The file must be ASCII: a non-ASCII byte raises ParseError
+    raises InputError at its first line) and every power is a finite
+    number. The file must be ASCII: a non-ASCII byte raises InputError
     naming its line. Every error names the file, and the line where there
     is one; a file with several bad lines is reported at the first.
 
@@ -335,15 +327,15 @@ def load_csv(path) -> list[HourlyPowerSeries]:
                     if header.isascii()
                     else _non_ascii_byte(header)
                 )
-                raise ParseError(f"{path} line 1: {what}")
+                raise InputError(f"{path} line 1: {what}")
             for lineno, line in enumerate(fh, start=2):
                 if not line.isascii():
-                    raise ParseError(f"{path} line {lineno}: {_non_ascii_byte(line)}")
+                    raise InputError(f"{path} line {lineno}: {_non_ascii_byte(line)}")
                 parts = line.split(",")
                 if len(parts) != 4:
                     if not line.strip():
                         continue
-                    raise ParseError(
+                    raise InputError(
                         f"{path} line {lineno}: expected 4 fields, got {len(parts)}"
                     )
                 stamp, label, series_id, power_text = parts
@@ -355,11 +347,11 @@ def load_csv(path) -> list[HourlyPowerSeries]:
                     try:
                         level = MeasurementLevel.from_label(label)
                     except ValueError as exc:
-                        raise ParseError(f"{path} line {lineno}: {exc}") from None
+                        raise InputError(f"{path} line {lineno}: {exc}") from None
                     if not series_id:
-                        raise ParseError(f"{path} line {lineno}: empty series_id")
+                        raise InputError(f"{path} line {lineno}: empty series_id")
                     if level in ids:
-                        raise ParseError(
+                        raise InputError(
                             f"{path} line {lineno}: second {label} series "
                             f"{series_id!r} (the first is {ids[level]!r}); "
                             "need one series per level"
@@ -373,18 +365,18 @@ def load_csv(path) -> list[HourlyPowerSeries]:
                     power = math.nan
                 if not math.isfinite(power):
                     bad = power_text.rstrip("\n")
-                    raise ParseError(f"{path} line {lineno}: bad power value {bad!r}")
+                    raise InputError(f"{path} line {lineno}: bad power value {bad!r}")
                 n_rows = len(rows)
                 rows[hour] = power
                 if len(rows) == n_rows:
-                    raise DuplicateRow(
+                    raise InputError(
                         f"{path} line {lineno}: "
                         f"duplicate ({stamp}, {label}, {series_id})"
                     )
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     if not groups:
-        raise ParseError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     out = []
     for level, series_id in sorted(ids.items()):
         rows = groups[(level.label, series_id)]
@@ -392,7 +384,7 @@ def load_csv(path) -> list[HourlyPowerSeries]:
         first = hours[0]
         if hours[-1] - first != len(hours) - 1:
             missing = next(h for h, have in enumerate(hours, start=first) if h != have)
-            raise GapError(
+            raise InputError(
                 f"{path}: series ({level.label}, {series_id}) is missing hour "
                 f"{_hour_stamps(_EPOCH + missing * HOUR, 1)[0]}"
             )
@@ -438,7 +430,7 @@ def trim_to_overlap(series_list: list[HourlyPowerSeries]) -> list[HourlyPowerSer
     start = max(s.start for s in series_list)
     end = min(s.end for s in series_list)
     if start >= end:
-        raise MisalignedRange("series have no overlapping hours")
+        raise InputError("series have no overlapping hours")
     return [s.sliced(s.hour_index(start), s.hour_index(end)) for s in series_list]
 
 
@@ -450,14 +442,14 @@ def _dataset_from_csv(run: RunConfig, trim: bool) -> MultiLevelDataset:
     levels = {s.level for s in series}
     for level in MeasurementLevel:
         if level not in levels:
-            raise ParseError(f"{path}: no series at the {level.label} level")
+            raise InputError(f"{path}: no series at the {level.label} level")
     # like load_csv's own errors, these name the file
     try:
         if trim:
             series = trim_to_overlap(series)
         return MultiLevelDataset(*series, site=run.site)
-    except (MisalignedRange, LengthMismatch) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _profile_for(run: RunConfig, dataset: MultiLevelDataset) -> ClearSkyProfile:
@@ -673,8 +665,9 @@ def cmd_cases(run: RunConfig, args) -> int:
             raise ConfigError("--days must be >= 1")
         valid = valid[-args.days :]
     if not valid:
-        raise InsufficientHistory(
-            f"no forecast day has {MIN_FIT_DAY_HOURS} day hours of history"
+        raise Unforecastable(
+            "no forecast day holds a day hour and follows "
+            f"{MIN_FIT_DAY_HOURS} day hours of history"
         )
     comparison = compare_cases(dataset, profile, valid, run.pipeline)
     out = _out_dir(run)

@@ -13,7 +13,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .errors import LengthMismatch, LevelTagMismatch, MisalignedRange
+from .errors import InputError
 
 HOUR = timedelta(hours=1)
 DAY = timedelta(days=1)
@@ -166,17 +166,17 @@ class MultiLevelDataset:
         )
         for series, level in expected:
             if series.level is not level:
-                raise LevelTagMismatch(
+                raise InputError(
                     f"series in {level.label} position is tagged {series.level.label}"
                 )
         if len({s.start for s, _ in expected}) != 1:
             # isoformat keeps four year digits where strftime's %Y may not
-            raise MisalignedRange("series starts differ: " + ", ".join(
+            raise InputError("series starts differ: " + ", ".join(
                 f"{level.label} {s.start.date().isoformat()}T{s.start.hour:02d}:00:00Z"
                 for s, level in expected
             ))
         if len({s.n for s, _ in expected}) != 1:
-            raise LengthMismatch("series lengths differ: " + ", ".join(
+            raise InputError("series lengths differ: " + ", ".join(
                 f"{level.label} {s.n} h" for s, level in expected
             ))
 

@@ -1,81 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each says what a caller can do about it: an ``InputError`` stops the run,
+an ``Unforecastable`` day or level is skipped, and a ``TrainingFailed``
+net is dropped. Misuse of the array API raises ``ValueError``.
+"""
 
 
 class PvlevelsError(Exception):
     """Base class for all library errors."""
 
 
-class MisalignedRange(PvlevelsError):
-    """Series or profiles do not share the same start hour."""
+class InputError(PvlevelsError):
+    """A file or dataset cannot be read or aligned; the message says where."""
 
 
-class LengthMismatch(PvlevelsError):
-    """Paired sequences have different lengths."""
+class Unforecastable(PvlevelsError):
+    """A day or level has too little usable data to fit, forecast or score."""
 
 
-class LevelTagMismatch(PvlevelsError):
-    """A series carries a level tag that does not match its position."""
-
-
-class OutOfRangeDay(PvlevelsError):
-    """Day-of-year outside [1, 366]."""
-
-
-class NoNightHours(PvlevelsError):
-    """Offset removal needs at least one zero-clear-sky hour."""
-
-
-class AllNight(PvlevelsError):
-    """No hour clears the day threshold."""
-
-
-class AllExcluded(PvlevelsError):
+class AllExcluded(Unforecastable):
     """Every hour fell below the MAPE exclusion threshold."""
 
 
-class ConstantActual(PvlevelsError):
-    """R^2 is undefined when the actual series has zero variance."""
-
-
-class DimensionMismatch(PvlevelsError):
-    """Input vector width does not match the network input layer."""
-
-
-class TooShort(PvlevelsError):
-    """Series too short for the requested delay depth."""
-
-
-class EmptyBatch(PvlevelsError):
-    """Training batch contains no samples."""
-
-
-class DivergedLoss(PvlevelsError):
-    """Training loss became non-finite."""
-
-
-class SeedLengthMismatch(PvlevelsError):
-    """Closed-loop seed does not hold exactly d values per channel."""
-
-
-class InsufficientHistory(PvlevelsError):
-    """Not enough history before the forecast day."""
-
-
-class EmptyList(PvlevelsError):
-    """An operation requiring a non-empty collection received an empty one."""
-
-
-class EmptyDay(PvlevelsError):
-    """Weather classification needs at least one day-hour value."""
-
-
-class ParseError(PvlevelsError):
-    """Malformed input file; message carries the offending line."""
-
-
-class GapError(PvlevelsError):
-    """Hourly series has missing hours; message lists them."""
-
-
-class DuplicateRow(PvlevelsError):
-    """Same (timestamp, level, series id) appears twice."""
+class TrainingFailed(PvlevelsError):
+    """Training loss or a parameter became non-finite."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllExcluded, ConstantActual, LengthMismatch
+from .errors import AllExcluded, InputError, Unforecastable
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ def _paired(actual, forecast, min_n: int = 1) -> tuple[np.ndarray, np.ndarray]:
     if a.ndim != 1 or f.ndim != 1:
         raise ValueError("actual and forecast must be 1-d")
     if a.size != f.size:
-        raise LengthMismatch(f"actual length {a.size} != forecast length {f.size}")
+        raise InputError(f"actual length {a.size} != forecast length {f.size}")
     if a.size < min_n:
-        raise LengthMismatch(f"need at least {min_n} pairs, got {a.size}")
+        raise InputError(f"need at least {min_n} pairs, got {a.size}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(f))):
         raise ValueError("actual and forecast must be finite")
     return a, f
@@ -84,13 +84,13 @@ def r_squared(actual, forecast) -> float:
     """Coefficient of determination: 1 - SS_res / SS_tot.
 
     At most 1; negative when the forecast does worse than the actual
-    mean. Undefined (ConstantActual) when the actual vector is constant.
+    mean. Undefined (Unforecastable) when the actual vector is constant.
     """
     a, f = _paired(actual, forecast, min_n=2)
     mean_a = math.fsum(a) / a.size
     ss_tot = math.fsum((a - mean_a) ** 2)
     if ss_tot == 0.0:
-        raise ConstantActual("actual vector is constant; r_squared undefined")
+        raise Unforecastable("actual vector is constant; r_squared undefined")
     ss_res = math.fsum((a - f) ** 2)
     return 1.0 - ss_res / ss_tot
 
@@ -105,7 +105,7 @@ def report(actual, forecast, epsilon_kw: float = 0.0) -> MetricReport:
     mape_value, n_excluded = mape(a, f, epsilon_kw)
     try:
         r2: float | None = r_squared(a, f)
-    except (ConstantActual, LengthMismatch):
+    except (Unforecastable, InputError):
         r2 = None
     return MetricReport(
         mape=mape_value, rmse=rmse(a, f), r_squared=r2, n_excluded=n_excluded

@@ -94,15 +94,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import MeasurementLevel, check_seed, make_generator
-from .errors import (
-    DimensionMismatch,
-    DivergedLoss,
-    EmptyBatch,
-    InsufficientHistory,
-    ParseError,
-    SeedLengthMismatch,
-    TooShort,
-)
+from .errors import InputError, TrainingFailed, Unforecastable
 from .metrics import mape as _mape
 from .metrics import r_squared as _r_squared
 from .preprocess import KAPPA_MAX, PreprocessedSeries, day_run_lengths
@@ -183,7 +175,7 @@ class NarxModel:
         h, w = self.config.hidden_width, self.config.input_width
         theta = np.array(self.theta, dtype=np.float64)
         if theta.shape != (h * (w + 2) + 1,):
-            raise DimensionMismatch(
+            raise ValueError(
                 f"parameter shape {theta.shape} does not fit hidden={h}, input={w}"
             )
         if not np.all(np.isfinite(theta)):
@@ -202,7 +194,7 @@ class NarxModel:
         bh = np.asarray(b_hidden, dtype=np.float64)
         wo = np.asarray(w_out, dtype=np.float64)
         if wh.shape != (h, w) or bh.shape != (h,) or wo.shape != (h,):
-            raise DimensionMismatch(
+            raise ValueError(
                 f"parameter shapes {wh.shape}/{bh.shape}/{wo.shape} "
                 f"do not fit hidden={h}, input={w}"
             )
@@ -268,7 +260,7 @@ def forward(model: NarxModel, input_vec) -> float:
     """One scalar prediction for one tapped-delay input vector."""
     u = np.asarray(input_vec, dtype=np.float64)
     if u.shape != (model.config.input_width,):
-        raise DimensionMismatch(
+        raise ValueError(
             f"input shape {u.shape}, expected ({model.config.input_width},)"
         )
     hidden = np.tanh(model.w_hidden @ u + model.b_hidden)
@@ -289,8 +281,7 @@ def make_training_set(
 
     Returns (inputs, targets) with one row per t in d..L-1: the row is
     u(t) and the target is y(t). All series must be 1-d and share length
-    L > d: a channel that is not raises DimensionMismatch, a series too
-    short for d raises TooShort.
+    L > d, else ValueError.
 
     When the series is a concatenation of disjoint stretches (daylight
     hours glued across nights, say), pass their lengths as ``segments``:
@@ -303,12 +294,12 @@ def make_training_set(
     L = channels[-1].size
     for c in channels:
         if c.ndim != 1 or c.size != L:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"channel length {c.size} != {L} or not 1-d"
             )
     if segments is None:
         if L <= d:
-            raise TooShort(f"series length {L} must exceed delay {d}")
+            raise ValueError(f"series length {L} must exceed delay {d}")
         segments = [L]
     segs = [int(s) for s in segments]
     if any(s <= 0 for s in segs) or sum(segs) != L:
@@ -319,7 +310,7 @@ def make_training_set(
     offsets = np.arange(L) - np.repeat(np.cumsum([0] + segs)[:-1], segs)
     keep = offsets[d:] >= d
     if not keep.any():
-        raise TooShort(
+        raise ValueError(
             f"no segment of {segs} exceeds delay {d}; nothing to train on"
         )
     series = np.stack(channels)
@@ -333,9 +324,9 @@ def _check_batch(
     X = np.asarray(inputs, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyBatch("need a non-empty 2-d batch of inputs")
+        raise ValueError("need a non-empty 2-d batch of inputs")
     if X.shape[1] != config.input_width or t.shape != (X.shape[0],):
-        raise DimensionMismatch(
+        raise ValueError(
             f"batch shapes {X.shape}/{t.shape} do not fit the net"
         )
     return X, t
@@ -444,9 +435,9 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
     the best snapshot seen, so the final loss never exceeds the initial
     one. A zero-epoch budget returns the model untouched.
 
-    Raises EmptyBatch or DimensionMismatch for a batch that does not fit
-    the net, and DivergedLoss when the loss or an updated parameter
-    becomes non-finite.
+    Raises ValueError for a batch that does not fit the net, and
+    TrainingFailed when the loss or an updated parameter becomes
+    non-finite.
     """
     cfg = model.config
     X, t = _check_batch(cfg, inputs, targets)
@@ -483,7 +474,7 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
     for epoch in range(1, cfg.max_epochs + 1):
         loss = loss_and_grad(t)
         if not isfinite(loss):
-            raise DivergedLoss(f"loss became non-finite at epoch {epoch}")
+            raise TrainingFailed(f"loss became non-finite at epoch {epoch}")
         record(loss)
         if loss < best_loss - delta:
             best_loss = loss
@@ -511,7 +502,7 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
         # theta . 0 is 0 while every parameter is finite and NaN once one
         # is not (0 * inf is NaN): one call where isfinite and all are two
         if not isfinite(theta_dot(zeros)):
-            raise DivergedLoss(f"parameters became non-finite at epoch {epoch}")
+            raise TrainingFailed(f"parameters became non-finite at epoch {epoch}")
     return NarxModel(
         cfg, best_theta, trained=True, training_history=tuple(history)
     )
@@ -546,11 +537,11 @@ def predict_closed_loop(
     k = model.config.n_exo_channels
     ys = np.asarray(y_seed, dtype=np.float64)
     if ys.shape != (d,):
-        raise SeedLengthMismatch(f"y_seed shape {ys.shape}, expected ({d},)")
+        raise ValueError(f"y_seed shape {ys.shape}, expected ({d},)")
     fut = [np.asarray(x, dtype=np.float64) for x in exo_future]
     seeds = [np.asarray(x, dtype=np.float64) for x in exo_seed]
     if len(fut) != k or len(seeds) != k:
-        raise SeedLengthMismatch(
+        raise ValueError(
             f"{len(fut)} future / {len(seeds)} seed exogenous channels, expected {k}"
         )
     if horizon < 0:
@@ -560,12 +551,12 @@ def predict_closed_loop(
         raise ValueError(f"clamp must be finite with lo <= hi, got {clamp}")
     for x in fut:
         if x.size < horizon:
-            raise SeedLengthMismatch(
+            raise ValueError(
                 f"exogenous future length {x.size} < horizon {horizon}"
             )
     for x in seeds:
         if x.shape != (d,):
-            raise SeedLengthMismatch(f"exo_seed shape {x.shape}, expected ({d},)")
+            raise ValueError(f"exo_seed shape {x.shape}, expected ({d},)")
 
     # one row per channel, seed then horizon; y's row fills as steps come out
     series = np.empty((k + 1, d + horizon))
@@ -615,7 +606,7 @@ def fit_nar(series: PreprocessedSeries, config: NetworkConfig) -> FittingModel:
         raise ValueError("fit_nar requires a purely autoregressive config")
     y = series.index_values
     if y.size < max(MIN_FIT_DAY_HOURS, config.delay_d + 1):
-        raise InsufficientHistory(
+        raise Unforecastable(
             f"{y.size} day hours; need at least "
             f"{max(MIN_FIT_DAY_HOURS, config.delay_d + 1)}"
         )
@@ -664,7 +655,7 @@ def model_from_text(text: str) -> NarxModel:
     def next_line() -> str:
         nonlocal pos
         if pos >= len(lines):
-            raise ParseError("unexpected end of model text")
+            raise InputError("unexpected end of model text")
         line = lines[pos]
         pos += 1
         return line
@@ -673,11 +664,11 @@ def model_from_text(text: str) -> NarxModel:
         line = next_line()
         head, _, rest = line.partition(" ")
         if head != key:
-            raise ParseError(f"expected '{key} ...', got {line!r}")
+            raise InputError(f"expected '{key} ...', got {line!r}")
         return rest
 
     if next_line() != _FORMAT_HEADER:
-        raise ParseError(f"bad header; expected {_FORMAT_HEADER!r}")
+        raise InputError(f"bad header; expected {_FORMAT_HEADER!r}")
     try:
         # each field parses as the type of its default
         config = NetworkConfig(
@@ -687,23 +678,23 @@ def model_from_text(text: str) -> NarxModel:
         n_history = int(keyed("history"))
         history = tuple(float(next_line()) for _ in range(n_history))
         if next_line() != "params":
-            raise ParseError("expected 'params' marker")
+            raise InputError("expected 'params' marker")
         w_hidden = np.array(
             [[float(v) for v in next_line().split()] for _ in range(config.hidden_width)]
         )
         b_hidden = np.array([float(v) for v in next_line().split()])
         w_out = np.array([float(v) for v in next_line().split()])
         b_out = float(next_line())
-    except ParseError:
+        if pos != len(lines):
+            raise InputError(f"{len(lines) - pos} trailing lines after parameters")
+        return NarxModel.from_layers(
+            config, w_hidden, b_hidden, w_out, b_out,
+            trained=trained, training_history=history,
+        )
+    except InputError:
         raise
     except (ValueError, IndexError) as exc:
-        raise ParseError(f"malformed model text: {exc}") from exc
-    if pos != len(lines):
-        raise ParseError(f"{len(lines) - pos} trailing lines after parameters")
-    return NarxModel.from_layers(
-        config, w_hidden, b_hidden, w_out, b_out,
-        trained=trained, training_history=history,
-    )
+        raise InputError(f"malformed model text: {exc}") from exc
 
 
 def save_model(model: NarxModel, path) -> None:

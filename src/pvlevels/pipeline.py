@@ -44,13 +44,7 @@ from .core import (
     check_seed,
     derive_seed,
 )
-from .errors import (
-    AllNight,
-    EmptyDay,
-    EmptyList,
-    InsufficientHistory,
-    MisalignedRange,
-)
+from .errors import InputError, Unforecastable
 from .metrics import MetricReport, report
 from .narnet import (
     MIN_FIT_DAY_HOURS,
@@ -224,7 +218,7 @@ def classify_weather_day(
     """Weather class of one day from its mean clear-sky index."""
     values = np.asarray(day_index_values, dtype=np.float64)
     if values.size == 0:
-        raise EmptyDay("no day-hour index values to classify")
+        raise Unforecastable("no day-hour index values to classify")
     mean = float(values.mean())
     if mean >= sunny_threshold:
         return Weather.SUNNY
@@ -236,7 +230,7 @@ def classify_weather_day(
 def select_best_fitting(models: list[FittingModel]) -> FittingModel:
     """Highest fit_r2 wins; ties fall to lower fit_mape, then level order."""
     if not models:
-        raise EmptyList("no fitting models to select from")
+        raise ValueError("no fitting models to select from")
     return min(models, key=lambda m: (-m.fit_r2, m.fit_mape, int(m.level)))
 
 
@@ -252,7 +246,7 @@ def _day_hours(
     """``day_mask`` of a profile aligned with the dataset, and its prefix
     count: ``before[i]`` day hours lie before hour i, for i in [0, n]."""
     if dataset.n != profile.n or dataset.start != profile.start:
-        raise MisalignedRange("dataset and clear-sky profile are not aligned")
+        raise InputError("dataset and clear-sky profile are not aligned")
     mask = day_mask(profile, config)
     before = np.zeros(mask.size + 1, dtype=np.int64)
     np.cumsum(mask, out=before[1:])
@@ -262,22 +256,22 @@ def _day_hours(
 def _forecast_start(dataset: MultiLevelDataset, day: date, before: np.ndarray) -> int:
     """Hour index of ``day``'s local midnight, under the one rule for a
     forecastable day: it lies fully inside the dataset, holds a day hour
-    (else AllNight) and has the MIN_FIT_DAY_HOURS day hours of history
+    (else Unforecastable) and has the MIN_FIT_DAY_HOURS day hours of history
     every level's fitting net needs (``before`` is ``_day_hours``')."""
     tz = dataset.site.tz_offset
     if (tz * 60.0) % 60.0 != 0.0:
-        raise MisalignedRange(
+        raise InputError(
             f"tz_offset {tz} does not put local midnight on the hour grid"
         )
     w0 = datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
     i0 = dataset.customer.hour_index(w0 - timedelta(hours=tz))
     if i0 < 0 or i0 + 24 > dataset.n:
-        raise InsufficientHistory(f"forecast day {day} is not fully inside the dataset")
+        raise Unforecastable(f"forecast day {day} is not fully inside the dataset")
     if before[i0 + 24] == before[i0]:
-        raise AllNight(f"no day hours on {day}")
+        raise Unforecastable(f"no day hours on {day}")
     history = int(before[i0])
     if history < MIN_FIT_DAY_HOURS:
-        raise InsufficientHistory(
+        raise Unforecastable(
             f"{history} day hours of history before {day}; "
             f"need at least {MIN_FIT_DAY_HOURS}"
         )
@@ -289,7 +283,7 @@ def valid_forecast_days(
 ) -> list[date]:
     """The site-local days ``ForecastDay.at`` accepts, in order: days fully
     inside the dataset that hold a day hour and follow MIN_FIT_DAY_HOURS
-    day hours of history. Like ``at``, raises MisalignedRange for a
+    day hours of history. Like ``at``, raises InputError for a
     profile not aligned with the dataset or a tz_offset off the hour grid."""
     _, before = _day_hours(dataset, profile, config)
     first_local = (dataset.start + timedelta(hours=dataset.site.tz_offset)).date()
@@ -298,7 +292,7 @@ def valid_forecast_days(
         day = first_local + timedelta(days=k)
         try:
             _forecast_start(dataset, day, before)
-        except (AllNight, InsufficientHistory):
+        except Unforecastable:
             continue
         days.append(day)
     return days
@@ -388,8 +382,8 @@ class ForecastDay:
     ) -> ForecastDay:
         """The context of ``forecast_day``.
 
-        Raises InsufficientHistory, AllNight or MisalignedRange for a day
-        outside ``valid_forecast_days`` or a profile not aligned with the data.
+        Raises Unforecastable for a day outside ``valid_forecast_days``
+        and InputError for a profile not aligned with the data.
         """
         mask, before = _day_hours(dataset, profile, config)
         i0 = _forecast_start(dataset, forecast_day, before)
@@ -693,7 +687,7 @@ def compare_cases(
     Classes with no candidate are reported, not raised.
     """
     if not days:
-        raise EmptyList("no candidate forecast days")
+        raise ValueError("no candidate forecast days")
     mask, before = _day_hours(dataset, profile, config)
     candidates = []
     for day in days:
@@ -703,7 +697,7 @@ def compare_cases(
             prev_weather, prev_mean = _measured_weather(
                 dataset, profile, mask, i0 - 24, config
             )
-        except AllNight:
+        except Unforecastable:
             prev_weather, prev_mean = None, math.inf
         candidates.append((day, mean, weather, prev_weather, prev_mean))
     del mask, before  # whole-dataset arrays; each row's context makes its own

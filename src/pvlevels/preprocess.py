@@ -26,7 +26,7 @@ import numpy as np
 
 from .clearsky import ClearSkyProfile
 from .core import HourlyPowerSeries, MeasurementLevel
-from .errors import AllNight, LengthMismatch, MisalignedRange, NoNightHours
+from .errors import InputError, Unforecastable
 
 #: Ceiling on the clear-sky index; cloud-edge enhancement can push the
 #: measured/clear-sky ratio a little above 1, but not this far.
@@ -58,11 +58,11 @@ class PreprocessedSeries:
         if index.ndim != 1 or mask.ndim != 1:
             raise ValueError("index_values and day_mask must be 1-d")
         if int(mask.sum()) != index.size:
-            raise LengthMismatch(
+            raise InputError(
                 f"{index.size} index values for {int(mask.sum())} day hours"
             )
         if index.size == 0:
-            raise AllNight("no day hours in series")
+            raise Unforecastable("no day hours in series")
         if not np.all(np.isfinite(index)):
             raise ValueError("index_values must be finite")
         if np.any(index < 0.0) or np.any(index > self.kappa_max):
@@ -102,7 +102,7 @@ def day_run_lengths(day_mask) -> list[int]:
 
 def _require_aligned(series: HourlyPowerSeries, profile: ClearSkyProfile) -> None:
     if series.start != profile.start or series.n != profile.n:
-        raise MisalignedRange(
+        raise InputError(
             f"series [{series.start}, n={series.n}] vs "
             f"profile [{profile.start}, n={profile.n}]"
         )
@@ -122,7 +122,7 @@ def remove_offset(
     _require_aligned(series, profile)
     night = profile.night_mask
     if not night.any():
-        raise NoNightHours("clear-sky profile has no zero-power hours")
+        raise Unforecastable("clear-sky profile has no zero-power hours")
     offset = max(0.0, float(np.median(series.values[night])))
     corrected = np.maximum(0.0, series.values - offset)
     return series.with_values(corrected), offset
@@ -147,13 +147,13 @@ def normalize_and_mask(
     _require_aligned(series, profile)
     day = np.asarray(day_mask, dtype=bool)
     if day.shape != (series.n,):
-        raise LengthMismatch(
+        raise InputError(
             f"day_mask length {day.size} != series length {series.n}"
         )
     if np.any(day & (profile.power_kw <= 0.0)):
         raise ValueError("day_mask marks an hour with zero clear-sky power")
     if not day.any():
-        raise AllNight("no hours at or above the day threshold")
+        raise Unforecastable("no hours at or above the day threshold")
     ratio = series.values[day] / profile.power_kw[day]
     clip_count = int(np.count_nonzero(ratio > kappa_max))
     index = np.minimum(kappa_max, ratio)
@@ -198,9 +198,9 @@ def postprocess(
     index = np.asarray(index_values, dtype=np.float64)
     mask = np.asarray(day_mask, dtype=bool)
     if mask.ndim != 1 or mask.size != profile.n:
-        raise LengthMismatch(f"day_mask length {mask.size} != profile n {profile.n}")
+        raise InputError(f"day_mask length {mask.size} != profile n {profile.n}")
     if index.ndim != 1 or index.size != int(mask.sum()):
-        raise LengthMismatch(
+        raise InputError(
             f"{index.size} index values for {int(mask.sum())} day hours"
         )
     power = np.zeros(profile.n, dtype=np.float64)

@@ -16,7 +16,6 @@ from pvlevels.clearsky import (
     solar_zenith,
 )
 from pvlevels.core import HOUR, SiteConfig, utc_datetime
-from pvlevels.errors import OutOfRangeDay
 
 SITE = SiteConfig(
     latitude=39.74,
@@ -45,7 +44,7 @@ class TestDeclination:
 
     @pytest.mark.parametrize("day", [0, 367, -5])
     def test_out_of_range(self, day):
-        with pytest.raises(OutOfRangeDay):
+        with pytest.raises(ValueError, match=r"^day_of_year out of \[1, 366\]"):
             solar_declination(day)
 
 

@@ -5,6 +5,7 @@ import gc
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -23,16 +24,16 @@ from pvlevels.cli import (
 )
 from pvlevels.clearsky import clearsky_profile
 from pvlevels.core import HOUR, HourlyPowerSeries, MeasurementLevel, utc_datetime
-from pvlevels.errors import (
-    DuplicateRow,
-    GapError,
-    InsufficientHistory,
-    MisalignedRange,
-    ParseError,
-)
+from pvlevels.errors import InputError, Unforecastable
 from pvlevels.narnet import MIN_FIT_DAY_HOURS
 from pvlevels.pipeline import PipelineConfig, day_mask
-from pvlevels.synth import DEFAULT_SITE, SynthConfig
+from pvlevels.synth import DEFAULT_SITE, SynthConfig, gen_dataset
+
+# cmd_cases' error when no day can be forecast
+NO_DAY = (
+    "no forecast day holds a day hour and follows "
+    f"{MIN_FIT_DAY_HOURS} day hours of history"
+)
 
 C, F, S = (
     MeasurementLevel.CUSTOMER,
@@ -198,7 +199,7 @@ class TestLoadCsv:
             ],
         )
         with pytest.raises(
-            ParseError,
+            InputError,
             match=r"data.csv line 5: second customer series 'c0' "
             r"\(the first is 'c1'\); need one series per level$",
         ):
@@ -212,7 +213,7 @@ class TestLoadCsv:
                 "2023-03-01T02:00:00Z,customer,c0,3.0",
             ],
         )
-        with pytest.raises(GapError, match="2023-03-01T01:00:00Z"):
+        with pytest.raises(InputError, match="2023-03-01T01:00:00Z"):
             load_csv(path)
 
     def test_first_of_two_gaps_named(self, tmp_path):
@@ -220,7 +221,7 @@ class TestLoadCsv:
         stamps = ["2023-03-02T03", "2023-03-01T22", "2023-03-02T01", "2023-03-01T23"]
         path = rows_file(tmp_path, [f"{ts}:00:00Z,feeder,f0,1.0" for ts in stamps])
         with pytest.raises(
-            GapError,
+            InputError,
             match=r"data.csv: series \(feeder, f0\) is missing hour 2023-03-02T00:00:00Z$",
         ):
             load_csv(path)
@@ -247,7 +248,7 @@ class TestLoadCsv:
                 "2023-03-01T00:00:00Z,customer,c0,1.0",
             ],
         )
-        with pytest.raises(DuplicateRow, match="line 3"):
+        with pytest.raises(InputError, match="line 3"):
             load_csv(path)
 
     def test_duplicate_row_in_second_series(self, tmp_path):
@@ -261,7 +262,7 @@ class TestLoadCsv:
                 "2023-03-01T00:00:00Z,feeder,f0,3.0",
             ],
         )
-        with pytest.raises(DuplicateRow, match=r"line 6: .*feeder, f0"):
+        with pytest.raises(InputError, match=r"line 6: .*feeder, f0"):
             load_csv(path)
 
     @pytest.mark.parametrize(
@@ -295,12 +296,12 @@ class TestLoadCsv:
             expected = datetime.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ")
             assert series.start == expected.replace(tzinfo=timezone.utc)
         else:
-            with pytest.raises(ParseError, match=f"line 2: bad timestamp '{stamp}'"):
+            with pytest.raises(InputError, match=f"line 2: bad timestamp '{stamp}'"):
                 load_csv(path)
 
     def test_half_hour_timestamp(self, tmp_path):
         path = rows_file(tmp_path, ["2016-07-01T12:30:00Z,customer,c0,1.0"])
-        with pytest.raises(ParseError, match="not hour-aligned"):
+        with pytest.raises(InputError, match="not hour-aligned"):
             load_csv(path)
 
     @pytest.mark.parametrize(
@@ -320,14 +321,14 @@ class TestLoadCsv:
             ["2023-03-01T05:00:00Z,customer,c0,1.0", f"{stamp},customer,c0,2.0"],
         )
         message = f"data.csv line 3: {fault.format(stamp)}"
-        with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        with pytest.raises(InputError, match=re.escape(message) + "$"):
             load_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = rows_file(
             tmp_path, ["2023-03-01T00:00:00Z,customer,c0,1.0"], header="ts,lvl,id,kw"
         )
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(InputError, match="line 1"):
             load_csv(path)
 
     @pytest.mark.parametrize(
@@ -346,7 +347,7 @@ class TestLoadCsv:
     )
     def test_bad_rows(self, tmp_path, row, fragment):
         path = rows_file(tmp_path, [row])
-        with pytest.raises(ParseError, match=fragment):
+        with pytest.raises(InputError, match=fragment):
             load_csv(path)
 
     @pytest.mark.parametrize("label", ["Feeder", " feeder"])
@@ -359,7 +360,7 @@ class TestLoadCsv:
             ],
         )
         with pytest.raises(
-            ParseError, match=f"line 3: unknown measurement level: '{label}'$"
+            InputError, match=f"line 3: unknown measurement level: '{label}'$"
         ):
             load_csv(path)
 
@@ -390,17 +391,17 @@ class TestLoadCsv:
     )
     def test_every_error_names_the_file(self, tmp_path, rows, header):
         path = rows_file(tmp_path, rows, header=header)
-        with pytest.raises((ParseError, DuplicateRow, GapError)) as info:
+        with pytest.raises(InputError) as info:
             load_csv(path)
         assert str(info.value).startswith(str(path))
 
     def test_header_only(self, tmp_path):
         path = rows_file(tmp_path, [])
-        with pytest.raises(ParseError, match="no data rows"):
+        with pytest.raises(InputError, match="no data rows"):
             load_csv(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError, match="cannot read"):
+        with pytest.raises(InputError, match="cannot read"):
             load_csv(tmp_path / "nope.csv")
 
     @pytest.mark.parametrize("bad_row", [0, 2])
@@ -410,7 +411,7 @@ class TestLoadCsv:
         path = tmp_path / "data.csv"
         path.write_bytes("\n".join([CSV_HEADER, *rows, ""]).encode("utf-8"))
         with pytest.raises(
-            ParseError, match=f"data.csv line {bad_row + 2}: non-ASCII byte 0xc3$"
+            InputError, match=f"data.csv line {bad_row + 2}: non-ASCII byte 0xc3$"
         ):
             load_csv(path)
 
@@ -432,13 +433,13 @@ class TestLoadCsv:
         lines = [CSV_HEADER, self.ROWS[0], "", "  ", self.ROWS[1], "x,customer,c0,1"]
         path = tmp_path / "data.csv"
         path.write_bytes(newline.join(lines).encode("ascii"))
-        with pytest.raises(ParseError, match="data.csv line 6: bad timestamp 'x'$"):
+        with pytest.raises(InputError, match="data.csv line 6: bad timestamp 'x'$"):
             load_csv(path)
 
     def test_separators_other_than_newlines_end_no_row(self, tmp_path):
         # str.splitlines would break at \x1e and read two good rows
         path = rows_file(tmp_path, [self.ROWS[0] + "\x1e" + self.ROWS[1]])
-        with pytest.raises(ParseError, match="line 2: expected 4 fields, got 7"):
+        with pytest.raises(InputError, match="line 2: expected 4 fields, got 7"):
             load_csv(path)
 
     def test_non_ascii_byte_far_into_the_file_names_its_line(self, tmp_path):
@@ -453,7 +454,7 @@ class TestLoadCsv:
         path.write_bytes("\n".join([CSV_HEADER, *rows, ""]).encode("utf-8"))
         assert len("\n".join([CSV_HEADER, *rows[: bad_line - 2]])) > 64 * 1024
         with pytest.raises(
-            ParseError, match=f"data.csv line {bad_line}: non-ASCII byte 0xc3$"
+            InputError, match=f"data.csv line {bad_line}: non-ASCII byte 0xc3$"
         ):
             load_csv(path)
 
@@ -461,21 +462,21 @@ class TestLoadCsv:
         rows = ["yesterday,customer,c0,1.0", "2023-03-01T00:00:00Z,customer,c\u00e9,1.0"]
         path = tmp_path / "data.csv"
         path.write_bytes("\n".join([CSV_HEADER, *rows, ""]).encode("utf-8"))
-        with pytest.raises(ParseError, match="line 2: bad timestamp 'yesterday'$"):
+        with pytest.raises(InputError, match="line 2: bad timestamp 'yesterday'$"):
             load_csv(path)
 
     def test_non_ascii_header_names_line_one(self, tmp_path):
         header = CSV_HEADER.replace("level", "l\u00e9vel")
         path = tmp_path / "data.csv"
         path.write_bytes("\n".join([header, self.ROWS[0], ""]).encode("utf-8"))
-        with pytest.raises(ParseError, match="data.csv line 1: non-ASCII byte 0xc3$"):
+        with pytest.raises(InputError, match="data.csv line 1: non-ASCII byte 0xc3$"):
             load_csv(path)
 
     def test_closes_its_file_when_a_row_fails(self, tmp_path):
         path = rows_file(tmp_path, [self.ROWS[0], "2023-03-01T01:00:00Z,customer,c0,nan"])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            with pytest.raises(ParseError, match="line 3: bad power value 'nan'$"):
+            with pytest.raises(InputError, match="line 3: bad power value 'nan'$"):
                 load_csv(path)
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
@@ -630,7 +631,7 @@ class TestTrimToOverlap:
     def test_disjoint_ranges(self):
         a = HourlyPowerSeries("a", C, utc_datetime(2023, 3, 1), np.ones(3))
         b = HourlyPowerSeries("b", F, utc_datetime(2023, 4, 1), np.ones(3))
-        with pytest.raises(MisalignedRange):
+        with pytest.raises(InputError, match="^series have no overlapping hours$"):
             trim_to_overlap([a, b])
 
 
@@ -1035,19 +1036,33 @@ class TestCasesCommand:
             ["--config", str(short_config), "--out", str(tmp_path / "out"), "cases"]
         )
         assert code == 1
-        assert (
-            f"no forecast day has {MIN_FIT_DAY_HOURS} day hours of history"
-            in capsys.readouterr().err
-        )
+        assert NO_DAY in capsys.readouterr().err
 
-    def test_too_short_raises_insufficient_history(self, short_config):
+    def test_too_short_raises_unforecastable(self, short_config):
         # the class ForecastDay.at raises for the same shortfall
         run = build_run_config(parse_config_text(short_config.read_text()))
         args = argparse.Namespace(trim_to_overlap=False, days=None)
-        with pytest.raises(
-            InsufficientHistory,
-            match=f"^no forecast day has {MIN_FIT_DAY_HOURS} day hours of history$",
-        ):
+        with pytest.raises(Unforecastable, match=f"^{NO_DAY}$"):
+            cli.cmd_cases(run, args)
+
+    def test_history_only_before_dark_days(self, tmp_path):
+        # 70 days at 66 N from the autumn equinox: 361 day hours in all, so
+        # every day with enough history behind it is dark
+        site = replace(DEFAULT_SITE, latitude=66.0)
+        scfg = SynthConfig(
+            days=70, n_customers=4, n_feeders=2, seed=3,
+            start_utc=utc_datetime(2023, 9, 23, 15),
+        )
+        dataset, profile = gen_dataset(scfg, site)
+        mask = day_mask(profile, PipelineConfig())
+        assert np.count_nonzero(mask) == MIN_FIT_DAY_HOURS + 1
+        data = tmp_path / "north.csv"
+        write_csv(data, [dataset.customer, dataset.feeder, dataset.substation])
+        run = build_run_config(
+            parse_config_text(f"site.latitude = 66\npaths.input = {data}\n")
+        )
+        args = argparse.Namespace(trim_to_overlap=False, days=None)
+        with pytest.raises(Unforecastable, match=f"^{NO_DAY}$"):
             cli.cmd_cases(run, args)
 
     def test_fractional_tz_names_tz_offset(self, workspace, tmp_path, capsys):

@@ -12,7 +12,7 @@ from pvlevels.core import (
     make_generator,
     utc_datetime,
 )
-from pvlevels.errors import LengthMismatch, LevelTagMismatch, MisalignedRange
+from pvlevels.errors import InputError
 
 
 def make_series(n=48, level=MeasurementLevel.CUSTOMER, start=None, fill=1.0):
@@ -131,12 +131,14 @@ class TestMultiLevelDataset:
             assert ds.series(level).level is level
 
     def test_wrong_position_tag(self):
-        with pytest.raises(LevelTagMismatch):
+        with pytest.raises(
+            InputError, match="series in feeder position is tagged substation"
+        ):
             self.build(f=make_series(level=MeasurementLevel.SUBSTATION))
 
     def test_start_mismatch(self):
         late = make_series(level=MeasurementLevel.FEEDER, start=utc_datetime(2023, 3, 2))
-        with pytest.raises(MisalignedRange):
+        with pytest.raises(InputError, match="series starts differ"):
             self.build(f=late)
 
     def test_start_mismatch_names_year_one_in_csv_form(self):
@@ -149,7 +151,7 @@ class TestMultiLevelDataset:
         series["f"] = make_series(
             level=MeasurementLevel.FEEDER, start=utc_datetime(1, 1, 1, 1)
         )
-        with pytest.raises(MisalignedRange) as info:
+        with pytest.raises(InputError) as info:
             self.build(**series)
         assert str(info.value) == (
             "series starts differ: customer 0001-01-01T00:00:00Z, "
@@ -157,7 +159,7 @@ class TestMultiLevelDataset:
         )
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="series lengths differ"):
             self.build(s=make_series(n=24, level=MeasurementLevel.SUBSTATION))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvlevels.errors import AllExcluded, ConstantActual, LengthMismatch
+from pvlevels.errors import AllExcluded, InputError, Unforecastable
 from pvlevels.metrics import MetricReport, mape, r_squared, report, rmse
 
 
@@ -82,7 +82,7 @@ class TestMape:
             mape([1.0, 2.0], [1.0, 2.0], epsilon_kw=epsilon)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="actual length 2 != forecast length 1"):
             mape([1.0, 2.0], [1.0])
 
     def test_non_finite(self):
@@ -136,11 +136,11 @@ class TestRSquared:
         assert r_squared([1.0, 2.0, 3.0], [3.0, 1.0, 5.0]) < 0.0
 
     def test_constant_actual(self):
-        with pytest.raises(ConstantActual):
+        with pytest.raises(Unforecastable, match="actual vector is constant"):
             r_squared([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_needs_two_points(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="need at least 2 pairs, got 1"):
             r_squared([1.0], [1.0])
 
     def test_never_above_one(self):

@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvlevels.core import MeasurementLevel, utc_datetime
-from pvlevels.errors import (
-    DimensionMismatch,
-    DivergedLoss,
-    EmptyBatch,
-    InsufficientHistory,
-    ParseError,
-    SeedLengthMismatch,
-    TooShort,
-)
+from pvlevels.errors import InputError, TrainingFailed, Unforecastable
 from pvlevels.narnet import (
     MIN_FIT_DAY_HOURS,
     NarxModel,
@@ -33,6 +25,10 @@ from pvlevels.narnet import (
     train,
 )
 from pvlevels.preprocess import PreprocessedSeries
+
+
+# make_training_set's two messages for a series no row survives
+TOO_SHORT = "must exceed delay|nothing to train on"
 
 
 def tiny_model(w=5.0, out=2.0):
@@ -241,7 +237,9 @@ class TestNarxModel:
 
     @pytest.mark.parametrize("size", [18, 20])
     def test_wrong_theta_length(self, size):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(
+            ValueError, match=rf"^parameter shape \({size},\) does not fit hidden=3, input=4$"
+        ):
             NarxModel(self.cfg, np.zeros(size))
 
     @pytest.mark.parametrize(
@@ -251,7 +249,7 @@ class TestNarxModel:
     def test_wrong_part_shape(self, index, shape):
         parts = list(self.parts())
         parts[index] = np.zeros(shape)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="do not fit hidden=3, input=4$"):
             NarxModel.from_layers(self.cfg, *parts)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -280,7 +278,7 @@ class TestForward:
         assert forward(shifted, [0.0]) == 0.5
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"input shape \(2,\), expected \(1,\)"):
             forward(tiny_model(), [1.0, 2.0])
 
 
@@ -302,20 +300,20 @@ class TestMakeTrainingSet:
         assert np.array_equal(targets, [3.0, 4.0])
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(ValueError, match="series length 2 must exceed delay 2"):
             make_training_set([1.0, 2.0], (), 2)
 
     def test_channel_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="channel length 2 != 3 or not 1-d"):
             make_training_set([1.0, 2.0, 3.0], [[1.0, 2.0]], 1)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="channel length 3 != 3 or not 1-d"):
             make_training_set([1.0, 2.0, 3.0], [[[1.0, 2.0, 3.0]]], 1)
 
     @pytest.mark.parametrize(
         "y,segments", [([], None), ([], []), (np.arange(5.0), [2, 2, 1])]
     )
     def test_no_row_survives(self, y, segments):
-        with pytest.raises(TooShort):
+        with pytest.raises(ValueError, match=TOO_SHORT):
             make_training_set(y, (), 2, segments=segments)
 
     @pytest.mark.parametrize("segments", [[2, 2], [3, 0, 2], [6, -1]])
@@ -344,7 +342,7 @@ class TestMakeTrainingSet:
         inside = [t for a, b in zip(bounds, bounds[1:]) for t in range(a + d, b)]
         for segs, ts in ((None, range(d, n)), (segments, inside)):
             if not ts:
-                with pytest.raises(TooShort):
+                with pytest.raises(ValueError, match=TOO_SHORT):
                     make_training_set(y, exo, d, segments=segs)
                 continue
             inputs, targets = make_training_set(y, exo, d, segments=segs)
@@ -366,11 +364,11 @@ class TestLossAndGradient:
         assert loss == pytest.approx((1.0 + (pred1 - 1.0) ** 2) / 2.0, rel=1e-12)
 
     def test_empty_batch(self):
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(ValueError, match="need a non-empty 2-d batch of inputs"):
             loss_and_gradient(tiny_model(), np.empty((0, 1)), np.empty(0))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"batch shapes \(3, 2\)/\(3,\) do not fit"):
             loss_and_gradient(tiny_model(), np.ones((3, 2)), np.ones(3))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -523,7 +521,7 @@ class TestTrain:
         X, t = self.make_batch()
         huge = np.full_like(t, 1e200)  # squared error overflows float64
         cfg = NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=10)
-        with pytest.raises(DivergedLoss):
+        with pytest.raises(TrainingFailed, match="loss became non-finite at epoch"):
             train(init_network(cfg), X, huge)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -532,7 +530,7 @@ class TestTrain:
         # the loss is finite, but the hidden weight's gradient overflows,
         # so the first update turns that weight into NaN
         model = tiny_model(w=1e-305, out=100.0)
-        with pytest.raises(DivergedLoss, match="parameters .* at epoch 1"):
+        with pytest.raises(TrainingFailed, match="parameters .* at epoch 1"):
             train(model, np.array([[1e305]]), np.zeros(1))
 
     @pytest.mark.parametrize(
@@ -739,19 +737,21 @@ class TestPredictClosedLoop:
         assert out.size == 0
 
     def test_seed_length_checked(self):
-        with pytest.raises(SeedLengthMismatch):
+        with pytest.raises(ValueError, match=r"y_seed shape \(2,\), expected \(1,\)"):
             predict_closed_loop(tiny_model(), np.array([0.1, 0.2]), horizon=1)
 
     def test_exo_channel_count_checked(self):
         cfg = NetworkConfig(delay_d=1, hidden_width=1, n_exo_channels=1)
         model = init_network(cfg)
-        with pytest.raises(SeedLengthMismatch):
+        with pytest.raises(
+            ValueError, match="0 future / 0 seed exogenous channels, expected 1"
+        ):
             predict_closed_loop(model, np.array([0.1]), horizon=1)
 
     def test_future_shorter_than_horizon(self):
         cfg = NetworkConfig(delay_d=1, hidden_width=1, n_exo_channels=1)
         model = init_network(cfg)
-        with pytest.raises(SeedLengthMismatch):
+        with pytest.raises(ValueError, match="exogenous future length 1 < horizon 5"):
             predict_closed_loop(
                 model,
                 np.array([0.1]),
@@ -808,7 +808,7 @@ class TestFitNar:
     def test_requires_enough_history(self):
         short = self.make_pre(np.full(100, 0.5))
         cfg = NetworkConfig(delay_d=4, hidden_width=4)
-        with pytest.raises(InsufficientHistory):
+        with pytest.raises(Unforecastable, match="day hours; need at least 360$"):
             fit_nar(short, cfg)
         assert MIN_FIT_DAY_HOURS == 360
 
@@ -860,19 +860,37 @@ class TestSerialization:
         assert model_to_text(back) == model_to_text(model)
 
     def test_bad_header(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="^bad header; expected 'pvlevels-narx 2'$"):
             model_from_text("some-other-format 9\n")
 
     def test_truncated(self):
         text = model_to_text(self.build())
         lines = text.splitlines()
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="^unexpected end of model text$"):
             model_from_text("\n".join(lines[: len(lines) // 2]))
 
     def test_trailing_garbage(self):
         text = model_to_text(self.build())
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="^1 trailing lines after parameters$"):
             model_from_text(text + "extra line\n")
+
+    @pytest.mark.parametrize("probe", ["hidden-rows-short", "b_hidden-long"])
+    def test_malformed_parameter_widths(self, probe):
+        # a 2x2 net's parameters: two hidden rows, b_hidden, w_out, b_out
+        model = init_network(NetworkConfig(delay_d=2, hidden_width=2))
+        lines = model_to_text(model).splitlines()
+        at = lines.index("params") + 1
+        if probe == "hidden-rows-short":
+            for i in (at, at + 1):
+                lines[i] = lines[i].rsplit(" ", 1)[0]
+        else:
+            lines[at + 2] += " 0.5"
+        with pytest.raises(
+            InputError,
+            match=r"^malformed model text: parameter shapes .* do not fit "
+            r"hidden=2, input=2$",
+        ):
+            model_from_text("\n".join(lines) + "\n")
 
     def test_untrained_round_trip(self):
         model = init_network(NetworkConfig(delay_d=2, hidden_width=2))

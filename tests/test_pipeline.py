@@ -14,13 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import pvlevels as pv
 from pvlevels.core import MeasurementLevel, Weather, utc_datetime
-from pvlevels.errors import (
-    AllNight,
-    EmptyDay,
-    EmptyList,
-    InsufficientHistory,
-    MisalignedRange,
-)
+from pvlevels.errors import InputError, Unforecastable
 from pvlevels.pipeline import CASE_LEVELS, CaseStudy
 from pvlevels.preprocess import normalize_and_mask
 
@@ -109,7 +103,7 @@ class TestClassifyWeatherDay:
         )
 
     def test_empty_day(self):
-        with pytest.raises(EmptyDay):
+        with pytest.raises(Unforecastable, match="no day-hour index values to classify"):
             pv.classify_weather_day([])
 
     @given(
@@ -147,7 +141,7 @@ class TestSelectBestFitting:
         assert pv.select_best_fitting(models).level is C
 
     def test_empty(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(ValueError, match="no fitting models to select from"):
             pv.select_best_fitting([])
 
 
@@ -358,27 +352,31 @@ def north():
 class TestForecastWindowErrors:
     def test_too_little_history(self, data, fast):
         dataset, profile = data
-        with pytest.raises(InsufficientHistory):
+        with pytest.raises(
+            Unforecastable, match=r"day hours of history before .*; need at least 360$"
+        ):
             context(dataset, profile, local_day(5), fast)
 
     def test_day_past_dataset_end(self, data, fast):
         dataset, profile = data
-        with pytest.raises(InsufficientHistory):
+        with pytest.raises(Unforecastable, match="is not fully inside the dataset"):
             context(dataset, profile, local_day(43), fast)
 
     def test_profile_misaligned(self, data, fast):
         dataset, profile = data
-        with pytest.raises(MisalignedRange):
+        aligned = "dataset and clear-sky profile are not aligned"
+        with pytest.raises(InputError, match=aligned):
             context(dataset, profile.sliced(0, profile.n - 24), local_day(39), fast)
-        with pytest.raises(MisalignedRange):
+        with pytest.raises(InputError, match=aligned):
             pv.valid_forecast_days(dataset, profile.sliced(0, profile.n - 24), fast)
 
     def test_fractional_tz_rejected(self, data, fast):
         dataset, profile = data
         skewed = replace(dataset, site=replace(dataset.site, tz_offset=-6.5))
-        with pytest.raises(MisalignedRange):
+        grid = "tz_offset -6.5 does not put local midnight on the hour grid"
+        with pytest.raises(InputError, match=grid):
             context(skewed, profile, local_day(39), fast)
-        with pytest.raises(MisalignedRange):
+        with pytest.raises(InputError, match=grid):
             pv.valid_forecast_days(skewed, profile, fast)
 
     def test_unknown_level_set(self, data, fast):
@@ -397,7 +395,7 @@ class TestForecastDay:
         for k in range(-2, 47):
             try:
                 context(dataset, profile, local_day(k), fast)
-            except (InsufficientHistory, MisalignedRange):
+            except Unforecastable:
                 continue
             accepted.append(local_day(k))
         assert pv.valid_forecast_days(dataset, profile, fast) == accepted
@@ -417,7 +415,7 @@ class TestForecastDay:
         span = [days[0] + timedelta(k) for k in range((days[-1] - days[0]).days + 1)]
         polar = [d for d in span if d not in days]
         assert polar == [date(2023, 11, 8) + timedelta(k) for k in range(86)]
-        with pytest.raises(AllNight, match="no day hours on 2023-12-21"):
+        with pytest.raises(Unforecastable, match="no day hours on 2023-12-21"):
             context(dataset, profile, date(2023, 12, 21), config)
 
     def test_valid_days_at_the_default_site(self):
@@ -663,5 +661,5 @@ class TestCompareCases:
 
     def test_empty_days(self, data, fast):
         dataset, profile = data
-        with pytest.raises(EmptyList):
+        with pytest.raises(ValueError, match="no candidate forecast days"):
             pv.compare_cases(dataset, profile, [], fast)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from pvlevels.clearsky import clearsky_profile
 from pvlevels.core import HourlyPowerSeries, MeasurementLevel, utc_datetime
-from pvlevels.errors import AllNight, LengthMismatch, MisalignedRange, NoNightHours
+from pvlevels.errors import InputError, Unforecastable
 from pvlevels.preprocess import (
     KAPPA_MAX,
     PreprocessedSeries,
@@ -75,12 +75,12 @@ class TestRemoveOffset:
             start=day_only.start,
             values=np.ones(4),
         )
-        with pytest.raises(NoNightHours):
+        with pytest.raises(Unforecastable, match="clear-sky profile has no zero-power hours"):
             remove_offset(s, day_only)
 
     def test_misaligned(self, profile):
         s = HourlyPowerSeries("t", MeasurementLevel.CUSTOMER, utc_datetime(2023, 3, 2), np.ones(96))
-        with pytest.raises(MisalignedRange):
+        with pytest.raises(InputError, match=r"series \[.*\] vs profile \["):
             remove_offset(s, profile)
 
 
@@ -115,13 +115,13 @@ class TestNormalizeAndMask:
             normalize_and_mask(clean_series(profile), profile, day_mask=mask)
 
     def test_mask_length_checked(self, profile):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="day_mask length 10 != series length 96"):
             normalize_and_mask(
                 clean_series(profile), profile, day_mask=np.ones(10, dtype=bool)
             )
 
     def test_all_night(self, profile):
-        with pytest.raises(AllNight):
+        with pytest.raises(Unforecastable, match="no hours at or above the day threshold"):
             normalize_and_mask(
                 clean_series(profile), profile, day_mask=np.zeros(96, dtype=bool)
             )
@@ -172,9 +172,9 @@ class TestRoundTrip:
 
     def test_postprocess_shape_checks(self, profile):
         mask = profile.power_kw > 0
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="^3 index values for .* day hours$"):
             postprocess(np.ones(3), mask, profile, site_id="t", level=MeasurementLevel.CUSTOMER)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="day_mask length 95 != profile n 96"):
             postprocess(
                 np.ones(int(mask.sum())),
                 mask[:-1],
@@ -221,7 +221,7 @@ class TestDayRunLengths:
 class TestPreprocessedSeries:
     def test_validates_mask_count(self, profile):
         mask = profile.power_kw > 0
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="^3 index values for .* day hours$"):
             PreprocessedSeries(
                 level=MeasurementLevel.CUSTOMER,
                 index_values=np.ones(3),
