@@ -11,6 +11,7 @@ from pvlevels.narnet import (
     MIN_FIT_DAY_HOURS,
     NarxModel,
     NetworkConfig,
+    _merge_zero_rows,
     fit_nar,
     forward,
     init_network,
@@ -119,6 +120,31 @@ def reference_train(model, X, t):
         work = NarxModel(cfg, theta)
     return NarxModel(
         cfg, best_theta, trained=True, training_history=tuple(history)
+    )
+
+
+def night_series(night_hours, seed=0):
+    """A raw-kW-style series: for each entry of ``night_hours``, that many
+    hours of exactly 0 kW, then a positive daylight hump over the day's
+    other hours. With delay d, a night of more than d hours gives all-zero rows
+    (zero lags, zero target), and every night gives a dawn row (zero
+    lags, positive target) and dusk rows (zero target, nonzero lags)."""
+    rng = np.random.default_rng(seed)
+    days = []
+    for night in night_hours:
+        day = 24 - night
+        hump = np.sin(np.pi * (np.arange(day) + 0.5) / day) * rng.uniform(0.5, 1.0)
+        days.append(np.concatenate([np.zeros(night), hump]))
+    return np.concatenate(days)
+
+
+def row_kinds(X, t):
+    """Counts of all-zero, dawn and dusk rows in a batch."""
+    zero_lags = ~X.any(axis=1)
+    return (
+        int(np.sum(zero_lags & (t == 0.0))),
+        int(np.sum(zero_lags & (t != 0.0))),
+        int(np.sum(~zero_lags & (t == 0.0))),
     )
 
 
@@ -475,6 +501,10 @@ class TestTrain:
         y = np.sin(np.linspace(0, 12, n)) * 0.4 + 0.5 + rng.normal(0, 0.01, n)
         return make_training_set(y, (), 4)
 
+    def make_night_batch(self):
+        """Twelve days with 10-hour nights: 72 all-zero rows to merge."""
+        return make_training_set(night_series([10] * 12), (), 4)
+
     def test_loss_never_ends_above_start(self):
         X, t = self.make_batch()
         cfg = NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=150)
@@ -577,37 +607,89 @@ class TestTrain:
 
 
     def test_buffers_never_write_through(self):
-        X, t = self.make_batch()
-        X.setflags(write=False)
-        t.setflags(write=False)
-        X_before, t_before = X.copy(), t.copy()
-        cfg = NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=80)
-        model = init_network(cfg)
-        text_before = model_to_text(model)
-        a = train(model, X, t)
-        b = train(a, X, t)
-        assert np.array_equal(X, X_before) and np.array_equal(t, t_before)
-        assert model_to_text(model) == text_before
-        params = lambda m: (m.w_hidden, m.b_hidden, m.w_out)
-        for p in params(a):
-            for q in params(b) + params(model):
-                assert not np.shares_memory(p, q)
+        # on a plain batch and on one whose all-zero rows are merged
+        for X, t in (self.make_batch(), self.make_night_batch()):
+            X.setflags(write=False)
+            t.setflags(write=False)
+            X_before, t_before = X.copy(), t.copy()
+            cfg = NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=80)
+            model = init_network(cfg)
+            text_before = model_to_text(model)
+            a = train(model, X, t)
+            b = train(a, X, t)
+            assert np.array_equal(X, X_before) and np.array_equal(t, t_before)
+            assert model_to_text(model) == text_before
+            params = lambda m: (m.w_hidden, m.b_hidden, m.w_out)
+            for p in params(a):
+                for q in params(b) + params(model):
+                    assert not np.shares_memory(p, q)
 
     def test_epoch_makes_no_dispatched_call(self, counting_np):
         # matmul, dot and copyto go through numpy's dispatch; an epoch
         # reaches the same routines through bound ndarray methods, so the
-        # counts are those of set-up alone and do not grow with the budget
-        X, t = self.make_batch()
-        counts = []
-        for epochs in (10, 20):
-            model = init_network(
-                NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=epochs)
-            )
-            counting_np.calls = dict.fromkeys(CountingNumpy.COUNTED, 0)
-            trained = train(model, X, t)
-            assert len(trained.training_history) == epochs
-            counts.append(counting_np.calls)
-        assert counts[0] == counts[1]
+        # counts are those of set-up alone and do not grow with the budget,
+        # on a plain batch and on one whose all-zero rows are merged
+        for X, t in (self.make_batch(), self.make_night_batch()):
+            counts = []
+            for epochs in (10, 20):
+                model = init_network(
+                    NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=epochs)
+                )
+                counting_np.calls = dict.fromkeys(CountingNumpy.COUNTED, 0)
+                trained = train(model, X, t)
+                assert len(trained.training_history) == epochs
+                counts.append(counting_np.calls)
+            assert counts[0] == counts[1]
+
+    def test_merges_signed_zeros_and_never_nan(self):
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [-0.0, 0.0],
+                      [0.0, np.nan], [0.0, 0.0], [0.0, 0.0]])
+        t = np.array([0.0, 0.0, -0.0, 0.0, np.nan, 0.0])
+        keep, kept_t, weights = _merge_zero_rows(X, t)
+        # rows 0, 2 and 5 merge into row 0; a NaN input or target never does
+        assert keep.tolist() == [True, True, False, True, True, False]
+        assert np.array_equal(kept_t, t[keep], equal_nan=True)
+        assert weights.tolist() == [3.0, 1.0, 1.0, 1.0]
+        # one all-zero row is left as it is
+        keep, kept_t, weights = _merge_zero_rows(X[:2], t[:2])
+        assert keep is None and weights is None
+        assert np.array_equal(kept_t, t[:2])
+
+    def test_merged_rows_match_full_batch(self):
+        X, t = self.make_night_batch()
+        zeros, dawns, dusks = row_kinds(X, t)
+        assert zeros >= 2 and dawns > 0 and dusks > 0
+        assert _merge_zero_rows(X, t)[0] is not None
+        cfg = NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=300,
+                            step_size=1e-2, early_stop_patience=50)
+        model = init_network(cfg)
+        got = train(model, X, t)
+        want = reference_train(model, X, t)
+        got_h = np.array(got.training_history)
+        want_h = np.array(want.training_history)
+        assert got_h.shape == want_h.shape
+        np.testing.assert_allclose(got_h, want_h, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.theta, want.theta, rtol=0.0, atol=1e-12)
+        # the loss is still the mean over every row, up to rounding
+        full_loss, _ = loss_and_gradient(model, X, t)
+        assert got_h[0] == pytest.approx(full_loss, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "night_hours, zeros",
+        [([4, 5, 4, 4, 4, 4, 4, 4], 1), ([4] * 8, 0)],
+        ids=["one-zero-row", "dawn-and-dusk-only"],
+    )
+    def test_unmerged_batch_matches_reference_bitwise(self, night_hours, zeros):
+        X, t = make_training_set(night_series(night_hours), (), 4)
+        got_zeros, dawns, dusks = row_kinds(X, t)
+        assert got_zeros == zeros and dawns > 0 and dusks > 0
+        cfg = NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=300,
+                            step_size=1e-2, early_stop_patience=50)
+        model = init_network(cfg)
+        got = train(model, X, t)
+        want = reference_train(model, X, t)
+        assert np.array_equal(got.theta, want.theta)
+        assert got.training_history == want.training_history
 
 
 class TestPredictOpenLoop:

@@ -17,6 +17,7 @@ from pvlevels.core import MeasurementLevel, Weather, utc_datetime
 from pvlevels.errors import InputError, Unforecastable
 from pvlevels.pipeline import CASE_LEVELS, CaseStudy
 from pvlevels.preprocess import normalize_and_mask
+from test_narnet import reference_train, row_kinds
 
 C, F, S = (
     MeasurementLevel.CUSTOMER,
@@ -529,6 +530,33 @@ class TestRunCase:
         assert r.mape == min(rep.mape for rep in r.per_level_reports.values())
         assert r.forecast.level is C  # the target level's baseline forecast
         assert r.weather is Weather.CLOUDY
+
+    def test_case1_matches_reference_training(self, data, fast, monkeypatch):
+        """Case 1's raw-kW batches hold nights, whose all-zero rows train
+        as one weighted row; the forecasts stay those of plain full-batch
+        training up to rounding."""
+        dataset, profile = data
+        kinds = []
+        train = pv.pipeline.train
+
+        def recording(model, X, t):
+            kinds.append(row_kinds(X, t))
+            return train(model, X, t)
+
+        monkeypatch.setattr("pvlevels.pipeline.train", recording)
+        got = context(dataset, profile, local_day(39), fast)
+        pv.run_case(CaseStudy.CASE1, got)
+        # every baseline batch has rows to merge, and dawn and dusk rows
+        assert len(kinds) == 3
+        assert all(z >= 2 and dawn > 0 and dusk > 0 for z, dawn, dusk in kinds)
+        monkeypatch.setattr("pvlevels.pipeline.train", reference_train)
+        want = context(dataset, profile, local_day(39), fast)
+        pv.run_case(CaseStudy.CASE1, want)
+        for lv in (C, F, S):
+            np.testing.assert_allclose(
+                got.baseline(lv)[1].values, want.baseline(lv)[1].values,
+                rtol=1e-9, atol=0.0,
+            )
 
     def test_case_delegates_to_forecast(self, data, fast):
         dataset, profile = data
