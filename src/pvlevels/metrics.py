@@ -3,6 +3,9 @@
 All three take paired actual/forecast vectors in kW. Accumulation goes
 through math.fsum, which is exactly rounded regardless of length, so the
 results match a naive high-precision summation to the last bit or two.
+Each sum walks a ``tolist()`` of its terms: exact rounding makes the
+result the same whatever the iterable, and a list of Python floats is
+cheaper to walk than an ndarray's elements.
 
 MAPE divides by the actual value, so hours with small actuals are
 excluded below a caller-chosen threshold (and exact zeros are always
@@ -71,13 +74,13 @@ def mape(actual, forecast, epsilon_kw: float = 0.0) -> tuple[float, int]:
     if not used.any():
         raise AllExcluded(f"no actual value at or above {epsilon_kw} kW")
     ratios = np.abs((a[used] - f[used]) / a[used])
-    return math.fsum(ratios) / int(used.sum()), n_excluded
+    return math.fsum(ratios.tolist()) / int(used.sum()), n_excluded
 
 
 def rmse(actual, forecast) -> float:
     """Root mean square error in kW."""
     a, f = _paired(actual, forecast)
-    return math.sqrt(math.fsum((a - f) ** 2) / a.size)
+    return math.sqrt(math.fsum(((a - f) ** 2).tolist()) / a.size)
 
 
 def r_squared(actual, forecast) -> float:
@@ -87,11 +90,11 @@ def r_squared(actual, forecast) -> float:
     mean. Undefined (Unforecastable) when the actual vector is constant.
     """
     a, f = _paired(actual, forecast, min_n=2)
-    mean_a = math.fsum(a) / a.size
-    ss_tot = math.fsum((a - mean_a) ** 2)
+    mean_a = math.fsum(a.tolist()) / a.size
+    ss_tot = math.fsum(((a - mean_a) ** 2).tolist())
     if ss_tot == 0.0:
         raise Unforecastable("actual vector is constant; r_squared undefined")
-    ss_res = math.fsum((a - f) ** 2)
+    ss_res = math.fsum(((a - f) ** 2).tolist())
     return 1.0 - ss_res / ss_tot
 
 

@@ -20,7 +20,10 @@ per-customer marginal process is unchanged by the mixing.
 Index series become kW through a per-customer share of the site's
 clear-sky profile, then aggregate: feeders sum their assigned customers,
 the substation sums all feeders with a loss factor. Meter noise is added
-in kW at each measured point, on daylight hours only, clamped at zero.
+in kW at each measured point, clamped at zero: for the measured customer
+on daylight hours, for the feeders and the substation on the hours where
+some customer's power is positive (a daylight hour where every customer
+reads exactly 0 stays an exact 0 there).
 
 Aggregation averages away per-customer noise but not the shared drift,
 so higher measurement levels carry a progressively cleaner view of the
@@ -32,13 +35,16 @@ All randomness flows from one seed through named substreams (schedule,
 shared sky, drift, one per customer, one per meter), so the dataset is
 reproducible and adding customers never perturbs existing series.
 
-Layout: the shared sky and each customer draw their innovations in one
-draw per stream, over the daylight hours in time order. For a customer,
-those values are scattered into an (hour of day, day) array, one
-zero-padded column per local day. The AR(1) recursion then advances all
-days together, one hour of day per step. A draw of a + b normals is a
-draw of a followed by one of b, so this gives the same values as
-drawing and running day by day.
+Layout: the whole fleet is one (hour of day, customer, day) array. Each
+customer draws its innovations from its own stream in one draw over the
+daylight hours in time order, straight into its slice: one zero-padded
+column per local day. The shared sky's draw and the site drift are laid
+out the same way without the customer axis and broadcast over it. One
+AR(1) recursion then advances every customer and every day together,
+one hour of day per step, overwriting the innovations with the index
+and then with kW; feeders are summed on those columns. A draw of a + b
+normals is a draw of a followed by one of b, so this gives the same
+values as drawing and running customer by customer and day by day.
 """
 
 from __future__ import annotations
@@ -187,18 +193,19 @@ def random_regime_schedule(days: int, seed: int) -> tuple[Weather, ...]:
     return tuple(out)
 
 
-def _ar1(eps: np.ndarray, rho: float, first_sd, innov_sd) -> np.ndarray:
-    """The AR(1) path driven by ``eps``, stepping along axis 0:
-    x[0] = first_sd * eps[0] and x[t] = rho * x[t-1] + innov_sd * eps[t].
+def _ar1(x: np.ndarray, rho: float, first_sd, innov_sd) -> np.ndarray:
+    """The AR(1) path driven by the innovations ``x``, stepping along
+    axis 0 and written over them: x[0] = first_sd * eps[0] and
+    x[t] = rho * x[t-1] + innov_sd * eps[t]. Returns ``x``.
 
-    For a 1-D ``eps`` the sds are scalars; for an (hours, days) ``eps``
-    each column is one path and the sds may be per-column arrays.
+    For a 1-D ``x`` the sds are scalars; for an (hours, ..., days) ``x``
+    each trailing slice is one path and the sds may be per-day arrays,
+    broadcast over the axes between.
     """
-    x = np.empty(eps.shape, dtype=np.float64)
-    if len(eps):
-        x[0] = first_sd * eps[0]
-    for t in range(1, len(eps)):
-        x[t] = rho * x[t - 1] + innov_sd * eps[t]
+    if len(x):
+        x[0] = first_sd * x[0]
+    for t in range(1, len(x)):
+        x[t] = rho * x[t - 1] + innov_sd * x[t]
     return x
 
 
@@ -220,17 +227,20 @@ def _index_from_innovations(
     rho: float,
     offset=0.0,
 ) -> np.ndarray:
-    """Index values from pre-drawn standard-normal innovations.
+    """Index values from pre-drawn standard-normal innovations, written
+    over them.
 
-    ``innovations`` is (hours, days): column j holds day j's daylight
-    hours in order, under regime mean kappa_star[j] and innovation sd
-    sigma[j] (see ``_day_columns``). The first hour seeds z at its
-    stationary scale so a day's statistics do not depend on where it
-    sits in the calendar. offset is added before clamping (scalar or
-    an array shaped like ``innovations``); the site drift enters here.
+    ``innovations`` is (hours, days) or (hours, customers, days): each
+    day's column holds its daylight hours in order, under regime mean
+    kappa_star[j] and innovation sd sigma[j] (see ``_day_columns``),
+    whatever the customer. The first hour seeds z at its stationary
+    scale so a day's statistics do not depend on where it sits in the
+    calendar. offset is added before clamping (a scalar or an array
+    that broadcasts against ``innovations``); the site drift enters here.
     """
     z = _ar1(innovations, rho, sigma / np.sqrt(1.0 - rho * rho), sigma)
-    return np.clip(kappa_star + offset + z, 0.0, KAPPA_MAX)
+    z += kappa_star + offset
+    return np.clip(z, 0.0, KAPPA_MAX, out=z)
 
 
 def _site_drift(config: SynthConfig, n_hours: int) -> np.ndarray:
@@ -252,17 +262,55 @@ def _site_drift(config: SynthConfig, n_hours: int) -> np.ndarray:
 
 
 def _meter_noise(
-    values: np.ndarray, day: np.ndarray, sd: float, rng: np.random.Generator
+    values: np.ndarray, on: np.ndarray, sd: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Additive kW noise on daylight hours, clamped at zero.
+    """Additive kW noise on the hours ``on`` selects (a mask or an index
+    array), clamped at zero there.
 
-    The noise vector is drawn full-length regardless of the mask so the
-    draw sequence does not depend on day lengths.
+    The noise vector is drawn full-length whatever ``on`` selects, so
+    the draw sequence does not depend on day lengths.
     """
     noise = rng.standard_normal(values.size) * sd
     out = values.copy()
-    out[day] = np.maximum(0.0, values[day] + noise[day])
+    out[on] = np.maximum(0.0, values[on] + noise[on])
     return out
+
+
+def _feeders_and_substation(
+    power: np.ndarray,
+    columns: tuple[np.ndarray, np.ndarray],
+    idx: np.ndarray,
+    n_hours: int,
+    config: SynthConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The feeder and substation meter readings, as an (n_feeders,
+    n_hours) array and an n_hours vector.
+
+    ``power`` holds the customers' kW on axis 1: customer i reads
+    ``power[:, i][columns][k]`` at hour ``idx[k]`` and 0 at every hour
+    off ``idx``. Customers go to feeders round-robin, as
+    ``config.default_feeder_map()`` assigns them. Each feeder sums its
+    customers in index order from 0.0, and the substation sums the
+    metered feeders in index order, less LOSS_FRACTION. Meter noise
+    lands on the hours where some customer's power is positive.
+    """
+    n_feeders = config.n_feeders
+    on = idx[(power > 0.0).any(axis=1)[columns]]
+    # customers k .. k + n_feeders - 1 go to feeders 0, 1, ... in turn
+    totals = np.zeros((power.shape[0], n_feeders, power.shape[2]))
+    for k in range(0, power.shape[1], n_feeders):
+        block = power[:, k : k + n_feeders]
+        totals[:, : block.shape[1]] += block
+    feeders = np.zeros((n_feeders, n_hours))
+    bus = np.zeros(n_hours)
+    for j, row in enumerate(feeders):
+        row[idx] = totals[:, j][columns]
+        rng = make_generator(derive_seed(config.seed, _TAG_FEEDER_METER, j))
+        row[:] = _meter_noise(row, on, config.meter_noise_sd, rng)
+        bus += row
+    bus *= 1.0 - LOSS_FRACTION
+    rng = make_generator(derive_seed(config.seed, _TAG_SUBSTATION_METER))
+    return feeders, _meter_noise(bus, on, config.meter_noise_sd, rng)
 
 
 def aggregate(
@@ -275,41 +323,36 @@ def aggregate(
     customers in index order within each feeder, then feeders in index
     order; with zero noise the substation is (1 - LOSS_FRACTION) times
     the customer total computed in that grouping exactly (bit-for-bit).
-    Meter noise lands on each feeder and on the substation, daylight
-    hours only, clamped at zero.
+    Meter noise lands on each feeder and on the substation, on the hours
+    where some customer's power is positive, clamped at zero.
+    ``gen_dataset`` runs the same sums on its fleet array.
     """
-    feeder_map = config.default_feeder_map()
     first = customers[0]
-    day = np.zeros(first.n, dtype=bool)
-    for c in customers:
-        day |= c.values > 0.0
-    feeders = []
-    for j in range(config.n_feeders):
-        members = [c.values for i, c in enumerate(customers) if feeder_map[i] == j]
-        total = np.zeros(first.n, dtype=np.float64)
-        for m in members:
-            total = total + m
-        rng = make_generator(derive_seed(config.seed, _TAG_FEEDER_METER, j))
-        feeders.append(
+    every_hour = np.arange(first.n)
+    feeders, substation = _feeders_and_substation(
+        np.stack([c.values for c in customers])[None],
+        (np.zeros_like(every_hour), every_hour),
+        every_hour,
+        first.n,
+        config,
+    )
+    return (
+        [
             HourlyPowerSeries(
                 site_id=f"feeder-{j}",
                 level=MeasurementLevel.FEEDER,
                 start=first.start,
-                values=_meter_noise(total, day, config.meter_noise_sd, rng),
+                values=values,
             )
-        )
-    bus = np.zeros(first.n, dtype=np.float64)
-    for f in feeders:
-        bus = bus + f.values
-    bus = (1.0 - LOSS_FRACTION) * bus
-    rng = make_generator(derive_seed(config.seed, _TAG_SUBSTATION_METER))
-    substation = HourlyPowerSeries(
-        site_id="substation",
-        level=MeasurementLevel.SUBSTATION,
-        start=first.start,
-        values=_meter_noise(bus, day, config.meter_noise_sd, rng),
+            for j, values in enumerate(feeders)
+        ],
+        HourlyPowerSeries(
+            site_id="substation",
+            level=MeasurementLevel.SUBSTATION,
+            start=first.start,
+            values=substation,
+        ),
     )
-    return feeders, substation
 
 
 def capacity_fractions(config: SynthConfig) -> tuple[float, float, float]:
@@ -334,9 +377,12 @@ def gen_dataset(
     noise), its feeder series is feeder 0, and the levels nest: the
     measured customer feeds the measured feeder feeds the substation.
 
-    Each customer makes one pass: one draw of its stream over every
-    daylight hour, and one AR(1) run with the days as columns, advanced
-    together by hour of day (see the module docstring).
+    The fleet makes one pass (see the module docstring): each customer
+    draws its stream over every daylight hour into one (hour of day,
+    customer, day) array, one AR(1) run advances all of it by hour of
+    day, and the feeder and substation readings are summed from it as
+    ``aggregate`` sums them. Only customer 0 becomes a full-length
+    series; the others are checked finite as a whole.
     """
     n_hours = config.days * 24
     profile = clearsky_profile(site, config.start_utc, n_hours)
@@ -368,41 +414,47 @@ def gen_dataset(
 
     kappa_star, sigma = _day_columns(config.schedule(), config)
     drift = by_hour_of_day(_site_drift(config, n_hours)[idx])
-    share = profile.power_kw[idx] / config.n_customers
+    share = by_hour_of_day(profile.power_kw[idx] / config.n_customers)
 
-    c = config.shared_fraction
-    shared_rng = make_generator(derive_seed(config.seed, _TAG_SHARED))
-    shared = np.sqrt(c) * shared_rng.standard_normal(idx.size)
-    customers = []
+    fleet = np.zeros((counts.max(), config.n_customers, config.days))
     for i in range(config.n_customers):
         rng = make_generator(derive_seed(config.seed, _TAG_CUSTOMER, i))
-        eps = shared + np.sqrt(1.0 - c) * rng.standard_normal(idx.size)
-        kappa = _index_from_innovations(
-            by_hour_of_day(eps), kappa_star, sigma, config.ar_rho, offset=drift
-        )
-        values = np.zeros(n_hours, dtype=np.float64)
-        values[idx] = kappa[columns] * share
-        customers.append(
-            HourlyPowerSeries(
-                site_id=f"customer-{i}",
-                level=MeasurementLevel.CUSTOMER,
-                start=config.start_utc,
-                values=values,
-            )
-        )
-
-    feeders, substation = aggregate(customers, config)
-
-    meter_rng = make_generator(derive_seed(config.seed, _TAG_CUSTOMER_METER, 0))
-    measured_customer = HourlyPowerSeries(
-        site_id="customer-0",
-        level=MeasurementLevel.CUSTOMER,
-        start=config.start_utc,
-        values=_meter_noise(
-            customers[0].values, daylight, config.meter_noise_sd, meter_rng
-        ),
+        fleet[rank, i, day] = rng.standard_normal(idx.size)
+    c = config.shared_fraction
+    shared_rng = make_generator(derive_seed(config.seed, _TAG_SHARED))
+    fleet *= np.sqrt(1.0 - c)
+    fleet += by_hour_of_day(np.sqrt(c) * shared_rng.standard_normal(idx.size))[:, None, :]
+    power = _index_from_innovations(
+        fleet, kappa_star, sigma, config.ar_rho, offset=drift[:, None, :]
     )
+    power *= share[:, None, :]
+    if not np.isfinite(power).all():
+        raise ValueError("customer values must contain no NaN/Inf")
+
+    feeders, substation = _feeders_and_substation(power, columns, idx, n_hours, config)
+
+    customer = np.zeros(n_hours)
+    customer[idx] = power[:, 0][columns]
+    meter_rng = make_generator(derive_seed(config.seed, _TAG_CUSTOMER_METER, 0))
     dataset = MultiLevelDataset(
-        customer=measured_customer, feeder=feeders[0], substation=substation, site=site
+        customer=HourlyPowerSeries(
+            site_id="customer-0",
+            level=MeasurementLevel.CUSTOMER,
+            start=config.start_utc,
+            values=_meter_noise(customer, daylight, config.meter_noise_sd, meter_rng),
+        ),
+        feeder=HourlyPowerSeries(
+            site_id="feeder-0",
+            level=MeasurementLevel.FEEDER,
+            start=config.start_utc,
+            values=feeders[0],
+        ),
+        substation=HourlyPowerSeries(
+            site_id="substation",
+            level=MeasurementLevel.SUBSTATION,
+            start=config.start_utc,
+            values=substation,
+        ),
+        site=site,
     )
     return dataset, profile

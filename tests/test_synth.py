@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_acceptance import _synth_config
 
-from pvlevels.clearsky import clearsky_profile
+from pvlevels import synth
+from pvlevels.clearsky import ClearSkyProfile, clearsky_profile
 from pvlevels.core import (
     HourlyPowerSeries,
     MeasurementLevel,
@@ -25,7 +28,6 @@ from pvlevels.synth import (
     SynthConfig,
     _day_columns,
     _index_from_innovations,
-    _meter_noise,
     aggregate,
     capacity_fractions,
     gen_dataset,
@@ -198,6 +200,27 @@ class TestAggregate:
         sigma_delta = sd * np.sqrt(1.0 + 3.0 * (1.0 - LOSS_FRACTION) ** 2)
         assert np.all(np.abs(delta) < 6.0 * sigma_delta)
 
+    @pytest.mark.parametrize(
+        "n_customers, n_feeders",
+        [(6, 2), (7, 3), (1, 1), (5, 5), (4, 1)],
+    )
+    def test_equals_the_feeder_loop(self, n_customers, n_feeders):
+        # uneven customers, hours where only some of them produce, and
+        # hours where none does
+        cfg = SynthConfig(
+            n_customers=n_customers, n_feeders=n_feeders, meter_noise_sd=0.3, seed=8
+        )
+        rng = make_generator(9)
+        customers = [
+            c.with_values(c.values * rng.uniform(0.0, 2.0, c.n) * (rng.random(c.n) < 0.8))
+            for c in flat_customers(n_customers, hours=96)
+        ]
+        feeders, substation = aggregate(customers, cfg)
+        want_feeders, want_substation = reference_aggregate(customers, cfg)
+        assert [f.site_id for f in feeders] == [f"feeder-{j}" for j in range(n_feeders)]
+        assert [f.values.tobytes() for f in feeders] == [f.tobytes() for f in want_feeders]
+        assert substation.values.tobytes() == want_substation.tobytes()
+
     def test_night_hours_stay_zero(self):
         cfg = SynthConfig(n_customers=4, n_feeders=2, meter_noise_sd=1.0, seed=2)
         customers = flat_customers(4)
@@ -263,6 +286,33 @@ class TestGenDataset:
         idx_large = large.series(MeasurementLevel.CUSTOMER).values[day] * 8
         assert np.allclose(idx_small, idx_large, rtol=0, atol=1e-12)
 
+    def test_non_finite_customer_power_is_refused(self, monkeypatch):
+        real = clearsky_profile(DEFAULT_SITE, ALL_SUNNY.start_utc, ALL_SUNNY.days * 24)
+        power = real.power_kw.copy()
+        power[np.flatnonzero(power)[5]] = np.inf
+
+        def broken(site, start, n_hours):
+            return ClearSkyProfile(start, power, real.ghi_wm2)
+
+        monkeypatch.setattr(synth, "clearsky_profile", broken)
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            gen_dataset(ALL_SUNNY)
+
+    def test_peak_memory_holds_one_fleet_array(self):
+        # criterion 6's config: 72 customers over 90 days. The fleet
+        # array's innovations become its index and then its power in
+        # place; a second array of its size, or a customers x hours
+        # matrix, takes the peak past 2.5 MiB
+        config = _synth_config(101)
+        gen_dataset(config)
+        tracemalloc.start()
+        try:
+            gen_dataset(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_levels_aligned(self):
         dataset, profile = gen_dataset(SynthConfig(days=31, seed=6))
         assert dataset.start == profile.start
@@ -281,11 +331,50 @@ def reference_ar1(eps, rho, first_sd, innov_sd):
     return x
 
 
+def reference_meter_noise(values, on, sd, rng):
+    """Noise drawn for every hour, added on the hours ``on`` masks and
+    clamped at zero there."""
+    noise = rng.standard_normal(values.size) * sd
+    out = values.copy()
+    out[on] = np.maximum(0.0, values[on] + noise[on])
+    return out
+
+
+def reference_aggregate(customers, config):
+    """``aggregate``'s readings as a loop over feeders: each feeder a
+    running sum of its customers' series, the substation a running sum
+    of the metered feeders, each meter noisy where some customer's power
+    is positive."""
+    tag_feeder_meter, tag_substation_meter = 5, 6
+    feeder_map = config.default_feeder_map()
+    n = customers[0].n
+    on = np.zeros(n, dtype=bool)
+    for c in customers:
+        on |= c.values > 0.0
+    feeders = []
+    for j in range(config.n_feeders):
+        total = np.zeros(n)
+        for i, c in enumerate(customers):
+            if feeder_map[i] == j:
+                total = total + c.values
+        rng = make_generator(derive_seed(config.seed, tag_feeder_meter, j))
+        feeders.append(reference_meter_noise(total, on, config.meter_noise_sd, rng))
+    bus = np.zeros(n)
+    for f in feeders:
+        bus = bus + f
+    rng = make_generator(derive_seed(config.seed, tag_substation_meter))
+    substation = reference_meter_noise(
+        (1.0 - LOSS_FRACTION) * bus, on, config.meter_noise_sd, rng
+    )
+    return feeders, substation
+
+
 def reference_gen_dataset(config, site=DEFAULT_SITE):
     """``gen_dataset`` as a loop over customers and days: each customer
     draws its innovations one local day at a time, and each day's index
-    is its own AR(1) path and clamp. The substream tags are spelled out
-    so a moved tag fails the comparison too."""
+    is its own AR(1) path and clamp; the feeders and the substation
+    come from ``reference_aggregate``. The substream tags are spelled
+    out so a moved tag fails the comparison too."""
     tag_shared, tag_customer, tag_customer_meter, tag_drift = 2, 3, 4, 7
     n_hours = config.days * 24
     profile = clearsky_profile(site, config.start_utc, n_hours)
@@ -327,12 +416,15 @@ def reference_gen_dataset(config, site=DEFAULT_SITE):
                 values=values,
             )
         )
-    feeders, substation = aggregate(customers, config)
+    feeders, substation = reference_aggregate(customers, config)
     meter_rng = make_generator(derive_seed(config.seed, tag_customer_meter, 0))
     measured = customers[0].with_values(
-        _meter_noise(customers[0].values, daylight, config.meter_noise_sd, meter_rng)
+        reference_meter_noise(customers[0].values, daylight, config.meter_noise_sd, meter_rng)
     )
-    return MultiLevelDataset(measured, feeders[0], substation, site=site), profile
+    start = config.start_utc
+    feeder = HourlyPowerSeries("feeder-0", MeasurementLevel.FEEDER, start, feeders[0])
+    bus = HourlyPowerSeries("substation", MeasurementLevel.SUBSTATION, start, substation)
+    return MultiLevelDataset(measured, feeder, bus, site=site), profile
 
 
 EAST_SITE = SiteConfig(
@@ -365,8 +457,9 @@ MIXED = dict(
 
 
 class TestAgainstDayLoop:
-    """``gen_dataset`` draws each stream once and advances all days
-    together; its three series equal the day-by-day loop's to the bit."""
+    """``gen_dataset`` draws each stream once and advances every customer
+    and day together; its three series equal the loop's over customers,
+    days and feeders to the bit."""
 
     @pytest.mark.parametrize(
         "config, site",
@@ -392,6 +485,31 @@ class TestAgainstDayLoop:
                 SynthConfig(start_utc=utc_datetime(2023, 12, 1), **MIXED),
                 POLAR_SITE,
                 id="no-daylight",
+            ),
+            pytest.param(
+                SynthConfig(days=31, n_customers=5, n_feeders=5, shared_fraction=0.4, seed=6),
+                DEFAULT_SITE,
+                id="feeder-per-customer",
+            ),
+            pytest.param(
+                SynthConfig(days=33, n_customers=6, n_feeders=1, shared_drift_sd=0.1, seed=7),
+                DEFAULT_SITE,
+                id="one-feeder",
+            ),
+            pytest.param(
+                SynthConfig(
+                    days=31,
+                    n_customers=72,
+                    n_feeders=36,
+                    meter_noise_sd=0.02,
+                    ar_rho=0.3,
+                    shared_drift_sd=0.23,
+                    sigma_sunny=0.2,
+                    sigma_partly=0.2,
+                    seed=101,
+                ),
+                DEFAULT_SITE,
+                id="case-study-scale",
             ),
         ],
     )
