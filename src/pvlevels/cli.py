@@ -231,6 +231,8 @@ _HOUR_SUFFIXES = [f"{h:02d}:00:00Z" for h in range(24)]
 _HOUR_OF_SUFFIX = {suffix: h for h, suffix in enumerate(_HOUR_SUFFIXES)}
 # `load_csv` keys each row by its whole hours since this instant.
 _EPOCH = utc_datetime(1970, 1, 1)
+# `write_csv` formats and writes a series this many rows at a time.
+_WRITE_CHUNK_ROWS = 4096
 
 
 def _hour_stamps(start: datetime, n: int) -> list[str]:
@@ -402,10 +404,12 @@ def load_csv(path) -> list[HourlyPowerSeries]:
 def write_csv(path, series_list: list[HourlyPowerSeries]) -> None:
     """Write series to the flat CSV schema, deterministically ordered.
 
-    Series are written one at a time; series sharing an hourly range
-    share one formatting of its timestamps. A series id that load_csv
-    could not read back (empty, not ASCII, or holding a comma or a line
-    break) raises ValueError before the file is opened.
+    Series are written one at a time, each in chunks of
+    `_WRITE_CHUNK_ROWS` rows that format their own timestamps, so the
+    text held at once is one chunk's, whatever the series' length. A
+    series id that load_csv could not read back (empty, not ASCII, or
+    holding a comma or a line break) raises ValueError before the file
+    is opened.
     """
     for s in series_list:
         if not s.site_id or not s.site_id.isascii() or re.search("[,\n\r]", s.site_id):
@@ -413,16 +417,15 @@ def write_csv(path, series_list: list[HourlyPowerSeries]) -> None:
                 f"series id {s.site_id!r} cannot be written: it must be "
                 "non-empty ASCII with no comma or line break"
             )
-    stamps: dict[tuple[datetime, int], list[str]] = {}
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for s in sorted(series_list, key=lambda s: (int(s.level), s.site_id)):
-            key = (s.start, s.n)
-            if key not in stamps:
-                stamps[key] = _hour_stamps(s.start, s.n)
             tag = f",{s.level.label},{s.site_id},"
-            rows = zip(stamps[key], s.values.tolist())
-            fh.write("".join([f"{ts}{tag}{v:.17g}\n" for ts, v in rows]))
+            for a in range(0, s.n, _WRITE_CHUNK_ROWS):
+                values = s.values[a : a + _WRITE_CHUNK_ROWS].tolist()
+                stamps = _hour_stamps(s.start + a * HOUR, len(values))
+                rows = zip(stamps, values)
+                fh.write("".join([f"{ts}{tag}{v:.17g}\n" for ts, v in rows]))
 
 
 def trim_to_overlap(series_list: list[HourlyPowerSeries]) -> list[HourlyPowerSeries]:

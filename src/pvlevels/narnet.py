@@ -364,9 +364,13 @@ def _merge_zero_rows(
     sum as any other such row. When a batch holds at least two, the
     first stays in place, weighted by their count, and the others drop
     out. Returns (keep, kept targets, weights), or (None, t, None) when
-    nothing merges.
+    nothing merges. The rows' inputs are scanned only when at least two
+    targets are 0.
     """
-    zero = ~X.any(axis=1) & (t == 0.0)
+    zero = t == 0.0
+    if np.count_nonzero(zero) < 2:
+        return None, t, None
+    zero &= ~X.any(axis=1)
     k = int(np.count_nonzero(zero))
     if k < 2:
         return None, t, None

@@ -61,6 +61,7 @@ from .preprocess import (
     KAPPA_MAX,
     PreprocessedSeries,
     day_run_lengths,
+    median,
     normalize_and_mask,
     preprocess,
     postprocess,
@@ -566,7 +567,7 @@ def forecast_day_ahead(
                     clamp=(0.0, KAPPA_MAX),
                 )
             )
-        pred_index = np.median(member_preds, axis=0)
+        pred_index = median(member_preds)
         forecast = postprocess(
             pred_index,
             mask_day,

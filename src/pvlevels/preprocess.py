@@ -108,14 +108,34 @@ def _require_aligned(series: HourlyPowerSeries, profile: ClearSkyProfile) -> Non
         )
 
 
+def median(values) -> np.ndarray | float:
+    """``numpy.median(values, axis=0)`` of finite values, bit for bit.
+
+    numpy's rule on a partition along axis 0: the middle value, or the
+    sum of the two middle values halved, where each sum starts from 0.0
+    as ``numpy.mean``'s does (so a median of zeros is +0.0).
+    ``numpy.median`` also looks for NaN through ``numpy.ma``, whose first
+    import costs a process about 1.2 MiB and 15 ms; the values here are
+    always finite.
+    """
+    values = np.asarray(values)
+    n = values.shape[0]
+    m = n // 2
+    if n % 2:
+        return 0.0 + np.partition(values, m, axis=0)[m]
+    part = np.partition(values, (m - 1, m), axis=0)
+    return (0.0 + part[m - 1] + part[m]) / 2
+
+
 def remove_offset(
     series: HourlyPowerSeries, profile: ClearSkyProfile
 ) -> tuple[HourlyPowerSeries, float]:
     """Subtract the median nighttime reading, clamping results at zero.
 
     Night is the profile's ``night_mask``: zero clear-sky power. The
-    median is robust to isolated night spikes; it is clamped at zero so a
-    negatively-biased sensor never inflates the series.
+    median (`median`, numpy's to the bit) is robust to isolated night
+    spikes; it is clamped at zero so a negatively-biased sensor never
+    inflates the series.
 
     Returns the corrected series and the offset that was subtracted.
     """
@@ -123,7 +143,7 @@ def remove_offset(
     night = profile.night_mask
     if not night.any():
         raise Unforecastable("clear-sky profile has no zero-power hours")
-    offset = max(0.0, float(np.median(series.values[night])))
+    offset = max(0.0, float(median(series.values[night])))
     corrected = np.maximum(0.0, series.values - offset)
     return series.with_values(corrected), offset
 

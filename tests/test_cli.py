@@ -2,11 +2,15 @@
 
 import argparse
 import gc
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -511,6 +515,21 @@ def reference_csv(series_list) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def whole_series_csv(series_list) -> bytes:
+    """The writer before chunking: one formatting of each distinct range's
+    stamps and one string per series. Chunked, write_csv must match it."""
+    out = [CSV_HEADER + "\n"]
+    stamps = {}
+    for s in sorted(series_list, key=lambda s: (int(s.level), s.site_id)):
+        key = (s.start, s.n)
+        if key not in stamps:
+            stamps[key] = cli._hour_stamps(s.start, s.n)
+        tag = f",{s.level.label},{s.site_id},"
+        rows = zip(stamps[key], s.values.tolist())
+        out.append("".join([f"{ts}{tag}{v:.17g}\n" for ts, v in rows]))
+    return "".join(out).encode("ascii")
+
+
 class TestWriteCsv:
     def series(self, site_id, level, start, n, seed):
         values = np.random.default_rng(seed).uniform(0.0, 50.0, n)
@@ -538,6 +557,35 @@ class TestWriteCsv:
         ]
         write_csv(tmp_path / "a.csv", series)
         assert (tmp_path / "a.csv").read_bytes() == reference_csv(series)
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 2 * 4096 + 7])
+    def test_chunk_boundaries_match_whole_series_writer(self, tmp_path, n):
+        assert cli._WRITE_CHUNK_ROWS == 4096
+        midnight = utc_datetime(2023, 12, 31)
+        series = [
+            # two series on one range
+            self.series("c0", C, midnight, n, 1),
+            self.series("f0", F, midnight, n, 2),
+            # off midnight, so chunks start at other hours of the day
+            self.series("s0", S, midnight + 13 * HOUR, n, 3),
+        ]
+        write_csv(tmp_path / "a.csv", series)
+        assert (tmp_path / "a.csv").read_bytes() == whole_series_csv(series)
+
+    def test_memory_is_one_chunk_not_one_series(self, tmp_path):
+        start = utc_datetime(2023, 3, 1)
+        series = [self.series(f"{level.label}0", level, start, 40_000, k)
+                  for k, level in enumerate(MeasurementLevel)]
+        path = tmp_path / "long.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole-series writer held each series as text: about 10 MiB here
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert len(path.read_text().splitlines()) == 1 + 3 * 40_000
 
     def test_closes_its_file_when_a_write_fails(self, tmp_path, monkeypatch):
         start = utc_datetime(2023, 3, 1)
@@ -1103,6 +1151,38 @@ class TestCasesCommand:
         for args in (["--out", str(data_dir), "synth"],
                      ["--out", str(tmp_path / "out"), "cases"]):
             assert cmd_dispatch(["--config", str(config), "--seed", "5", *args]) == 0
+
+
+# synth, a day-ahead forecast and compare_cases on two days, in one process
+FORECAST_PROCESS = """
+import sys
+from pvlevels.cli import cmd_dispatch
+config, out = sys.argv[1:]
+for command in (["synth"], ["forecast", "--day", "2023-04-08"], ["cases", "--days", "2"]):
+    assert cmd_dispatch(["--config", config, "--out", out, *command]) == 0, command
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_forecast_process_never_loads_numpy_ma(tmp_path):
+    """np.median imports numpy.ma for its NaN check: about 1.2 MiB and
+    15 ms a process, for values that are always finite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()[-1]
+
+    if run("-c", "import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("import numpy alone loads numpy.ma (numpy 1.x)")
+    out = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    keys = [k for k in TINY_KEYS if not k.startswith("net.max_epochs")]
+    keys += ["net.max_epochs = 5", f"paths.input = {out / 'dataset.csv'}"]
+    config.write_text("\n".join(keys) + "\n", encoding="ascii")
+    assert run("-c", FORECAST_PROCESS, str(config), str(out)) == "False"
 
 
 def test_docstring_lists_the_parser_subcommands():

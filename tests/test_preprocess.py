@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pvlevels.clearsky import clearsky_profile
 from pvlevels.core import HourlyPowerSeries, MeasurementLevel, utc_datetime
@@ -9,6 +9,7 @@ from pvlevels.preprocess import (
     KAPPA_MAX,
     PreprocessedSeries,
     day_run_lengths,
+    median,
     normalize_and_mask,
     postprocess,
     preprocess,
@@ -82,6 +83,51 @@ class TestRemoveOffset:
         s = HourlyPowerSeries("t", MeasurementLevel.CUSTOMER, utc_datetime(2023, 3, 2), np.ones(96))
         with pytest.raises(InputError, match=r"series \[.*\] vs profile \["):
             remove_offset(s, profile)
+
+
+def assert_numpy_median(values, axis=None):
+    # two middle values near the float maximum overflow to inf in both
+    with np.errstate(over="ignore"):
+        want = np.median(values, axis=axis)
+        got = median(values)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (values, got, want)
+
+
+class TestMedian:
+    """`median` is ``np.median(values, axis=0)`` bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_one_dimension(self, n):
+        rng = np.random.default_rng(n)
+        assert_numpy_median(rng.standard_normal(n))
+        # ties, and zeros of both signs, in the middle and around it
+        for _ in range(20):
+            assert_numpy_median(rng.choice([-0.0, 0.0, 0.0, 1.0, -1.0, 0.25], n))
+        assert_numpy_median(np.full(n, -0.0))
+
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([1.7e308, 1.7e308])
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_values(self, values):
+        assert_numpy_median(np.array(values))
+
+    @pytest.mark.parametrize("members", range(1, 6))
+    def test_committee_along_axis_0(self, members):
+        rng = np.random.default_rng(members)
+        for hours in range(1, 25):
+            paths = rng.uniform(0.0, KAPPA_MAX, (members, hours))
+            assert_numpy_median(paths, axis=0)
+            # clamped paths: ties at the bounds, zeros of both signs
+            tied = rng.choice([-0.0, 0.0, 0.5, KAPPA_MAX], (members, hours))
+            assert_numpy_median(tied, axis=0)
+            # a committee arrives as a list of paths
+            assert_numpy_median(list(paths), axis=0)
 
 
 class TestNormalizeAndMask:
