@@ -228,9 +228,10 @@ def build_run_config(
 # ---------------------------------------------------------------- CSV I/O
 
 _HOUR_SUFFIXES = [f"{h:02d}:00:00Z" for h in range(24)]
-_HOUR_OF_SUFFIX = {suffix: h for h, suffix in enumerate(_HOUR_SUFFIXES)}
 # `load_csv` keys each row by its whole hours since this instant.
 _EPOCH = utc_datetime(1970, 1, 1)
+# `load_csv` reads about this many characters at a time, cut after a newline.
+_READ_CHUNK_CHARS = 16 * 1024
 # `write_csv` formats and writes a series this many rows at a time.
 _WRITE_CHUNK_ROWS = 4096
 
@@ -246,7 +247,7 @@ def _hour_stamps(start: datetime, n: int) -> list[str]:
     first = start.hour
     n_days = (first + n + 23) // 24
     days = [(midnight + k * DAY).date().isoformat() + "T" for k in range(n_days)]
-    return [days[j // 24] + _HOUR_SUFFIXES[j % 24] for j in range(first, first + n)]
+    return [day + suffix for day in days for suffix in _HOUR_SUFFIXES][first : first + n]
 
 
 # The one timestamp form read, `YYYY-MM-DDTHH:MM:SSZ`; its fields go
@@ -256,43 +257,186 @@ _TIMESTAMP = re.compile(
 )
 
 
-def _parse_ts(text: str, path, lineno: int) -> datetime:
+def _stamp_time(text: str) -> datetime | None:
+    """The instant ``text`` names in the one form read, or None."""
     fields = _TIMESTAMP.fullmatch(text)
     if fields is None:
-        raise InputError(f"{path} line {lineno}: bad timestamp {text!r}")
+        return None
     try:
-        ts = datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
-    except ValueError as exc:
-        raise InputError(f"{path} line {lineno}: bad timestamp {text!r}") from exc
-    if ts.minute or ts.second:
-        raise InputError(
-            f"{path} line {lineno}: timestamp {text!r} is not hour-aligned"
-        )
-    return ts
+        return datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
+    except ValueError:
+        return None
 
 
-def _stamp_hour(text: str, days: dict[str, int], path, lineno: int) -> int:
-    """Hours since `_EPOCH` of a stamp, parsing its calendar day only once.
+class _StampHours(dict):
+    """Hours since `_EPOCH` of the stamps `load_csv` reads, by their text.
 
-    ``days`` maps a `YYYY-MM-DDT` prefix to its midnight's hour count. A
-    prefix enters it only after `_parse_ts` has read a whole stamp with
-    that prefix, so a stamp whose prefix is there and whose suffix is one
-    of `_HOUR_SUFFIXES` is a real, hour-aligned date in the one form read;
-    any other stamp goes to `_parse_ts`, which raises its error.
+    Looking up a stamp of a day not yet met parses its date once and
+    maps all 24 hour stamps of that day; a stamp that is not one of a
+    real day's 24 raises KeyError.
     """
-    hour = _HOUR_OF_SUFFIX.get(text[11:])
-    midnight = days.get(text[:11])
-    if hour is None or midnight is None:
-        ts = _parse_ts(text, path, lineno)
-        hour = ts.hour
-        midnight = days[text[:11]] = (ts - _EPOCH) // HOUR - hour
-    return midnight + hour
+
+    def __missing__(self, stamp: str) -> int:
+        prefix = stamp[:11]
+        midnight = _stamp_time(prefix + _HOUR_SUFFIXES[0])
+        if midnight is not None:
+            first = (midnight - _EPOCH) // HOUR
+            self.update(zip([prefix + s for s in _HOUR_SUFFIXES], range(first, first + 24)))
+        hour = self.get(stamp)
+        if hour is None:
+            raise KeyError(stamp)
+        return hour
+
+
+def _stamp_fault(text: str) -> str:
+    """Why ``text`` is not read, once its day's stamps are mapped and it
+    is not one of them: only a real instant off the hour parses."""
+    if _stamp_time(text) is None:
+        return f"bad timestamp {text!r}"
+    return f"timestamp {text!r} is not hour-aligned"
 
 
 def _non_ascii_byte(line: str) -> str:
     """`non-ASCII byte 0x..` for the first non-ASCII character of a latin-1 line."""
     byte = next(ch for ch in line if not ch.isascii())
     return f"non-ASCII byte {ord(byte):#04x}"
+
+
+def _line_chunks(fh):
+    """The rest of ``fh`` in pieces of about `_READ_CHUNK_CHARS`
+    characters, each of whole lines ending with a newline."""
+    rest = ""
+    while text := fh.read(_READ_CHUNK_CHARS):
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield rest + text[:cut]
+            rest = text[cut:]
+        else:
+            rest += text
+    if rest:
+        yield rest + "\n"
+
+
+class _CsvRows:
+    """The rows `load_csv` has taken: each series' power by hour, the
+    series id of each level, the hour of each stamp of a parsed day,
+    and the number of the next line."""
+
+    def __init__(self, path) -> None:
+        self.path = path
+        self.lineno = 2
+        self.stamps = _StampHours()
+        self.groups: dict[tuple[str, str], dict[int, float]] = {}
+        self.ids: dict[MeasurementLevel, str] = {}
+
+    def take(self, text: str) -> None:
+        """Take the lines of ``text``, which ends with a newline.
+
+        A run of lines from a row of a series already met to the last
+        line of the text that holds its `,label,series_id,` goes as one
+        block if it can; any other run, and any other line, such as the
+        first of a series, goes line by line.
+        """
+        start = 0
+        while start < len(text):
+            stop = text.find("\n", start) + 1
+            fields = text[start : stop - 1].split(",")
+            n = 0
+            if len(fields) == 4 and (fields[1], fields[2]) in self.groups:
+                _, label, series_id, _ = fields
+                last = text.rfind(f",{label},{series_id},", start)
+                stop = text.find("\n", last) + 1
+                n = self._take_block(text[start:stop], label, series_id)
+            if not n:
+                lines = text[start:stop].split("\n")[:-1]
+                self._take_lines(lines)
+                n = len(lines)
+            self.lineno += n
+            start = stop
+
+    def _take_block(self, text: str, label: str, series_id: str) -> int:
+        """Take ``text`` whole, and return its line count, if every line
+        is a good row of the series (label, series_id), already met;
+        otherwise take nothing and return 0.
+
+        Each `,label,series_id,` becomes two newlines and the text splits
+        at newlines. If it gives 3n parts, plus the empty one after the
+        last newline, and shrank by n separators, it held n lines and n
+        separators. Each separator leaves an empty part between its two
+        newlines; the stamp places (parts 0, 3, ...) and the power places
+        (parts 2, 5, ...) must hold a stamp and a number, never empty, so
+        the separators' parts are parts 1, 4, .... Each line is then a
+        stamp, the separator and a power: 4 fields at its commas.
+        """
+        sep = f",{label},{series_id},"
+        joined = text.replace(sep, "\n\n")
+        parts = joined.split("\n")
+        n, extra = divmod(len(parts) - 1, 3)
+        if extra or len(text) - len(joined) != n * (len(sep) - 2) or not text.isascii():
+            return 0
+        rows = self.groups[(label, series_id)]
+        try:
+            hours = list(map(self.stamps.__getitem__, parts[0:-1:3]))
+            powers = list(map(float, parts[2::3]))
+        except (KeyError, ValueError):
+            return 0
+        # a sum is finite only if every term is
+        if not math.isfinite(sum(powers)) or not rows.keys().isdisjoint(hours):
+            return 0
+        size = len(rows)
+        rows.update(zip(hours, powers))
+        if len(rows) != size + n:  # an hour twice in the block: undo
+            for hour in hours:
+                rows.pop(hour, None)
+            return 0
+        return n
+
+    def _take_lines(self, lines: list[str]) -> None:
+        """Take ``lines`` one at a time; raise InputError at the first bad one."""
+        path, stamps, groups, ids = self.path, self.stamps, self.groups, self.ids
+        for lineno, line in enumerate(lines, start=self.lineno):
+            if not line.isascii():
+                raise InputError(f"{path} line {lineno}: {_non_ascii_byte(line)}")
+            parts = line.split(",")
+            if len(parts) != 4:
+                if not line.strip():
+                    continue
+                raise InputError(
+                    f"{path} line {lineno}: expected 4 fields, got {len(parts)}"
+                )
+            stamp, label, series_id, power_text = parts
+            try:
+                hour = stamps[stamp]
+            except KeyError:
+                raise InputError(f"{path} line {lineno}: {_stamp_fault(stamp)}") from None
+            rows = groups.get((label, series_id))
+            if rows is None:
+                try:
+                    level = MeasurementLevel.from_label(label)
+                except ValueError as exc:
+                    raise InputError(f"{path} line {lineno}: {exc}") from None
+                if not series_id:
+                    raise InputError(f"{path} line {lineno}: empty series_id")
+                if level in ids:
+                    raise InputError(
+                        f"{path} line {lineno}: second {label} series "
+                        f"{series_id!r} (the first is {ids[level]!r}); "
+                        "need one series per level"
+                    )
+                ids[level] = series_id
+                rows = groups[(label, series_id)] = {}
+            try:
+                power = float(power_text)
+            except ValueError:
+                power = math.nan
+            if not math.isfinite(power):
+                raise InputError(f"{path} line {lineno}: bad power value {power_text!r}")
+            n_rows = len(rows)
+            rows[hour] = power
+            if len(rows) == n_rows:
+                raise InputError(
+                    f"{path} line {lineno}: duplicate ({stamp}, {label}, {series_id})"
+                )
 
 
 def load_csv(path) -> list[HourlyPowerSeries]:
@@ -307,19 +451,24 @@ def load_csv(path) -> list[HourlyPowerSeries]:
     naming its line. Every error names the file, and the line where there
     is one; a file with several bad lines is reported at the first.
 
-    The file is read one line at a time, and a line ends at ``\\n``,
-    ``\\r\\n`` or ``\\r``; the other characters `str.splitlines` breaks at
-    (``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``) end no row. It is decoded as
-    latin-1, which maps each byte to one character, and each line is
-    checked for ASCII. Each calendar day's date is parsed once, and each
-    distinct (level, series_id) text is checked once. Rows are kept by
-    their whole hours since 1970-01-01T00:00Z, so a series is gap-free
-    when its last hour less its first is its row count less one.
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``; the other characters
+    `str.splitlines` breaks at (``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``)
+    end no row. The file is decoded as latin-1, which maps each byte to
+    one character, and read in chunks of about `_READ_CHUNK_CHARS`
+    characters cut after a newline, so the text held at once is one
+    chunk's. A run of a chunk's lines that are all good rows of a
+    series already met is checked and stored as a block: one ASCII
+    check, one split, its stamps and powers mapped in one pass each and
+    one dict update. A series' first line and any other run go line by
+    line, which takes blank lines and mixed series and is the only code
+    that words an error, so the first bad line in the file is the one
+    reported. When a day's date
+    is first parsed, its 24 hour stamps are mapped to hours at once.
+    Rows are kept by their whole hours since 1970-01-01T00:00Z, so a
+    series is gap-free when its last hour less its first is its row
+    count less one.
     """
-    stamps: dict[str, int] = {}
-    days: dict[str, int] = {}
-    groups: dict[tuple[str, str], dict[int, float]] = {}
-    ids: dict[MeasurementLevel, str] = {}
+    reader = _CsvRows(path)
     try:
         with open(path, encoding="latin-1") as fh:
             header = fh.readline()
@@ -330,58 +479,17 @@ def load_csv(path) -> list[HourlyPowerSeries]:
                     else _non_ascii_byte(header)
                 )
                 raise InputError(f"{path} line 1: {what}")
-            for lineno, line in enumerate(fh, start=2):
-                if not line.isascii():
-                    raise InputError(f"{path} line {lineno}: {_non_ascii_byte(line)}")
-                parts = line.split(",")
-                if len(parts) != 4:
-                    if not line.strip():
-                        continue
-                    raise InputError(
-                        f"{path} line {lineno}: expected 4 fields, got {len(parts)}"
-                    )
-                stamp, label, series_id, power_text = parts
-                hour = stamps.get(stamp)
-                if hour is None:
-                    hour = stamps[stamp] = _stamp_hour(stamp, days, path, lineno)
-                rows = groups.get((label, series_id))
-                if rows is None:
-                    try:
-                        level = MeasurementLevel.from_label(label)
-                    except ValueError as exc:
-                        raise InputError(f"{path} line {lineno}: {exc}") from None
-                    if not series_id:
-                        raise InputError(f"{path} line {lineno}: empty series_id")
-                    if level in ids:
-                        raise InputError(
-                            f"{path} line {lineno}: second {label} series "
-                            f"{series_id!r} (the first is {ids[level]!r}); "
-                            "need one series per level"
-                        )
-                    ids[level] = series_id
-                    rows = groups[(label, series_id)] = {}
-                # the line's newline stays on power_text: float() skips it
-                try:
-                    power = float(power_text)
-                except ValueError:
-                    power = math.nan
-                if not math.isfinite(power):
-                    bad = power_text.rstrip("\n")
-                    raise InputError(f"{path} line {lineno}: bad power value {bad!r}")
-                n_rows = len(rows)
-                rows[hour] = power
-                if len(rows) == n_rows:
-                    raise InputError(
-                        f"{path} line {lineno}: "
-                        f"duplicate ({stamp}, {label}, {series_id})"
-                    )
+            for text in _line_chunks(fh):
+                reader.take(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if not groups:
+    if not reader.groups:
         raise InputError(f"{path}: no data rows")
+    groups, ids = reader.groups, reader.ids
+    del reader  # its stamp memo goes before the series are built
     out = []
     for level, series_id in sorted(ids.items()):
-        rows = groups[(level.label, series_id)]
+        rows = groups.pop((level.label, series_id))
         hours = sorted(rows)
         first = hours[0]
         if hours[-1] - first != len(hours) - 1:
@@ -395,7 +503,7 @@ def load_csv(path) -> list[HourlyPowerSeries]:
                 site_id=series_id,
                 level=level,
                 start=_EPOCH + first * HOUR,
-                values=np.array([rows[h] for h in hours]),
+                values=np.fromiter(map(rows.__getitem__, hours), np.float64, len(hours)),
             )
         )
     return out
@@ -407,6 +515,8 @@ def write_csv(path, series_list: list[HourlyPowerSeries]) -> None:
     Series are written one at a time, each in chunks of
     `_WRITE_CHUNK_ROWS` rows that format their own timestamps, so the
     text held at once is one chunk's, whatever the series' length. A
+    chunk is one format string, each stamp followed by the series' row
+    tail, and one ``%`` fills in its values at ``%.17g``. A
     series id that load_csv could not read back (empty, not ASCII, or
     holding a comma or a line break) raises ValueError before the file
     is opened.
@@ -420,12 +530,12 @@ def write_csv(path, series_list: list[HourlyPowerSeries]) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for s in sorted(series_list, key=lambda s: (int(s.level), s.site_id)):
-            tag = f",{s.level.label},{s.site_id},"
+            # what follows each stamp; an id's own '%' is escaped
+            row = f",{s.level.label},{s.site_id.replace('%', '%%')},%.17g\n"
             for a in range(0, s.n, _WRITE_CHUNK_ROWS):
                 values = s.values[a : a + _WRITE_CHUNK_ROWS].tolist()
                 stamps = _hour_stamps(s.start + a * HOUR, len(values))
-                rows = zip(stamps, values)
-                fh.write("".join([f"{ts}{tag}{v:.17g}\n" for ts, v in rows]))
+                fh.write("".join([ts + row for ts in stamps]) % tuple(values))
 
 
 def trim_to_overlap(series_list: list[HourlyPowerSeries]) -> list[HourlyPowerSeries]:

@@ -263,17 +263,18 @@ def _site_drift(config: SynthConfig, n_hours: int) -> np.ndarray:
 
 def _meter_noise(
     values: np.ndarray, on: np.ndarray, sd: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Additive kW noise on the hours ``on`` selects (a mask or an index
-    array), clamped at zero there.
+) -> None:
+    """Add kW noise to ``values`` in place on the hours ``on`` selects (a
+    mask or an index array), clamped at zero there.
 
     The noise vector is drawn full-length whatever ``on`` selects, so
-    the draw sequence does not depend on day lengths.
+    the draw sequence does not depend on day lengths; only the selected
+    hours are scaled.
     """
-    noise = rng.standard_normal(values.size) * sd
-    out = values.copy()
-    out[on] = np.maximum(0.0, values[on] + noise[on])
-    return out
+    noise = rng.standard_normal(values.size)[on]
+    noise *= sd
+    noise += values[on]
+    values[on] = np.maximum(0.0, noise, out=noise)
 
 
 def _feeders_and_substation(
@@ -306,11 +307,12 @@ def _feeders_and_substation(
     for j, row in enumerate(feeders):
         row[idx] = totals[:, j][columns]
         rng = make_generator(derive_seed(config.seed, _TAG_FEEDER_METER, j))
-        row[:] = _meter_noise(row, on, config.meter_noise_sd, rng)
+        _meter_noise(row, on, config.meter_noise_sd, rng)
         bus += row
     bus *= 1.0 - LOSS_FRACTION
     rng = make_generator(derive_seed(config.seed, _TAG_SUBSTATION_METER))
-    return feeders, _meter_noise(bus, on, config.meter_noise_sd, rng)
+    _meter_noise(bus, on, config.meter_noise_sd, rng)
+    return feeders, bus
 
 
 def aggregate(
@@ -436,12 +438,13 @@ def gen_dataset(
     customer = np.zeros(n_hours)
     customer[idx] = power[:, 0][columns]
     meter_rng = make_generator(derive_seed(config.seed, _TAG_CUSTOMER_METER, 0))
+    _meter_noise(customer, daylight, config.meter_noise_sd, meter_rng)
     dataset = MultiLevelDataset(
         customer=HourlyPowerSeries(
             site_id="customer-0",
             level=MeasurementLevel.CUSTOMER,
             start=config.start_utc,
-            values=_meter_noise(customer, daylight, config.meter_noise_sd, meter_rng),
+            values=customer,
         ),
         feeder=HourlyPowerSeries(
             site_id="feeder-0",

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import math
 import os
 import re
 import subprocess
@@ -11,9 +12,11 @@ import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvlevels import cli
 from pvlevels.cli import (
@@ -503,6 +506,208 @@ class TestLoadCsv:
         assert peak < 3 * size, f"peak {peak} B is {peak / size:.2f}x the {size} B file"
 
 
+# the one stamp form read, as `load_csv` read it one line at a time
+REFERENCE_STAMP = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z"
+)
+
+
+def reference_load_csv(path):
+    """The reader before chunking: one line at a time, each field checked
+    as it is read. Chunked, load_csv must return its series, as (level,
+    id, start, values), or raise its error text."""
+    groups, ids = {}, {}
+    with open(path, encoding="latin-1") as fh:
+        assert fh.readline() == CSV_HEADER + "\n"
+        for lineno, line in enumerate(fh, start=2):
+            where = f"{path} line {lineno}"
+            if not line.isascii():
+                byte = next(ch for ch in line if not ch.isascii())
+                raise InputError(f"{where}: non-ASCII byte {ord(byte):#04x}")
+            parts = line.split(",")
+            if len(parts) != 4:
+                if not line.strip():
+                    continue
+                raise InputError(f"{where}: expected 4 fields, got {len(parts)}")
+            stamp, label, series_id, power_text = parts
+            fields = REFERENCE_STAMP.fullmatch(stamp)
+            try:
+                ts = datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
+            except (AttributeError, ValueError):
+                raise InputError(f"{where}: bad timestamp {stamp!r}") from None
+            if ts.minute or ts.second:
+                raise InputError(f"{where}: timestamp {stamp!r} is not hour-aligned")
+            rows = groups.get((label, series_id))
+            if rows is None:
+                try:
+                    level = MeasurementLevel.from_label(label)
+                except ValueError as exc:
+                    raise InputError(f"{where}: {exc}") from None
+                if not series_id:
+                    raise InputError(f"{where}: empty series_id")
+                if level in ids:
+                    raise InputError(
+                        f"{where}: second {label} series {series_id!r} "
+                        f"(the first is {ids[level]!r}); need one series per level"
+                    )
+                ids[level] = series_id
+                rows = groups[(label, series_id)] = {}
+            try:
+                power = float(power_text)
+            except ValueError:
+                power = math.nan
+            if not math.isfinite(power):
+                bad = power_text.rstrip("\n")
+                raise InputError(f"{where}: bad power value {bad!r}")
+            if ts in rows:
+                raise InputError(f"{where}: duplicate ({stamp}, {label}, {series_id})")
+            rows[ts] = power
+    if not groups:
+        raise InputError(f"{path}: no data rows")
+    out = []
+    for level, series_id in sorted(ids.items()):
+        rows = groups[(level.label, series_id)]
+        stamps = sorted(rows)
+        for k, ts in enumerate(stamps):
+            if ts != stamps[0] + k * HOUR:
+                raise InputError(
+                    f"{path}: series ({level.label}, {series_id}) is missing hour "
+                    f"{stamps[0] + k * HOUR:%Y-%m-%dT%H:%M:%SZ}"
+                )
+        out.append((level, series_id, stamps[0], np.array([rows[ts] for ts in stamps])))
+    return out
+
+
+FAULTS = [
+    "bad stamp", "half-hour stamp", "3 fields", "bad power", "nan",
+    "duplicate", "second series", "non-ASCII byte",
+]
+
+
+@st.composite
+def chunked_files(draw):
+    """A CSV file of three series, at most one bad line, and a read size
+    that puts the bad line (or another) first or last in its chunk: the
+    file's bytes, the read size and that line's place."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_hours = draw(st.integers(2, 60))
+    start = utc_datetime(2023, 3, 1) + draw(st.integers(0, 47)) * HOUR
+    lines = []
+    for label, series_id in (("customer", "c0"), ("feeder", "f0"), ("substation", "s0")):
+        values = rng.uniform(0.0, 50.0, n_hours)
+        values[rng.random(n_hours) < 0.4] = 0.0
+        for h, v in enumerate(values.tolist()):
+            stamp = f"{start + h * HOUR:%Y-%m-%dT%H:%M:%SZ}"
+            lines.append(f"{stamp},{label},{series_id},{v:.17g}")
+    if draw(st.booleans()):
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(int(rng.integers(len(lines) + 1)), draw(st.sampled_from(["", "  "])))
+    rows = [i for i, line in enumerate(lines) if line.strip()]
+    at = draw(st.sampled_from(rows))
+    place = draw(st.sampled_from(["first", "last"]))
+    stamp, label, series_id, power = lines[at].split(",")
+    fault = draw(st.sampled_from([None, *FAULTS]))
+    if fault == "bad stamp":
+        stamp = draw(st.sampled_from(["yesterday", "2023-02-30T01:00:00Z", stamp[:11]]))
+    elif fault == "half-hour stamp":
+        stamp = stamp[:14] + "30:00Z"
+    elif fault == "bad power":
+        power = "one"
+    elif fault == "nan":
+        power = "nan"
+    elif fault == "second series":
+        series_id += "x"
+    elif fault == "non-ASCII byte":
+        series_id += "é"
+    lines[at] = f"{stamp},{label},{series_id},{power}"
+    if fault == "3 fields":
+        lines[at] = f"{stamp},{label},{series_id}"
+    elif fault == "duplicate":
+        twins = [i for i in rows if i != at and f",{label}," in lines[i]]
+        # or the nearest on the side of the line's chunk: in rows in
+        # series order, the same chunk
+        inside = [i for i in twins if (i > at) == (place == "first")]
+        if inside and draw(st.booleans()):
+            twins = [min(inside, key=lambda i: abs(i - at))]
+        lines[at] = lines[draw(st.sampled_from(twins))]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    end = newline if draw(st.booleans()) else ""
+    data = (newline.join([CSV_HEADER, *lines]) + end).encode("utf-8")
+    # the read size: reads are cut after their last newline, counted in
+    # the characters `load_csv` reads after its header line
+    ends = np.cumsum([len(line.encode("utf-8")) + 1 for line in lines])
+    first, last = (0 if at == 0 else int(ends[at - 1])), int(ends[at])
+    k = draw(st.integers(1, 8))
+    if place == "first":  # the k-th read ends inside the line
+        lo, hi = first, last - 1
+    else:  # the k-th read ends after the line's newline, inside the next
+        lo, hi = last, (int(ends[at + 1]) - 1 if at + 1 < len(lines) else last)
+    size = max(1, -(-lo // k))
+    if size * k > hi:
+        size, k = max(1, lo), 1
+    return data, size, at, place
+
+
+class TestChunkedLoadCsv:
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            # a row of three lines: a stamp, a blank line and a power
+            (["2023-03-01T01:00:00Z", "", "1.0"], "line 3: expected 4 fields, got 1"),
+            # two rows' fields on a line of 7 and a line of 1
+            (
+                ["2023-03-01T01:00:00Z,customer,c0,1.0,customer,c0,2023-03-01T02:00:00Z",
+                 "2.0"],
+                "line 3: expected 4 fields, got 7",
+            ),
+        ],
+    )
+    def test_fields_across_lines_are_no_rows(self, tmp_path, rows, message):
+        # good rows of the series around them, so all go as one block
+        path = rows_file(
+            tmp_path,
+            [
+                "2023-03-01T00:00:00Z,customer,c0,0.5",
+                *rows,
+                "2023-03-01T03:00:00Z,customer,c0,0.5",
+            ],
+        )
+        with pytest.raises(InputError, match=re.escape(f"data.csv {message}") + "$"):
+            load_csv(path)
+
+    @given(case=chunked_files())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_line_reader(self, tmp_path_factory, case):
+        data, size, at, place = case
+        path = tmp_path_factory.getbasetemp() / "chunked.csv"
+        path.write_bytes(data)
+        with open(path, encoding="latin-1") as fh:
+            fh.readline()
+            with mock.patch.object(cli, "_READ_CHUNK_CHARS", size):
+                chunks = [text.count("\n") for text in cli._line_chunks(fh)]
+        # the line ``at`` opens or closes a chunk, as drawn
+        bounds = np.cumsum([0, *chunks])
+        assert at in (bounds[:-1] if place == "first" else bounds[1:] - 1) or (
+            place == "first" and at == 0
+        )
+        try:
+            want = reference_load_csv(path)
+        except InputError as exc:
+            want = str(exc)
+        try:
+            with mock.patch.object(cli, "_READ_CHUNK_CHARS", size):
+                got = [(s.level, s.site_id, s.start, s.values) for s in load_csv(path)]
+        except InputError as exc:
+            got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert [g[:3] for g in got] == [w[:3] for w in want]
+            for g, w in zip(got, want):
+                assert g[3].tobytes() == w[3].tobytes()
+
+
 def reference_csv(series_list) -> bytes:
     """Row-by-row writer, one strftime per row: what write_csv must write."""
     lines = [CSV_HEADER]
@@ -611,6 +816,17 @@ class TestWriteCsv:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert len((tmp_path / "a.csv").read_text().splitlines()) == 1 + 5
+
+    @pytest.mark.parametrize("site_id", ["100%", "%.17g", "%%", "%(x)s"])
+    def test_ids_holding_percent_match_reference(self, tmp_path, site_id):
+        start = utc_datetime(2023, 3, 1, 22)
+        series = [self.series(site_id, C, start, 30, 1), self.series("f0", F, start, 30, 2)]
+        path = tmp_path / "a.csv"
+        write_csv(path, series)
+        assert path.read_bytes() == reference_csv(series)
+        back, _ = load_csv(path)
+        assert back.site_id == site_id
+        assert np.array_equal(back.values, series[0].values)
 
     @pytest.mark.parametrize("site_id", ["", "a,b", "x\ny", "x\ry", "f\u00e9"])
     def test_rejects_an_id_load_csv_cannot_read(self, tmp_path, site_id):
