@@ -18,7 +18,11 @@ copy would measure the heap layout of compiling the package from source.
 
 With ``--against PATH`` a second checkout is copied to paths of the same
 lengths and run alternately with the first; which one goes first switches
-at each length. ``--tiny`` runs the workload at its smoke-test size.
+at each length. Each side's summary then gives its quartiles too, and for
+each metric the script counts the lengths at which B read lower than A:
+the two numbers a claimed gain is judged by, how many pairs it wins and
+whether the median gap is wider than the other side's quartile spread.
+``--tiny`` runs the workload at its smoke-test size.
 Exit status is 1 when any repetition is not ``correct``.
 """
 
@@ -67,6 +71,14 @@ def run_once(copy: Path, workload: str, seed: int, tiny: bool) -> dict:
     return out
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """Lower and upper quartile, inclusive method; one value is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", choices=WORKLOADS, default="csv-roundtrip")
@@ -111,8 +123,16 @@ def main(argv: list[str]) -> int:
         for name in METRICS:
             values = [run[name] for run in runs if name in run]
             if values:
+                q1, q3 = quartiles(values)
                 print(f"{side} {name}: median {statistics.median(values):.3f}, "
+                      f"quartiles {q1:.3f}-{q3:.3f}, "
                       f"range {min(values):.3f}-{max(values):.3f} over {len(values)} lengths")
+    if "B" in results:
+        for name in METRICS:
+            pairs = [(a[name], b[name]) for a, b in zip(results["A"], results["B"])
+                     if name in a and name in b]
+            lower = sum(b < a for a, b in pairs)
+            print(f"B lower than A on {name}: {lower} of {len(pairs)} lengths")
     return status
 
 

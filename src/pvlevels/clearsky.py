@@ -28,7 +28,13 @@ per hour in `math` (``acos``, ``cos``, ``exp``): numpy's vectorized
 some CPUs, and the profile must equal `solar_position` -> `clearsky_ghi`
 -> `clearsky_power` hour by hour, bit for bit, on every machine. They run
 on daylight hours only: an hour whose cos z is not above zero gets the
-+0.0 the chain gives it, written without running the chain.
++0.0 the chain gives it, written without running the chain. And they run
+once per distinct daylight cos z, whose result every hour holding that
+value shares. Values repeat exactly when the same declination meets the
+same hour angle or its mirror: at a longitude on the 7.5 degree grid
+(such as -105) each morning hour mirrors an afternoon hour, and over more
+than a year the same day of the year comes back. Off that grid and within
+one year, nearly every daylight hour has its own value.
 """
 
 from __future__ import annotations
@@ -215,21 +221,31 @@ def clearsky_profile(site: SiteConfig, start: datetime, n_hours: int) -> ClearSk
     Each hour is evaluated at its midpoint; night hours come out exactly
     zero, and power never exceeds the AC rating. The result equals the
     per-hour chain `solar_position` -> `clearsky_ghi` -> `clearsky_power`
-    bit for bit (see the module docstring).
+    bit for bit (see the module docstring): the Haurwitz chain runs once
+    per distinct daylight cos z, which repeats at longitudes on the 7.5
+    degree grid and across years. A span whose site-local days reach
+    outside years 1-9999 raises ValueError.
     """
     check_utc_hour(start, "profile start")
     if n_hours < 1:
         raise ValueError(f"n_hours must be >= 1, got {n_hours}")
     # Site-local civil day of each hour's midpoint, counted from the first.
-    first_mid = start + timedelta(minutes=30) + timedelta(hours=site.tz_offset)
-    first_day = first_mid.replace(hour=0, minute=0, second=0, microsecond=0)
-    hours = np.arange(n_hours)
-    into_day = np.timedelta64(first_mid - first_day) + hours * np.timedelta64(1, "h")
-    day = into_day // np.timedelta64(1, "D")
-    declinations = [
-        math.radians(solar_declination((first_day + k * DAY).timetuple().tm_yday))
-        for k in range(int(day[-1]) + 1)
-    ]
+    try:
+        first_mid = start + timedelta(minutes=30) + timedelta(hours=site.tz_offset)
+        first_day = first_mid.replace(hour=0, minute=0, second=0, microsecond=0)
+        hours = np.arange(n_hours)
+        into_day = np.timedelta64(first_mid - first_day) + hours * np.timedelta64(1, "h")
+        day = into_day // np.timedelta64(1, "D")
+        declinations = [
+            math.radians(solar_declination((first_day + k * DAY).timetuple().tm_yday))
+            for k in range(int(day[-1]) + 1)
+        ]
+    except OverflowError:
+        raise ValueError(
+            f"clear-sky profile of {n_hours} h from {start.date().isoformat()}"
+            f"T{start.hour:02d}:00:00Z reaches a site-local day "
+            f"(tz_offset {site.tz_offset:g} h) outside years 1-9999"
+        ) from None
     sin_dec = np.array([math.sin(d) for d in declinations])[day]
     cos_dec = np.array([math.cos(d) for d in declinations])[day]
     # Hour angle of each UTC hour of day, at minute 30.
@@ -241,10 +257,14 @@ def clearsky_profile(site: SiteConfig, start: datetime, n_hours: int) -> ClearSk
     cos_z = math.sin(lat) * sin_dec + math.cos(lat) * cos_dec * cos_ha
     cos_z = np.minimum(1.0, np.maximum(-1.0, cos_z))
     # Where cos z <= 0 the chain gives +0.0, through its own night branch
-    # or because exp(-b / cos z) underflows; only daylight hours run it.
+    # or because exp(-b / cos z) underflows; only daylight hours run it,
+    # once per distinct cos z, since equal cos z gives equal GHI.
     ghi = np.zeros(n_hours)
     lit = np.flatnonzero(cos_z > 0.0)
-    ghi[lit] = [clearsky_ghi(math.degrees(math.acos(c))) for c in cos_z[lit].tolist()]
+    distinct, which = np.unique(cos_z[lit], return_inverse=True)
+    ghi[lit] = np.array(
+        [clearsky_ghi(math.degrees(math.acos(c))) for c in distinct.tolist()]
+    )[which]
     power = np.minimum(
         site.ac_rating_kw, site.system_efficiency * site.dc_rating_kw * ghi / 1000.0
     )

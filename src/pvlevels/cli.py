@@ -515,8 +515,9 @@ def write_csv(path, series_list: list[HourlyPowerSeries]) -> None:
     Series are written one at a time, each in chunks of
     `_WRITE_CHUNK_ROWS` rows that format their own timestamps, so the
     text held at once is one chunk's, whatever the series' length. A
-    chunk is one format string, each stamp followed by the series' row
-    tail, and one ``%`` fills in its values at ``%.17g``. A
+    chunk is one format string, built by one ``str.join`` of its stamps
+    with the series' row tail as the separator and the tail once more
+    at the end, and one ``%`` fills in its values at ``%.17g``. A
     series id that load_csv could not read back (empty, not ASCII, or
     holding a comma or a line break) raises ValueError before the file
     is opened.
@@ -535,7 +536,7 @@ def write_csv(path, series_list: list[HourlyPowerSeries]) -> None:
             for a in range(0, s.n, _WRITE_CHUNK_ROWS):
                 values = s.values[a : a + _WRITE_CHUNK_ROWS].tolist()
                 stamps = _hour_stamps(s.start + a * HOUR, len(values))
-                fh.write("".join([ts + row for ts in stamps]) % tuple(values))
+                fh.write((row.join(stamps) + row) % tuple(values))
 
 
 def trim_to_overlap(series_list: list[HourlyPowerSeries]) -> list[HourlyPowerSeries]:

@@ -260,3 +260,46 @@ class TestProfileMatchesScalarChain:
         power, ghi = scalar_chain(site, start, n_hours)
         assert prof.power_kw.tobytes() == power.tobytes()
         assert prof.ghi_wm2.tobytes() == ghi.tobytes()
+
+
+class TestChainOncePerDistinctCosZ:
+    """clearsky_profile runs the Haurwitz chain once per distinct daylight
+    cos z, so hours that share a value share one call."""
+
+    @staticmethod
+    def count_calls(monkeypatch, site, n_hours):
+        zeniths = []
+
+        def counting(zenith):
+            zeniths.append(zenith)
+            return clearsky_ghi(zenith)
+
+        monkeypatch.setattr("pvlevels.clearsky.clearsky_ghi", counting)
+        prof = clearsky_profile(site, utc_datetime(2023, 3, 1), n_hours)
+        return prof, zeniths
+
+    def test_repeats_run_once_on_the_default_site(self, monkeypatch):
+        # -105 deg lies on the 7.5 deg grid, so each morning hour mirrors an
+        # afternoon hour, and the second year repeats the first's days
+        prof, zeniths = self.count_calls(monkeypatch, SITE, 730 * 24)
+        assert int((prof.ghi_wm2 > 0.0).sum()) == 8759
+        assert len(zeniths) == 2195
+
+    def test_no_repeats_run_once_per_lit_hour(self, monkeypatch):
+        site = SiteConfig(39.74, 12.3, 1.0, 100.0, 100.0, 0.96)
+        prof, zeniths = self.count_calls(monkeypatch, site, 90 * 24)
+        assert len(zeniths) == int((prof.ghi_wm2 > 0.0).sum()) == 1164
+        assert len(set(zeniths)) == 1164
+
+
+class TestProfileYearRange:
+    def test_last_days_of_year_9999(self):
+        # the last hours a profile can reach; one more raises ValueError
+        site = site_at(39.74, 0.0)
+        start = utc_datetime(9999, 12, 30)
+        prof = clearsky_profile(site, start, 48)
+        power, ghi = scalar_chain(site, start, 48)
+        assert prof.power_kw.tobytes() == power.tobytes()
+        assert prof.ghi_wm2.tobytes() == ghi.tobytes()
+        with pytest.raises(ValueError, match="outside years 1-9999"):
+            clearsky_profile(site, start, 49)

@@ -1482,6 +1482,31 @@ class TestDispatchErrors:
             in capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["clearsky", "--start", "0001-01-01", "--days", "1"],
+            ["clearsky", "--start", "9999-12-31", "--days", "2"],
+        ],
+    )
+    def test_clearsky_outside_years_1_to_9999_exits_1(self, tmp_path, capsys, argv):
+        assert cmd_dispatch(["--out", str(tmp_path), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: clear-sky profile of ")
+        assert err.endswith(" outside years 1-9999\n") and err.count("\n") == 1
+
+    def test_synth_outside_years_1_to_9999_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synth.start = 0001-01-01\n", encoding="ascii")
+        code = cmd_dispatch(["--config", str(cfg), "--out", str(tmp_path), "synth"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: clear-sky profile of 2160 h from 0001-01-01T00:00:00Z reaches "
+            "a site-local day (tz_offset -7 h) outside years 1-9999\n"
+        )
+        assert not (tmp_path / "dataset.csv").exists()
+
     def test_missing_input_path(self, tmp_path, capsys):
         code = cmd_dispatch(["--out", str(tmp_path), "fit"])
         assert code == 2

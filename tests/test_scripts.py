@@ -4,6 +4,7 @@ underscore name from pvlevels, which keeps them on the public API."""
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ TINY = ["--days", "40", "--ncust", "4", "--nfeeders", "2", "--epochs", "5",
     [
         ("margin_survey.py", [*TINY, "--retries", "1", "--max-days", "2"]),
         ("demo.py", ["--days", "40", "--eval-days", "3"]),
-        ("rss_by_path.py", ["--tiny", "--lengths", "2"]),
+        ("rss_by_path.py", ["--tiny", "--lengths", "2", "--against", str(ROOT)]),
     ],
 )
 def test_script_runs(script, args):
@@ -33,6 +34,16 @@ def test_script_runs(script, args):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    if "--against" in args:
+        for side in "AB":
+            for name in ("peak_rss_mb", "setup_s", "run_s"):
+                assert re.search(
+                    rf"^{side} {name}: median \S+, quartiles \S+-\S+, ", proc.stdout, re.M
+                ), proc.stdout
+        for name in ("peak_rss_mb", "setup_s", "run_s"):
+            assert re.search(
+                rf"^B lower than A on {name}: [0-2] of 2 lengths$", proc.stdout, re.M
+            ), proc.stdout
 
 
 def test_rss_by_path_copies_are_byte_compiled(tmp_path):
