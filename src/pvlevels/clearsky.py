@@ -45,7 +45,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .core import DAY, HOUR, SiteConfig, check_utc_hour
+from .core import DAY, HOUR, SiteConfig, check_utc_hour, hour_stamps
 
 #: Haurwitz GHI at zenith 0 before the exponential attenuation, W/m^2.
 GHI_SCALE_WM2 = 1098.0
@@ -242,9 +242,8 @@ def clearsky_profile(site: SiteConfig, start: datetime, n_hours: int) -> ClearSk
         ]
     except OverflowError:
         raise ValueError(
-            f"clear-sky profile of {n_hours} h from {start.date().isoformat()}"
-            f"T{start.hour:02d}:00:00Z reaches a site-local day "
-            f"(tz_offset {site.tz_offset:g} h) outside years 1-9999"
+            f"clear-sky profile of {n_hours} h from {hour_stamps(start, 1)[0]} reaches "
+            f"a site-local day (tz_offset {site.tz_offset:g} h) outside years 1-9999"
         ) from None
     sin_dec = np.array([math.sin(d) for d in declinations])[day]
     cos_dec = np.array([math.cos(d) for d in declinations])[day]

@@ -64,6 +64,25 @@ def check_utc_hour(ts: datetime, what: str = "timestamp") -> None:
         raise ValueError(f"{what} must be truncated to the hour, got {ts!r}")
 
 
+_HOUR_SUFFIXES = [f"{h:02d}:00:00Z" for h in range(24)]
+
+
+def hour_stamps(start: datetime, n: int) -> list[str]:
+    """`YYYY-MM-DDTHH:00:00Z` text of the ``n`` hours from the UTC hour ``start``.
+
+    The one spelling of an hour in text: the measurement CSV, the output
+    tables and the messages that name an hour all use it. Each calendar
+    day is formatted once and joined to its hour suffixes. The year has
+    four digits in every year, where ``strftime("%Y")`` writes years
+    before 1000 unpadded on some C libraries.
+    """
+    midnight = start.replace(hour=0)
+    first = start.hour
+    n_days = (first + n + 23) // 24
+    days = [(midnight + k * DAY).date().isoformat() + "T" for k in range(n_days)]
+    return [day + suffix for day in days for suffix in _HOUR_SUFFIXES][first : first + n]
+
+
 @dataclass(frozen=True)
 class SiteConfig:
     """Static PV site parameters.
@@ -170,10 +189,8 @@ class MultiLevelDataset:
                     f"series in {level.label} position is tagged {series.level.label}"
                 )
         if len({s.start for s, _ in expected}) != 1:
-            # isoformat keeps four year digits where strftime's %Y may not
             raise InputError("series starts differ: " + ", ".join(
-                f"{level.label} {s.start.date().isoformat()}T{s.start.hour:02d}:00:00Z"
-                for s, level in expected
+                f"{level.label} {hour_stamps(s.start, 1)[0]}" for s, level in expected
             ))
         if len({s.n for s, _ in expected}) != 1:
             raise InputError("series lengths differ: " + ", ".join(

@@ -264,8 +264,10 @@ def _forecast_start(dataset: MultiLevelDataset, day: date, before: np.ndarray) -
         raise InputError(
             f"tz_offset {tz} does not put local midnight on the hour grid"
         )
+    # UTC midnight's index less the whole-hour offset: the instant of a
+    # local midnight east of Greenwich on 0001-01-01 is no datetime
     w0 = datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
-    i0 = dataset.customer.hour_index(w0 - timedelta(hours=tz))
+    i0 = dataset.customer.hour_index(w0) - int(tz)
     if i0 < 0 or i0 + 24 > dataset.n:
         raise Unforecastable(f"forecast day {day} is not fully inside the dataset")
     if before[i0 + 24] == before[i0]:
@@ -287,9 +289,13 @@ def valid_forecast_days(
     day hours of history. Like ``at``, raises InputError for a
     profile not aligned with the dataset or a tz_offset off the hour grid."""
     _, before = _day_hours(dataset, profile, config)
-    first_local = (dataset.start + timedelta(hours=dataset.site.tz_offset)).date()
+    tz = timedelta(hours=dataset.site.tz_offset)
+    first_local = (dataset.start + tz).date()
+    # no day after the last hour's can be inside the dataset, and on
+    # data that ends in 9999-12-31 a later one is no date at all
+    last_local = (dataset.customer.timestamp(dataset.n - 1) + tz).date()
     days = []
-    for k in range(dataset.n // 24 + 2):
+    for k in range((last_local - first_local).days + 1):
         day = first_local + timedelta(days=k)
         try:
             _forecast_start(dataset, day, before)

@@ -18,19 +18,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvlevels import cli
-from pvlevels.cli import (
-    CSV_HEADER,
-    ConfigError,
-    build_run_config,
-    cmd_dispatch,
-    load_csv,
-    parse_config_text,
-    trim_to_overlap,
-    write_csv,
-)
+from pvlevels import cli, csvio
+from pvlevels.cli import ConfigError, build_run_config, cmd_dispatch, parse_config_text
 from pvlevels.clearsky import clearsky_profile
-from pvlevels.core import HOUR, HourlyPowerSeries, MeasurementLevel, utc_datetime
+from pvlevels.core import (
+    HOUR,
+    HourlyPowerSeries,
+    MeasurementLevel,
+    hour_stamps,
+    utc_datetime,
+)
+from pvlevels.csvio import CSV_HEADER, load_csv, missing_hours, trim_to_overlap, write_csv
 from pvlevels.errors import InputError, Unforecastable
 from pvlevels.narnet import MIN_FIT_DAY_HOURS
 from pvlevels.pipeline import PipelineConfig, day_mask
@@ -684,8 +682,8 @@ class TestChunkedLoadCsv:
         path.write_bytes(data)
         with open(path, encoding="latin-1") as fh:
             fh.readline()
-            with mock.patch.object(cli, "_READ_CHUNK_CHARS", size):
-                chunks = [text.count("\n") for text in cli._line_chunks(fh)]
+            with mock.patch.object(csvio, "_READ_CHUNK_CHARS", size):
+                chunks = [text.count("\n") for text in csvio._line_chunks(fh)]
         # the line ``at`` opens or closes a chunk, as drawn
         bounds = np.cumsum([0, *chunks])
         assert at in (bounds[:-1] if place == "first" else bounds[1:] - 1) or (
@@ -696,7 +694,7 @@ class TestChunkedLoadCsv:
         except InputError as exc:
             want = str(exc)
         try:
-            with mock.patch.object(cli, "_READ_CHUNK_CHARS", size):
+            with mock.patch.object(csvio, "_READ_CHUNK_CHARS", size):
                 got = [(s.level, s.site_id, s.start, s.values) for s in load_csv(path)]
         except InputError as exc:
             got = str(exc)
@@ -706,6 +704,26 @@ class TestChunkedLoadCsv:
             assert [g[:3] for g in got] == [w[:3] for w in want]
             for g, w in zip(got, want):
                 assert g[3].tobytes() == w[3].tobytes()
+
+
+class TestMissingHours:
+    def test_gaps_in_order(self):
+        assert list(missing_hours([5, 6, 9, 12])) == [7, 8, 10, 11]
+        assert list(missing_hours([5, 6, 7])) == []
+        assert list(missing_hours([5])) == []
+        assert list(missing_hours([])) == []
+
+    def test_the_first_without_the_rest(self):
+        # rows in years 1 and 9999 leave about 8.8e7 hours between them
+        assert next(missing_hours([0, 10**12])) == 1
+
+    @given(
+        hours=st.lists(st.integers(-3000, 3000), min_size=1, max_size=40, unique=True)
+        .map(sorted)
+    )
+    def test_is_the_range_less_the_hours(self, hours):
+        want = sorted(set(range(hours[0], hours[-1] + 1)) - set(hours))
+        assert list(missing_hours(hours)) == want
 
 
 def reference_csv(series_list) -> bytes:
@@ -728,7 +746,7 @@ def whole_series_csv(series_list) -> bytes:
     for s in sorted(series_list, key=lambda s: (int(s.level), s.site_id)):
         key = (s.start, s.n)
         if key not in stamps:
-            stamps[key] = cli._hour_stamps(s.start, s.n)
+            stamps[key] = hour_stamps(s.start, s.n)
         tag = f",{s.level.label},{s.site_id},"
         rows = zip(stamps[key], s.values.tolist())
         out.append("".join([f"{ts}{tag}{v:.17g}\n" for ts, v in rows]))
@@ -765,7 +783,7 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 2 * 4096 + 7])
     def test_chunk_boundaries_match_whole_series_writer(self, tmp_path, n):
-        assert cli._WRITE_CHUNK_ROWS == 4096
+        assert csvio._WRITE_CHUNK_ROWS == 4096
         midnight = utc_datetime(2023, 12, 31)
         series = [
             # two series on one range
@@ -798,7 +816,7 @@ class TestWriteCsv:
             self.series("c0", C, start, 5, 1),
             self.series("f0", F, start + HOUR, 5, 2),  # a second range of stamps
         ]
-        stamps = cli._hour_stamps
+        stamps = hour_stamps
         calls = []
 
         def fail_on_second_range(first, n):
@@ -808,7 +826,7 @@ class TestWriteCsv:
             return stamps(first, n)
 
         # the second range is formatted after the first series is written
-        monkeypatch.setattr(cli, "_hour_stamps", fail_on_second_range)
+        monkeypatch.setattr(csvio, "hour_stamps", fail_on_second_range)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             with pytest.raises(OSError, match="disk full"):
@@ -897,6 +915,18 @@ class TestTrimToOverlap:
         b = HourlyPowerSeries("b", F, utc_datetime(2023, 4, 1), np.ones(3))
         with pytest.raises(InputError, match="^series have no overlapping hours$"):
             trim_to_overlap([a, b])
+
+    def test_edges_of_the_last_hours(self):
+        a = HourlyPowerSeries("a", C, utc_datetime(2023, 3, 1), np.arange(3.0))
+        # b starts the hour after a's last: nothing shared
+        b = HourlyPowerSeries("b", F, utc_datetime(2023, 3, 1, 3), np.arange(3.0))
+        with pytest.raises(InputError, match="^series have no overlapping hours$"):
+            trim_to_overlap([a, b])
+        # b starts at a's last: that hour is shared
+        b = HourlyPowerSeries("b", F, utc_datetime(2023, 3, 1, 2), np.arange(3.0))
+        ta, tb = trim_to_overlap([a, b])
+        assert ta.start == tb.start == utc_datetime(2023, 3, 1, 2)
+        assert (ta.values.tolist(), tb.values.tolist()) == ([2.0], [0.0])
 
 
 # One generated dataset shared by every command test below. Tiny networks:
@@ -1367,6 +1397,105 @@ class TestCasesCommand:
         for args in (["--out", str(data_dir), "synth"],
                      ["--out", str(tmp_path / "out"), "cases"]):
             assert cmd_dispatch(["--config", str(config), "--seed", "5", *args]) == 0
+
+
+def tiny_config(root, *keys: str):
+    """`synth` TINY_KEYS' fleet, with ``keys`` set and 5-epoch nets, into
+    ``root``; return the config that reads it."""
+    config = root / "run.cfg"
+    set_keys = tuple(k.split(" = ")[0] for k in keys) + ("net.max_epochs",)
+    lines = [k for k in TINY_KEYS if not k.startswith(set_keys)]
+    lines += [*keys, "net.max_epochs = 5", f"paths.input = {root / 'dataset.csv'}"]
+    config.write_text("\n".join(lines) + "\n", encoding="ascii")
+    assert cmd_dispatch(["--config", str(config), "--out", str(root), "synth"]) == 0
+    return config
+
+
+class TestDataEndingIn9999:
+    """91 days that end at 9999-12-31T23:00:00Z, the last hour a stamp
+    can name: no command may step to an hour or a day after it."""
+
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("y9999")
+        config = tiny_config(root, "synth.start = 9999-10-02", "synth.days = 91")
+        last = (root / "dataset.csv").read_text().splitlines()[-1]
+        assert last.startswith("9999-12-31T23:00:00Z,")
+        return config
+
+    def test_cases(self, config, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--config", str(config), "--out", str(out), "cases", "--days", "3"]
+        assert cmd_dispatch(argv) == 0
+        capsys.readouterr()
+        rows = (out / "cases_full.csv").read_text().splitlines()[1:]
+        assert rows and all(row.split(",")[1] <= "9999-12-31" for row in rows)
+        # the two tables and one day series per case and row
+        assert len(list(out.iterdir())) == 2 + 4 * len(rows)
+
+    def test_trim_to_overlap_fit(self, config, tmp_path):
+        for flags, out in (([], "plain"), (["--trim-to-overlap"], "trimmed")):
+            argv = ["--config", str(config), "--out", str(tmp_path / out), *flags, "fit"]
+            assert cmd_dispatch(argv) == 0
+        for name in ("fit.csv", "fit_full.csv"):
+            assert (tmp_path / "trimmed" / name).read_bytes() == (
+                tmp_path / "plain" / name
+            ).read_bytes()
+
+
+class TestDataFromYear1EastOfGreenwich:
+    """60 days from 0001-01-01T00:00:00Z at UTC+10: the first local day's
+    midnight, 10 hours earlier, is no datetime."""
+
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        return tiny_config(
+            tmp_path_factory.mktemp("y1"),
+            "synth.start = 0001-01-01",
+            "synth.days = 60",
+            "site.tz_offset = 10",
+            "site.longitude = 150",
+        )
+
+    def test_cases(self, config, tmp_path, capsys):
+        argv = ["--config", str(config), "--out", str(tmp_path), "cases", "--days", "2"]
+        assert cmd_dispatch(argv) == 0
+        capsys.readouterr()
+
+    def test_first_local_day_is_not_inside(self, config, tmp_path, capsys):
+        argv = ["--config", str(config), "--out", str(tmp_path), "forecast"]
+        assert cmd_dispatch([*argv, "--day", "0001-01-01"]) == 1
+        assert capsys.readouterr().err == (
+            "error: forecast day 0001-01-01 is not fully inside the dataset\n"
+        )
+
+
+def test_commands_reach_csv_io_through_cli_globals(tmp_path, monkeypatch):
+    """The benchmark traces CSV I/O by replacing `cli.load_csv` and
+    `cli.write_csv`, so the commands must call those two names."""
+    calls = {"write_csv": [], "load_csv": []}
+
+    def counting(name):
+        inner = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            calls[name].append((args, result))
+            return result
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    config = tiny_config(tmp_path)
+    argv = ["--config", str(config), "--out", str(tmp_path / "out"), "cases", "--days", "2"]
+    assert cmd_dispatch(argv) == 0
+    [((_, written), _)] = calls["write_csv"]
+    [(_, read)] = calls["load_csv"]
+    assert len(written) == 3
+    assert [(s.level, s.start, s.values.tobytes()) for s in read] == [
+        (s.level, s.start, s.values.tobytes()) for s in written
+    ]
 
 
 # synth, a day-ahead forecast and compare_cases on two days, in one process

@@ -1,7 +1,13 @@
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pvlevels import core
+from pvlevels.clearsky import clearsky_profile
 from pvlevels.core import (
     HOUR,
     HourlyPowerSeries,
@@ -9,6 +15,7 @@ from pvlevels.core import (
     MultiLevelDataset,
     SiteConfig,
     derive_seed,
+    hour_stamps,
     make_generator,
     utc_datetime,
 )
@@ -229,3 +236,38 @@ def test_make_generator_reproducible():
     a = make_generator(42).random(10)
     b = make_generator(42).random(10)
     assert np.array_equal(a, b)
+
+
+def test_hour_stamp_text_is_spelled_only_in_core():
+    sources = Path(core.__file__).parent.glob("*.py")
+    spelled = [p.name for p in sources if ":00:00Z" in p.read_text(encoding="utf-8")]
+    assert spelled == ["core.py"]
+
+
+@pytest.mark.parametrize(
+    "start,outside_tz",
+    [
+        # with outside_tz, the site-local day of the start's hour lies
+        # outside years 1-9999, so clearsky_profile names the start
+        (utc_datetime(1, 1, 1), -7.0),
+        (utc_datetime(999, 12, 31, 22), None),
+        (utc_datetime(2023, 3, 1, 5), None),
+        (utc_datetime(9999, 12, 31, 22), 2.0),
+    ],
+)
+def test_hour_stamps_is_the_text_of_every_message(start, outside_tz):
+    (stamp,) = hour_stamps(start, 1)
+    assert re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:00:00Z", stamp)
+    assert stamp == start.isoformat().replace("+00:00", "Z")
+    (later,) = hour_stamps(start + HOUR, 1)
+    series = [make_series(n=1, level=level, start=start) for level in MeasurementLevel]
+    series[1] = make_series(n=1, level=MeasurementLevel.FEEDER, start=start + HOUR)
+    with pytest.raises(InputError) as info:
+        MultiLevelDataset(*series, site=SITE)
+    assert str(info.value) == (
+        f"series starts differ: customer {stamp}, feeder {later}, substation {stamp}"
+    )
+    if outside_tz is not None:
+        with pytest.raises(ValueError) as info:
+            clearsky_profile(replace(SITE, tz_offset=outside_tz), start, 1)
+        assert f" h from {stamp} reaches " in str(info.value)
