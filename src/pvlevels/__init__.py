@@ -85,7 +85,6 @@ from .preprocess import (
 from .synth import (
     DEFAULT_SITE,
     SynthConfig,
-    aggregate,
     capacity_fractions,
     gen_dataset,
     random_regime_schedule,

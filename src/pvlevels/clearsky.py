@@ -177,7 +177,7 @@ class ClearSkyProfile:
         if power.ndim != 1 or power.size < 1 or power.shape != ghi.shape:
             raise ValueError("power_kw and ghi_wm2 must be equal-length 1-d arrays")
         if np.any(ghi < 0.0) or np.any(ghi > GHI_SCALE_WM2):
-            raise ValueError("ghi_wm2 out of [0, 1098]")
+            raise ValueError(f"ghi_wm2 out of [0, {GHI_SCALE_WM2:g}]")
         if np.any(power < 0.0):
             raise ValueError("power_kw must be non-negative")
         if np.any((power == 0.0) != (ghi == 0.0)):

@@ -137,11 +137,6 @@ class HourlyPowerSeries:
     def n(self) -> int:
         return int(self.values.size)
 
-    @property
-    def end(self) -> datetime:
-        """First hour after the last sample."""
-        return self.start + self.n * HOUR
-
     def timestamp(self, i: int) -> datetime:
         return self.start + i * HOUR
 

@@ -176,7 +176,10 @@ class CaseResult:
 
     Case 1 fills per_level_reports (one per level); cases 2-4 fill
     report and level_errors. forecast is the 24-hour kW series for the
-    target level's meter; seed is the network seed of the kept attempt.
+    target level's meter. seed names the kept attempt: for cases 2-4 it
+    is ``derive_seed(config.seed, _TAG_NARX, day.i0, attempt)``, which
+    seeds no net itself (member m of that attempt is seeded with the
+    same tags plus m); for case 1 it is the pipeline seed.
     """
 
     case_id: CaseStudy

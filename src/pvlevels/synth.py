@@ -167,10 +167,6 @@ class SynthConfig:
             self.days, derive_seed(self.seed, _TAG_SCHEDULE)
         )
 
-    def default_feeder_map(self) -> tuple[int, ...]:
-        """Round-robin customer-to-feeder assignment."""
-        return tuple(i % self.n_feeders for i in range(self.n_customers))
-
 
 def random_regime_schedule(days: int, seed: int) -> tuple[Weather, ...]:
     """Markov weather schedule: keep yesterday's regime with REGIME_STAY_PROB.
@@ -289,11 +285,12 @@ def _feeders_and_substation(
 
     ``power`` holds the customers' kW on axis 1: customer i reads
     ``power[:, i][columns][k]`` at hour ``idx[k]`` and 0 at every hour
-    off ``idx``. Customers go to feeders round-robin, as
-    ``config.default_feeder_map()`` assigns them. Each feeder sums its
-    customers in index order from 0.0, and the substation sums the
-    metered feeders in index order, less LOSS_FRACTION. Meter noise
-    lands on the hours where some customer's power is positive.
+    off ``idx``. Customers go to feeders round-robin: customer i to
+    feeder ``i % n_feeders``. Each feeder sums its customers in index
+    order from 0.0, and the substation sums the metered feeders in index
+    order, less LOSS_FRACTION. Meter noise lands on each feeder and on
+    the substation, on the hours where some customer's power is
+    positive, clamped at zero.
     """
     n_feeders = config.n_feeders
     on = idx[(power > 0.0).any(axis=1)[columns]]
@@ -315,58 +312,17 @@ def _feeders_and_substation(
     return feeders, bus
 
 
-def aggregate(
-    customers: list[HourlyPowerSeries], config: SynthConfig
-) -> tuple[list[HourlyPowerSeries], HourlyPowerSeries]:
-    """Sum customers into feeders, feeders into the lossy substation.
-
-    ``customers`` are the config.n_customers customers, assigned to
-    feeders by ``config.default_feeder_map()``. Summation order is fixed:
-    customers in index order within each feeder, then feeders in index
-    order; with zero noise the substation is (1 - LOSS_FRACTION) times
-    the customer total computed in that grouping exactly (bit-for-bit).
-    Meter noise lands on each feeder and on the substation, on the hours
-    where some customer's power is positive, clamped at zero.
-    ``gen_dataset`` runs the same sums on its fleet array.
-    """
-    first = customers[0]
-    every_hour = np.arange(first.n)
-    feeders, substation = _feeders_and_substation(
-        np.stack([c.values for c in customers])[None],
-        (np.zeros_like(every_hour), every_hour),
-        every_hour,
-        first.n,
-        config,
-    )
-    return (
-        [
-            HourlyPowerSeries(
-                site_id=f"feeder-{j}",
-                level=MeasurementLevel.FEEDER,
-                start=first.start,
-                values=values,
-            )
-            for j, values in enumerate(feeders)
-        ],
-        HourlyPowerSeries(
-            site_id="substation",
-            level=MeasurementLevel.SUBSTATION,
-            start=first.start,
-            values=substation,
-        ),
-    )
-
-
 def capacity_fractions(config: SynthConfig) -> tuple[float, float, float]:
     """Share of site capacity behind each measured level's meter.
 
-    The measured customer is customer 0, the measured feeder is feeder 0
-    under the default round-robin map, the substation sees everything
-    minus losses. These are the clear-sky scaling factors a forecasting
-    run on this dataset should use.
+    The measured customer is customer 0, the measured feeder is feeder 0,
+    which the round-robin assignment gives customers 0, n_feeders,
+    2 * n_feeders, ..., and the substation sees everything minus losses.
+    These are the clear-sky scaling factors a forecasting run on this
+    dataset should use.
     """
     n = config.n_customers
-    on_feeder0 = sum(1 for j in config.default_feeder_map() if j == 0)
+    on_feeder0 = len(range(0, n, config.n_feeders))
     return (1.0 / n, on_feeder0 / n, 1.0 - LOSS_FRACTION)
 
 
@@ -382,9 +338,9 @@ def gen_dataset(
     The fleet makes one pass (see the module docstring): each customer
     draws its stream over every daylight hour into one (hour of day,
     customer, day) array, one AR(1) run advances all of it by hour of
-    day, and the feeder and substation readings are summed from it as
-    ``aggregate`` sums them. Only customer 0 becomes a full-length
-    series; the others are checked finite as a whole.
+    day, and ``_feeders_and_substation`` sums the feeder and substation
+    readings from it. Only customer 0 becomes a full-length series; the
+    others are checked finite as a whole.
     """
     n_hours = config.days * 24
     profile = clearsky_profile(site, config.start_utc, n_hours)

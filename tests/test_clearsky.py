@@ -1,4 +1,5 @@
 import math
+import re
 from datetime import timedelta
 
 import numpy as np
@@ -191,6 +192,8 @@ class TestProfile:
         assert part.n == 10
         assert part.start == prof.start + 10 * HOUR
         assert np.array_equal(part.power_kw, prof.power_kw[10:20])
+        with pytest.raises(ValueError, match=r"^invalid slice \[20, 20\) for n=48$"):
+            prof.sliced(20, 20)
 
     def test_invariant_power_zero_iff_ghi_zero(self):
         with pytest.raises(ValueError):
@@ -199,6 +202,20 @@ class TestProfile:
                 power_kw=np.array([0.0, 1.0]),
                 ghi_wm2=np.array([5.0, 10.0]),
             )
+
+    @pytest.mark.parametrize(
+        "power, ghi, message",
+        [
+            ([1.0, 2.0], [5.0], "power_kw and ghi_wm2 must be equal-length 1-d arrays"),
+            ([[1.0]], [[5.0]], "power_kw and ghi_wm2 must be equal-length 1-d arrays"),
+            ([1.0], [GHI_SCALE_WM2 + 1.0], "ghi_wm2 out of [0, 1098]"),
+            ([1.0], [-1.0], "ghi_wm2 out of [0, 1098]"),
+            ([-1.0], [5.0], "power_kw must be non-negative"),
+        ],
+    )
+    def test_rejects_naming_the_fault(self, power, ghi, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClearSkyProfile(utc_datetime(2023, 3, 1), np.array(power), np.array(ghi))
 
     def test_bad_n_hours(self):
         with pytest.raises(ValueError):

@@ -906,7 +906,8 @@ class TestTrimToOverlap:
         b = HourlyPowerSeries("b", F, utc_datetime(2023, 3, 1, 3), np.arange(10.0))
         ta, tb = trim_to_overlap([a, b])
         assert ta.start == tb.start == utc_datetime(2023, 3, 1, 3)
-        assert ta.end == tb.end == utc_datetime(2023, 3, 1, 10)
+        last = utc_datetime(2023, 3, 1, 9)
+        assert ta.timestamp(ta.n - 1) == tb.timestamp(tb.n - 1) == last
         assert np.array_equal(ta.values, [3.0, 4, 5, 6, 7, 8, 9])
         assert np.array_equal(tb.values, [0.0, 1, 2, 3, 4, 5, 6])
 
@@ -1268,6 +1269,28 @@ class TestCasesCommand:
         assert sorted(p.name for p in again.iterdir()) == names
         for name in names:
             assert (again / name).read_bytes() == (cases_dir / name).read_bytes()
+
+    def test_runs_from_a_moved_synth_directory(self, workspace, cases_dir, tmp_path):
+        # dataset_config.txt names dataset.csv relative to its own directory
+        _, config, _ = workspace
+        made = tmp_path / "made"
+        assert cmd_dispatch(["--config", str(config), "--out", str(made), "synth"]) == 0
+        moved = made.rename(tmp_path / "moved")
+        moved_config = moved / "dataset_config.txt"
+        # the workspace's nets and retries, so the outputs are cases_dir's
+        with open(moved_config, "a", encoding="ascii") as fh:
+            fh.writelines(
+                f"{key}\n" for key in TINY_KEYS if key.startswith(("net.", "pipeline.max_"))
+            )
+        out = tmp_path / "out"
+        code = cmd_dispatch(
+            ["--config", str(moved_config), "--out", str(out), "cases", "--days", "1"]
+        )
+        assert code == 0
+        names = sorted(p.name for p in cases_dir.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (cases_dir / name).read_bytes()
 
     @pytest.mark.parametrize("days", ["0", "-2"])
     def test_bad_days(self, workspace, tmp_path, capsys, days):

@@ -65,7 +65,6 @@ class TestHourlyPowerSeries:
         assert s.n == 5
         assert s.timestamp(0) == s.start
         assert s.timestamp(4) == s.start + 4 * HOUR
-        assert s.end == s.start + 5 * HOUR
         assert s.hour_index(s.timestamp(3)) == 3
 
     def test_rejects_naive_start(self):

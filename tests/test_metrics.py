@@ -85,6 +85,10 @@ class TestMape:
         with pytest.raises(InputError, match="actual length 2 != forecast length 1"):
             mape([1.0, 2.0], [1.0])
 
+    def test_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="^actual and forecast must be 1-d$"):
+            mape([[1.0, 2.0]], [[1.0, 2.0]])
+
     def test_non_finite(self):
         with pytest.raises(ValueError):
             mape([1.0, np.inf], [1.0, 2.0])
@@ -197,6 +201,8 @@ class TestMetricReportValidation:
             MetricReport(-0.1, 1.0, 0.5, 0)
         with pytest.raises(ValueError):
             MetricReport(0.1, -1.0, 0.5, 0)
+        with pytest.raises(ValueError, match="^n_excluded must be >= 0$"):
+            MetricReport(0.1, 1.0, 0.5, -1)
 
     def test_rejects_r2_above_one(self):
         with pytest.raises(ValueError):

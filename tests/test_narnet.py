@@ -9,6 +9,7 @@ from pvlevels.core import MeasurementLevel, utc_datetime
 from pvlevels.errors import InputError, TrainingFailed, Unforecastable
 from pvlevels.narnet import (
     MIN_FIT_DAY_HOURS,
+    FittingModel,
     NarxModel,
     NetworkConfig,
     _merge_zero_rows,
@@ -818,6 +819,10 @@ class TestPredictClosedLoop:
         )
         assert out.size == 0
 
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="^horizon must be >= 0, got -1$"):
+            predict_closed_loop(tiny_model(), np.array([0.1]), horizon=-1)
+
     def test_seed_length_checked(self):
         with pytest.raises(ValueError, match=r"y_seed shape \(2,\), expected \(1,\)"):
             predict_closed_loop(tiny_model(), np.array([0.1, 0.2]), horizon=1)
@@ -829,6 +834,17 @@ class TestPredictClosedLoop:
             ValueError, match="0 future / 0 seed exogenous channels, expected 1"
         ):
             predict_closed_loop(model, np.array([0.1]), horizon=1)
+
+    def test_exo_seed_length_checked(self):
+        model = init_network(NetworkConfig(delay_d=1, hidden_width=1, n_exo_channels=1))
+        with pytest.raises(ValueError, match=r"^exo_seed shape \(2,\), expected \(1,\)$"):
+            predict_closed_loop(
+                model,
+                np.array([0.1]),
+                [np.array([0.5])],
+                exo_seed=[np.array([0.2, 0.3])],
+                horizon=1,
+            )
 
     def test_future_shorter_than_horizon(self):
         cfg = NetworkConfig(delay_d=1, hidden_width=1, n_exo_channels=1)
@@ -900,6 +916,18 @@ class TestFitNar:
         with pytest.raises(ValueError):
             fit_nar(pre, cfg)
 
+    def test_fitting_model_r2_at_most_one(self):
+        net = init_network(NetworkConfig(delay_d=2, hidden_width=2))
+        with pytest.raises(ValueError, match="^fit_r2 above 1: 1.5$"):
+            FittingModel(MeasurementLevel.CUSTOMER, net, fit_r2=1.5, fit_mape=0.1)
+
+    def test_fitting_model_net_is_autoregressive(self):
+        net = init_network(NetworkConfig(delay_d=2, hidden_width=2, n_exo_channels=1))
+        with pytest.raises(
+            ValueError, match="^fitting model net must be purely autoregressive$"
+        ):
+            FittingModel(MeasurementLevel.CUSTOMER, net, fit_r2=0.5, fit_mape=0.1)
+
     def test_learns_deterministic_index_process(self):
         pre = self.make_pre(synthetic_index_series())
         cfg = NetworkConfig(
@@ -950,6 +978,16 @@ class TestSerialization:
         lines = text.splitlines()
         with pytest.raises(InputError, match="^unexpected end of model text$"):
             model_from_text("\n".join(lines[: len(lines) // 2]))
+
+    def test_misnamed_line(self):
+        text = model_to_text(init_network(NetworkConfig(delay_d=2, hidden_width=2)))
+        with pytest.raises(InputError, match="^expected 'trained ...', got 'trainee 0'$"):
+            model_from_text(text.replace("\ntrained 0\n", "\ntrainee 0\n"))
+
+    def test_missing_params_marker(self):
+        text = model_to_text(init_network(NetworkConfig(delay_d=2, hidden_width=2)))
+        with pytest.raises(InputError, match="^expected 'params' marker$"):
+            model_from_text(text.replace("\nparams\n", "\nparameters\n"))
 
     def test_trailing_garbage(self):
         text = model_to_text(self.build())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -286,6 +288,26 @@ class TestPreprocessedSeries:
                 index_values=bad,
                 day_mask=mask,
                 offset_kw=0.0,
+                source_start=START,
+                clip_count=0,
+            )
+
+    @pytest.mark.parametrize(
+        "index, mask, offset_kw, error, message",
+        [
+            ([[1.0]], [[True]], 0.0, ValueError, "index_values and day_mask must be 1-d"),
+            ([], [False, False], 0.0, Unforecastable, "no day hours in series"),
+            ([1.0, np.nan], [True, True], 0.0, ValueError, "index_values must be finite"),
+            ([1.0], [True], -0.5, ValueError, "offset_kw must be >= 0, got -0.5"),
+        ],
+    )
+    def test_rejects_naming_the_fault(self, index, mask, offset_kw, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            PreprocessedSeries(
+                level=MeasurementLevel.CUSTOMER,
+                index_values=np.array(index, dtype=np.float64),
+                day_mask=np.array(mask, dtype=bool),
+                offset_kw=offset_kw,
                 source_start=START,
                 clip_count=0,
             )

@@ -1,8 +1,10 @@
 """The scripts: each runs to exit 0 at a tiny size and takes no
-underscore name from pvlevels, which keeps them on the public API."""
+underscore name from pvlevels, which keeps them on the public API; and
+every name the package exports has a caller in the program."""
 
 import ast
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import pvlevels
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -113,3 +117,34 @@ def test_script_takes_no_underscore_name_from_pvlevels(script):
 )
 def test_underscore_names_finds_each_way_in(source, names):
     assert underscore_names(ast.parse(source)) == names
+
+
+# Exported names kept as named references with no caller: the per-hour
+# chain that clearsky_profile must equal bit for bit, and the model file
+# round trip that criterion 8 checks.
+UNCALLED_EXPORTS = {"clearsky_power", "solar_position", "save_model", "load_model"}
+
+
+def loaded_names() -> set[str]:
+    """Every name or attribute read in the package's modules (not its
+    __init__), bench/*.py and scripts/*.py."""
+    paths = [p for p in (ROOT / "src" / "pvlevels").glob("*.py") if p.name != "__init__.py"]
+    paths += [*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+    return found
+
+
+def test_every_export_has_a_caller():
+    exports = {
+        name for name in pvlevels.__all__ if not inspect.ismodule(getattr(pvlevels, name))
+    }
+    assert UNCALLED_EXPORTS <= exports
+    loaded = loaded_names()
+    assert sorted(exports - UNCALLED_EXPORTS - loaded) == []
+    assert sorted(UNCALLED_EXPORTS & loaded) == []

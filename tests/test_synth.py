@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from pvlevels.synth import (
     SynthConfig,
     _day_columns,
     _index_from_innovations,
-    aggregate,
     capacity_fractions,
     gen_dataset,
     random_regime_schedule,
@@ -42,24 +42,6 @@ ALL_SUNNY = SynthConfig(
     shared_drift_sd=0.0,
     seed=11,
 )
-
-
-def flat_customers(n, value=2.0, hours=48, start=None):
-    """Constant daytime output; hour 0 of each day is night (zero)."""
-    from pvlevels.core import utc_datetime
-
-    start = start or utc_datetime(2023, 3, 1)
-    values = np.full(hours, value)
-    values[::24] = 0.0
-    return [
-        HourlyPowerSeries(
-            site_id=f"customer-{i}",
-            level=MeasurementLevel.CUSTOMER,
-            start=start,
-            values=values.copy(),
-        )
-        for i in range(n)
-    ]
 
 
 class TestSynthConfigValidation:
@@ -79,6 +61,16 @@ class TestSynthConfigValidation:
             SynthConfig(ar_rho=1.0)
         with pytest.raises(ValueError):
             SynthConfig(ar_rho=-0.1)
+
+    @pytest.mark.parametrize("field", ["n_customers", "n_feeders"])
+    def test_needs_a_customer_and_a_feeder(self, field):
+        with pytest.raises(ValueError, match="^need n_customers >= 1 and n_feeders >= 1$"):
+            SynthConfig(**{field: 0})
+
+    @pytest.mark.parametrize("rho", [1.0, -0.1])
+    def test_drift_rho_bounds(self, rho):
+        with pytest.raises(ValueError, match=r"^shared_drift_rho must be in \[0, 1\)$"):
+            SynthConfig(shared_drift_rho=rho)
 
     def test_more_feeders_than_customers(self):
         with pytest.raises(ValueError):
@@ -154,81 +146,6 @@ class TestGenCustomerIndex:
         idx = day_index((Weather.PARTLY_CLOUDY,) * days, eps, cfg)
         assert idx.shape == (hours, days)
         assert np.all((idx >= 0.0) & (idx <= KAPPA_MAX))
-
-
-class TestAggregate:
-    def test_conservation_exact(self):
-        # noise-free: each feeder sums its round-robin customers in index
-        # order, and the substation is the feeders' sum, in feeder order,
-        # less LOSS_FRACTION, bit for bit
-        cfg = SynthConfig(n_customers=6, n_feeders=2, meter_noise_sd=0.0)
-        customers = [
-            c.with_values(c.values * (1.0 + i / 7.0))
-            for i, c in enumerate(flat_customers(6))
-        ]
-        feeders, substation = aggregate(customers, cfg)
-        assert len(feeders) == 2
-        bus = np.zeros(customers[0].n)
-        for j, feeder in enumerate(feeders):
-            total = np.zeros(customers[0].n)
-            for c in customers[j::2]:
-                total = total + c.values
-            assert np.array_equal(feeder.values, total)
-            bus = bus + total
-        assert np.array_equal(substation.values, (1.0 - LOSS_FRACTION) * bus)
-
-    def test_loss_fraction_applied(self):
-        # 10 customers at 10 kW each: feeders total 100 kW, 4% loss -> 96
-        cfg = SynthConfig(n_customers=10, n_feeders=2, meter_noise_sd=0.0)
-        customers = flat_customers(10, value=10.0)
-        _, substation = aggregate(customers, cfg)
-        day = customers[0].values > 0
-        assert LOSS_FRACTION == 0.04
-        assert np.allclose(substation.values[day], 96.0)
-
-    def test_noise_bounded_six_sigma(self):
-        sd = 0.4
-        cfg_noisy = SynthConfig(n_customers=6, n_feeders=3, meter_noise_sd=sd, seed=5)
-        cfg_clean = SynthConfig(n_customers=6, n_feeders=3, meter_noise_sd=0.0, seed=5)
-        customers = flat_customers(6, hours=744)
-        _, noisy = aggregate(customers, cfg_noisy)
-        _, clean = aggregate(customers, cfg_clean)
-        delta = noisy.values - clean.values
-        assert np.any(delta != 0.0)
-        # the difference stacks three feeder meters, less the loss, and the
-        # substation meter, so six sigma is six of the stacked deviation
-        sigma_delta = sd * np.sqrt(1.0 + 3.0 * (1.0 - LOSS_FRACTION) ** 2)
-        assert np.all(np.abs(delta) < 6.0 * sigma_delta)
-
-    @pytest.mark.parametrize(
-        "n_customers, n_feeders",
-        [(6, 2), (7, 3), (1, 1), (5, 5), (4, 1)],
-    )
-    def test_equals_the_feeder_loop(self, n_customers, n_feeders):
-        # uneven customers, hours where only some of them produce, and
-        # hours where none does
-        cfg = SynthConfig(
-            n_customers=n_customers, n_feeders=n_feeders, meter_noise_sd=0.3, seed=8
-        )
-        rng = make_generator(9)
-        customers = [
-            c.with_values(c.values * rng.uniform(0.0, 2.0, c.n) * (rng.random(c.n) < 0.8))
-            for c in flat_customers(n_customers, hours=96)
-        ]
-        feeders, substation = aggregate(customers, cfg)
-        want_feeders, want_substation = reference_aggregate(customers, cfg)
-        assert [f.site_id for f in feeders] == [f"feeder-{j}" for j in range(n_feeders)]
-        assert [f.values.tobytes() for f in feeders] == [f.tobytes() for f in want_feeders]
-        assert substation.values.tobytes() == want_substation.tobytes()
-
-    def test_night_hours_stay_zero(self):
-        cfg = SynthConfig(n_customers=4, n_feeders=2, meter_noise_sd=1.0, seed=2)
-        customers = flat_customers(4)
-        feeders, substation = aggregate(customers, cfg)
-        night = customers[0].values == 0.0
-        for f in feeders:
-            assert np.all(f.values[night] == 0.0)
-        assert np.all(substation.values[night] == 0.0)
 
 
 class TestCapacityFractions:
@@ -313,6 +230,21 @@ class TestGenDataset:
             tracemalloc.stop()
         assert peak <= 2.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_feeder_is_the_substation_before_losses(self, seed):
+        dataset, _ = gen_dataset(
+            SynthConfig(days=31, n_customers=5, n_feeders=1, meter_noise_sd=0.0, seed=seed)
+        )
+        want = (1.0 - LOSS_FRACTION) * dataset.feeder.values
+        assert dataset.substation.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_feeder_per_customer_is_the_customer(self, seed):
+        dataset, _ = gen_dataset(
+            SynthConfig(days=31, n_customers=4, n_feeders=4, meter_noise_sd=0.0, seed=seed)
+        )
+        assert dataset.feeder.values.tobytes() == dataset.customer.values.tobytes()
+
     def test_levels_aligned(self):
         dataset, profile = gen_dataset(SynthConfig(days=31, seed=6))
         assert dataset.start == profile.start
@@ -341,12 +273,11 @@ def reference_meter_noise(values, on, sd, rng):
 
 
 def reference_aggregate(customers, config):
-    """``aggregate``'s readings as a loop over feeders: each feeder a
-    running sum of its customers' series, the substation a running sum
-    of the metered feeders, each meter noisy where some customer's power
-    is positive."""
+    """The feeder and substation readings as a loop over feeders: each
+    feeder a running sum of its round-robin customers' series, the
+    substation a running sum of the metered feeders, each meter noisy
+    where some customer's power is positive."""
     tag_feeder_meter, tag_substation_meter = 5, 6
-    feeder_map = config.default_feeder_map()
     n = customers[0].n
     on = np.zeros(n, dtype=bool)
     for c in customers:
@@ -355,7 +286,7 @@ def reference_aggregate(customers, config):
     for j in range(config.n_feeders):
         total = np.zeros(n)
         for i, c in enumerate(customers):
-            if feeder_map[i] == j:
+            if i % config.n_feeders == j:
                 total = total + c.values
         rng = make_generator(derive_seed(config.seed, tag_feeder_meter, j))
         feeders.append(reference_meter_noise(total, on, config.meter_noise_sd, rng))
@@ -444,6 +375,17 @@ POLAR_SITE = SiteConfig(
     system_efficiency=0.96,
 )
 CYCLE = (Weather.SUNNY, Weather.CLOUDY, Weather.PARTLY_CLOUDY)
+# a dark, very noisy three-customer fleet: daylight hours where every
+# customer reads 0, and hours where customer 0 does but the feeder not
+ZERO_HOURS = SynthConfig(
+    days=31,
+    n_customers=3,
+    n_feeders=1,
+    shared_fraction=0.6,
+    regime_schedule=(Weather.CLOUDY,) * 31,
+    sigma_cloudy=0.6,
+    seed=4,
+)
 MIXED = dict(
     days=40,
     n_customers=7,
@@ -511,6 +453,7 @@ class TestAgainstDayLoop:
                 DEFAULT_SITE,
                 id="case-study-scale",
             ),
+            pytest.param(ZERO_HOURS, DEFAULT_SITE, id="zero-hours"),
         ],
     )
     def test_series_equal_the_day_loop(self, config, site):
@@ -532,6 +475,12 @@ class TestAgainstDayLoop:
         assert by_day.any() and not by_day.all()
         dark = daylight(SynthConfig(start_utc=utc_datetime(2023, 12, 1), **MIXED), POLAR_SITE)
         assert not dark.any()
+        # the zero-hours fleet, noise-free so its series are the sums
+        dataset, profile = gen_dataset(replace(ZERO_HOURS, meter_noise_sd=0.0))
+        lit = profile.power_kw > 0.0
+        feeder, customer = dataset.feeder.values, dataset.customer.values
+        assert (lit & (feeder == 0.0)).any()
+        assert (lit & (customer == 0.0) & (feeder > 0.0)).any()
 
     @pytest.mark.parametrize("a, b", [(0, 0), (0, 5), (7, 0), (1, 1), (13, 29), (500, 333)])
     def test_one_draw_is_its_parts_in_order(self, a, b):
