@@ -18,23 +18,26 @@ normalization ratio is insensitive); solar time is derived from UTC and
 longitude alone. Declination is held constant within each civil day and
 every hour is evaluated at its midpoint (minute 30).
 
-`clearsky_profile` uses that structure: the declination takes one value
-per site-local civil day and the hour angle one value per UTC hour of day
-(24 values), so a profile computes those once and forms every hour's
-cos z from them with numpy's correctly rounded ``+``, ``*``, ``minimum``
-and ``maximum``, in the order of `solar_zenith`. The transcendentals stay
-per hour in `math` (``acos``, ``cos``, ``exp``): numpy's vectorized
-``arccos`` and ``exp`` may differ from the C library in the last bit on
-some CPUs, and the profile must equal `solar_position` -> `clearsky_ghi`
--> `clearsky_power` hour by hour, bit for bit, on every machine. They run
-on daylight hours only: an hour whose cos z is not above zero gets the
-+0.0 the chain gives it, written without running the chain. And they run
-once per distinct daylight cos z, whose result every hour holding that
-value shares. Values repeat exactly when the same declination meets the
-same hour angle or its mirror: at a longitude on the 7.5 degree grid
-(such as -105) each morning hour mirrors an afternoon hour, and over more
-than a year the same day of the year comes back. Off that grid and within
-one year, nearly every daylight hour has its own value.
+`clearsky_profile` uses that structure. It settles the calendar first,
+from scalars: the site-local civil days the span touches, and whether
+they lie in years 1-9999, before it builds any per-hour array. The
+declination then takes one value per civil day and the hour angle one
+value per UTC hour of day (24 values), so a profile computes those once
+and forms every hour's cos z from them with numpy's correctly rounded
+``+``, ``*``, ``minimum`` and ``maximum``, in the order of
+`solar_zenith`. The transcendentals stay per hour in `math` (``acos``,
+``cos``, ``exp``): numpy's vectorized ``arccos`` and ``exp`` may differ
+from the C library in the last bit on some CPUs, and the profile must
+equal `solar_position` -> `clearsky_ghi` -> `clearsky_power` hour by
+hour, bit for bit, on every machine. They run on daylight hours only: an
+hour whose cos z is not above zero gets the +0.0 the chain gives it,
+written without running the chain. And they run once per distinct
+daylight cos z, whose result every hour holding that value shares.
+Values repeat exactly when the same declination meets the same hour
+angle or its mirror: at a longitude on the 7.5 degree grid (such as
+-105) each morning hour mirrors an afternoon hour, and over more than a
+year the same day of the year comes back. Off that grid and within one
+year, nearly every daylight hour has its own value.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ from .core import DAY, HOUR, SiteConfig, check_utc_hour, hour_stamps
 GHI_SCALE_WM2 = 1098.0
 
 _HAURWITZ_B = 0.057
+
+_US_PER_HOUR = 3_600_000_000
+_US_PER_DAY = 86_400_000_000
 
 
 def solar_declination(day_of_year: int) -> float:
@@ -224,27 +230,33 @@ def clearsky_profile(site: SiteConfig, start: datetime, n_hours: int) -> ClearSk
     bit for bit (see the module docstring): the Haurwitz chain runs once
     per distinct daylight cos z, which repeats at longitudes on the 7.5
     degree grid and across years. A span whose site-local days reach
-    outside years 1-9999 raises ValueError.
+    outside years 1-9999 raises ValueError, found from the first hour and
+    the span's length before any per-hour work.
     """
     check_utc_hour(start, "profile start")
     if n_hours < 1:
         raise ValueError(f"n_hours must be >= 1, got {n_hours}")
-    # Site-local civil day of each hour's midpoint, counted from the first.
+    # The calendar first, in scalars: microseconds from the first
+    # site-local midnight to the first hour's midpoint, and the number of
+    # civil days the span touches, whose last day must exist.
     try:
         first_mid = start + timedelta(minutes=30) + timedelta(hours=site.tz_offset)
         first_day = first_mid.replace(hour=0, minute=0, second=0, microsecond=0)
-        hours = np.arange(n_hours)
-        into_day = np.timedelta64(first_mid - first_day) + hours * np.timedelta64(1, "h")
-        day = into_day // np.timedelta64(1, "D")
-        declinations = [
-            math.radians(solar_declination((first_day + k * DAY).timetuple().tm_yday))
-            for k in range(int(day[-1]) + 1)
-        ]
+        into = (first_mid - first_day) // timedelta(microseconds=1)
+        n_days = (into + _US_PER_HOUR * (n_hours - 1)) // _US_PER_DAY + 1
+        first_day + (n_days - 1) * DAY
     except OverflowError:
         raise ValueError(
             f"clear-sky profile of {n_hours} h from {hour_stamps(start, 1)[0]} reaches "
             f"a site-local day (tz_offset {site.tz_offset:g} h) outside years 1-9999"
         ) from None
+    # Site-local civil day of each hour's midpoint, counted from the first.
+    hours = np.arange(n_hours)
+    day = (into + _US_PER_HOUR * hours) // _US_PER_DAY
+    declinations = [
+        math.radians(solar_declination((first_day + k * DAY).timetuple().tm_yday))
+        for k in range(n_days)
+    ]
     sin_dec = np.array([math.sin(d) for d in declinations])[day]
     cos_dec = np.array([math.cos(d) for d in declinations])[day]
     # Hour angle of each UTC hour of day, at minute 30.

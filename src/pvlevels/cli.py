@@ -94,10 +94,7 @@ _FIELD_KEYS = {
     "net.delay_d": (_NET, "delay_d"),
     "net.hidden_width": (_NET, "hidden_width"),
     "net.max_epochs": (_NET, "max_epochs"),
-    "net.step_size": (_NET, "step_size"),
     "net.patience": (_NET, "early_stop_patience"),
-    "pipeline.epsilon_fraction": (_PIPELINE, "epsilon_fraction"),
-    "pipeline.day_threshold_fraction": (_PIPELINE, "day_threshold_fraction"),
     "pipeline.max_retries": (_PIPELINE, "max_retries"),
     "pipeline.cloudy_threshold": (_PIPELINE, "cloudy_threshold"),
     "synth.n_customers": (_SYNTH, "n_customers"),

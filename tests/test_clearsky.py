@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -320,3 +321,18 @@ class TestProfileYearRange:
         assert prof.ghi_wm2.tobytes() == ghi.tobytes()
         with pytest.raises(ValueError, match="outside years 1-9999"):
             clearsky_profile(site, start, 49)
+
+    def test_out_of_range_span_fails_before_per_hour_work(self):
+        # 960,000 hours from 9900-01-01 run past 9999-12-31; the per-hour
+        # arrays of such a span alone would take about 23 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                r"^clear-sky profile of 960000 h from 9900-01-01T00:00:00Z reaches "
+                r"a site-local day \(tz_offset -7 h\) outside years 1-9999$"
+            )):
+                clearsky_profile(SITE, utc_datetime(9900, 1, 1), 960_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

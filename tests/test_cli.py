@@ -135,10 +135,6 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError, match="three comma-separated"):
             build_run_config({"pipeline.fractions": "0.25, 0.5"})
 
-    def test_day_threshold_wired(self):
-        run = build_run_config({"pipeline.day_threshold_fraction": "0.2"})
-        assert run.pipeline.day_threshold_fraction == pytest.approx(0.2)
-
     def test_baseline_net_is_the_net(self):
         run = build_run_config({"net.delay_d": "4", "net.max_epochs": "500"})
         assert run.pipeline.baseline_net == run.pipeline.fit_net
@@ -1618,7 +1614,7 @@ class TestDispatchErrors:
         assert f"error: {cfg}:3: unknown key 'bogus'\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", ["pipeline.epsilon_fraction", "synth.meter_noise_sd"])
+    @pytest.mark.parametrize("key", ["pipeline.cloudy_threshold", "synth.meter_noise_sd"])
     def test_non_finite_number_names_its_key(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n", encoding="ascii")
@@ -1639,6 +1635,7 @@ class TestDispatchErrors:
         [
             ["clearsky", "--start", "0001-01-01", "--days", "1"],
             ["clearsky", "--start", "9999-12-31", "--days", "2"],
+            ["clearsky", "--start", "9900-01-01", "--days", "40000"],
         ],
     )
     def test_clearsky_outside_years_1_to_9999_exits_1(self, tmp_path, capsys, argv):
@@ -1655,6 +1652,18 @@ class TestDispatchErrors:
         err = capsys.readouterr().err
         assert err == (
             "error: clear-sky profile of 2160 h from 0001-01-01T00:00:00Z reaches "
+            "a site-local day (tz_offset -7 h) outside years 1-9999\n"
+        )
+        assert not (tmp_path / "dataset.csv").exists()
+
+    def test_synth_running_past_9999_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synth.start = 9900-01-01\nsynth.days = 40000\n", encoding="ascii")
+        code = cmd_dispatch(["--config", str(cfg), "--out", str(tmp_path), "synth"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: clear-sky profile of 960000 h from 9900-01-01T00:00:00Z reaches "
             "a site-local day (tz_offset -7 h) outside years 1-9999\n"
         )
         assert not (tmp_path / "dataset.csv").exists()
@@ -1757,6 +1766,9 @@ class TestDispatchErrors:
             "synth.ar_rho",
             "synth.shared_fraction",
             "synth.drift_rho",
+            "net.step_size",
+            "pipeline.epsilon_fraction",
+            "pipeline.day_threshold_fraction",
         ],
     )
     def test_removed_key_is_unknown(self, tmp_path, capsys, key):

@@ -8,6 +8,7 @@ import inspect
 import os
 import re
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -120,23 +121,96 @@ def test_underscore_names_finds_each_way_in(source, names):
 
 
 # Exported names kept as named references with no caller: the per-hour
-# chain that clearsky_profile must equal bit for bit, and the model file
-# round trip that criterion 8 checks.
-UNCALLED_EXPORTS = {"clearsky_power", "solar_position", "save_model", "load_model"}
+# chain that clearsky_profile must equal bit for bit, the model file
+# round trip that criterion 8 checks, the one-vector net formula that
+# predict_closed_loop's steps and batch predictions are tested against,
+# and the gradient that criterion 2 checks.
+UNCALLED_EXPORTS = {
+    "clearsky_power", "solar_position", "save_model", "load_model",
+    "forward", "loss_and_gradient",
+}
+
+
+def names_read(source: str, in_package: bool = False) -> set[str]:
+    """Every name the module reads that may be one of pvlevels': a name
+    global in the scope that reads it (so not a local or closure name of
+    the same spelling), or imported there from pvlevels, by its exported
+    name; and an attribute reached from a name bound to a pvlevels module
+    (``pv.narnet.train``). ``in_package`` reads relative imports as
+    imports from pvlevels."""
+    tree = ast.parse(source)
+    exported = {}  # local name -> the name imported from pvlevels
+    modules = set()  # local names bound to a pvlevels module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "pvlevels":
+                    modules.add(alias.asname or "pvlevels")
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and in_package:
+                base = ".".join(filter(None, ["pvlevels", node.module]))
+            elif node.level == 0 and (node.module or "").split(".")[0] == "pvlevels":
+                base = node.module
+            else:
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                exported[local] = alias.name
+                if inspect.ismodule(getattr(importlib.import_module(base), alias.name, None)):
+                    modules.add(local)
+    found = set()
+    tables = [symtable.symtable(source, "<module>", "exec")]
+    while tables:
+        table = tables.pop()
+        tables += table.get_children()
+        for sym in table.get_symbols():
+            name = sym.get_name()
+            if sym.is_referenced() and (
+                sym.is_global() or (sym.is_imported() and name in exported)
+            ):
+                found.add(exported.get(name, name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source,in_package,names",
+    [
+        ("from pvlevels.narnet import forward\nforward(x)", False, {"forward", "x"}),
+        ("from pvlevels import forward as f\nf()", False, {"forward"}),
+        ("def g():\n    from pvlevels import forward\n    forward()", False, {"forward"}),
+        ("def g():\n    return forward()", False, {"forward"}),
+        ("def g():\n    def forward(): pass\n    forward()", False, set()),
+        ("def g(forward):\n    return lambda: forward()", False, set()),
+        ("def g():\n    from numpy import forward\n    forward()", False, set()),
+        ("class K:\n    def g(self):\n        self.forward()", False, set()),
+        ("import pvlevels as pv\npv.narnet.forward", False, {"pv", "narnet", "forward"}),
+        ("from pvlevels import narnet\nnarnet.forward", False, {"narnet", "forward"}),
+        ("def g(pv):\n    pv.narnet.forward", False, set()),
+        ("from . import narnet\nnarnet.forward", True, {"narnet", "forward"}),
+        ("from .narnet import forward as f\nf()", True, {"forward"}),
+        ("from . import narnet\nnarnet.forward", False, {"narnet"}),
+    ],
+)
+def test_names_read_resolves_by_scope(source, in_package, names):
+    assert names_read(source, in_package) == names
 
 
 def loaded_names() -> set[str]:
-    """Every name or attribute read in the package's modules (not its
-    __init__), bench/*.py and scripts/*.py."""
-    paths = [p for p in (ROOT / "src" / "pvlevels").glob("*.py") if p.name != "__init__.py"]
-    paths += [*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    """`names_read` over the package's modules (not its __init__),
+    bench/*.py and scripts/*.py."""
+    package = [p for p in (ROOT / "src" / "pvlevels").glob("*.py") if p.name != "__init__.py"]
     found = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                found.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                found.add(node.attr)
+    for path in package:
+        found |= names_read(path.read_text(encoding="utf-8"), in_package=True)
+    for path in [*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        found |= names_read(path.read_text(encoding="utf-8"))
     return found
 
 
