@@ -52,21 +52,22 @@ The kernel, Adam and loss_and_gradient's gradient all use that order;
 A net has at most a couple of hundred parameters, so a numpy call on
 them costs its fixed overhead, about a microsecond, and next to nothing
 for the arithmetic. An epoch therefore makes as few calls as it can, each
-in its cheapest form. The paired Adam quantities share one (2, P)
-array each, rows for the first and second moment ([g, g**2], [m, v],
-their bias corrections, [m_hat, v_hat]), so one call updates both
-moments. The constants (the decays, step size, epsilon, the kernel's
-2/n) are full-length arrays made once per ``train`` call, because a
-Python-float operand costs more per call than an array operand, and a
-(2, 1) column broadcast more still. An epoch is 23 numpy calls and two
-``ndarray.fill``s: 12 in the kernel, 4 of them elementwise passes over
-(hidden, rows) arrays, and 11 for Adam and the parameter check; a batch
-with merged rows (below) adds one multiply over its rows. The epoch
-reaches them, and the kernel its buffers, through local names and
-closure cells bound once per ``train`` call, not through attribute
-loads. Every element still goes through the same operations in the same
-order, so the numbers are those of the textbook formulas over
-loss_and_gradient's gradient (tests/test_narnet.py: reference_train).
+in its cheapest form. Adam's state is one (4, P) array [g, g**2, m, v]:
+one multiply by [1-b1, 1-b2, b1, b2] applies both gains and decays, one
+add forms [m, v], and [m_hat, v_hat] overwrite [g, g**2] until the next
+gradient. Those four factors, the bias corrections, step, epsilon and
+the parameter check's zeros are rows of one (9, P) array made once per
+``train`` call, as is the kernel's 2/n: a Python-float operand costs
+more per call than an array, a column broadcast more still. An epoch is
+22 numpy calls and two ``ndarray.fill``s: 12 in the kernel, 4 of them
+elementwise passes over (hidden, rows) arrays, and 10 for Adam and the
+parameter check; a batch with merged rows (below) adds one multiply over
+its rows. The epoch reaches them, and the kernel its buffers, through
+local names and closure cells bound once per ``train`` call, not
+through attribute loads. Every element still goes through the same
+operations in the same order, so the numbers are those of the textbook
+formulas over loss_and_gradient's gradient (tests/test_narnet.py:
+reference_train).
 
 The one exception is a batch of raw-kW rows with nights in it: every
 night hour past the first d is the same row, zero lags and a zero
@@ -80,18 +81,19 @@ multiply; the loss is ``r . wr / n``, and ``A @ wr`` and
 ``g_z = (1 - A**2) * wr`` follow, with n, and so 2/n, still the full
 row count. The loss stays the mean over every row up to rounding (k
 equal squares summed become one square times k): per-net loss
-histories stay within 6e-15 relative of the full batch's. On any other
-batch ``wr`` is the residual's own buffer and the kernel makes the same
-calls as without merging, bit for bit. Measured with ``time.thread_time``
-on the benchmark's first baseline batch of each workload (same 2-vCPU
-Xeon, 200 epochs, median of 15 alternating calls), in µs per epoch
-(full batch -> merged): 3x3 net, 1,852 rows of which 665 merge, 51.3 ->
-43.2; 6x6 net, 1,753 rows (458), 71.5 -> 59.1; 3x3 net, 16,948 rows
-(6,473), 273.3 -> 188.8.
+histories stay within 6e-15 relative of the full batch's, and bit for
+bit those of reference_train given the kept rows and their weights.
+On any other batch ``wr`` is the residual's own buffer and the kernel
+makes the same calls as without merging, bit for bit. Measured with
+``time.thread_time`` on the benchmark's first baseline batch of each
+workload (same 2-vCPU Xeon, 200 epochs, median of 15 alternating calls),
+in µs per epoch (full batch -> merged): 3x3 net, 1,852 rows of which 665
+merge, 51.3 -> 43.2; 6x6 net, 1,753 rows (458), 71.5 -> 59.1; 3x3 net,
+16,948 rows (6,473), 273.3 -> 188.8.
 
 Six of those calls are products: the kernel's four GEMMs, its r . r
 and the parameter check. Each is the bound ``dot`` method of its left
-operand, taken once per ``train`` call, and the other 17 are ufuncs.
+operand, taken once per ``train`` call, and the other 16 are ufuncs.
 ``np.matmul`` is a gufunc and ``np.dot`` passes through numpy's
 array-function dispatch, and on these shapes that overhead costs more
 than the arithmetic. Timed alone on a 3x3 net over 700 rows (2-vCPU
@@ -521,26 +523,24 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
     X, t = _check_batch(cfg, inputs, targets)
     if cfg.max_epochs == 0:
         return model
-    # theta, the gradient, the moments and the step are updated in
-    # place. Row 0 of each (2, P) array is for the first moment, row 1
-    # for the second.
+    # theta and Adam's state [g, g**2, m, v] are updated in place: the
+    # kernel writes g into row 0, and [m_hat, v_hat] reuse [g, g**2]
     theta = model.theta.copy()
     P = theta.size
-    grads = np.empty((2, P))  # [g, g**2]
-    grad, grad_sq = grads
+    state = np.zeros((4, P))
+    grads, moments = state[:2], state[2:]
+    grad, grad_sq = m_hat, v_hat = grads
     # all-zero night rows become one weighted row; t is then the kept rows'
     keep, t, weights = _merge_zero_rows(X, t)
     loss_and_grad = _Kernel(cfg, X, theta, grad, keep, weights).loss_and_gradient
-    decay = np.repeat([[_ADAM_BETA1], [_ADAM_BETA2]], P, axis=1)
-    gain = np.repeat([[1.0 - _ADAM_BETA1], [1.0 - _ADAM_BETA2]], P, axis=1)
-    moments = np.zeros((2, P))  # [m, v]
-    correction = np.empty((2, P))
+    beta1, beta2, delta = _ADAM_BETA1, _ADAM_BETA2, _EARLY_STOP_DELTA
+    # each factor a row: state's gains and decays, the bias corrections
+    # (filled each epoch), the step, epsilon and the parameter check's 0
+    factors = np.repeat([[1.0 - beta1], [1.0 - beta2], [beta1], [beta2], [0.0],
+                         [0.0], [cfg.step_size], [_ADAM_EPS], [0.0]], P, axis=1)
+    coef, correction = factors[:4], factors[4:6]
+    step, eps, zeros = factors[6:]
     fill_m, fill_v = correction[0].fill, correction[1].fill
-    hats = np.empty((2, P))  # [m_hat, v_hat]
-    m_hat, v_hat = hats
-    step = np.full(P, cfg.step_size)
-    eps = np.full(P, _ADAM_EPS)
-    zeros = np.zeros(P)
     history: list[float] = []
     best_loss = math.inf
     best_theta = theta.copy()
@@ -549,7 +549,6 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     square, sqrt, theta_dot = np.square, np.sqrt, theta.dot
     isfinite, record = math.isfinite, history.append
-    beta1, beta2, delta = _ADAM_BETA1, _ADAM_BETA2, _EARLY_STOP_DELTA
     patience = cfg.early_stop_patience
     for epoch in range(1, cfg.max_epochs + 1):
         loss = loss_and_grad(t)
@@ -566,13 +565,12 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
                 break
         # [m, v] = [b1, b2] [m, v] + [1 - b1, 1 - b2] [g, g**2]
         square(grad, grad_sq)
-        multiply(grads, gain, grads)
-        multiply(moments, decay, moments)
+        multiply(state, coef, state)
         add(moments, grads, moments)
         # [m_hat, v_hat] = [m, v] / [1 - b1**epoch, 1 - b2**epoch]
         fill_m(1.0 - beta1**epoch)
         fill_v(1.0 - beta2**epoch)
-        divide(moments, correction, hats)
+        divide(moments, correction, grads)
         # theta -= step * m_hat / (sqrt(v_hat) + eps)
         sqrt(v_hat, v_hat)
         add(v_hat, eps, v_hat)

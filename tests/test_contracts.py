@@ -28,8 +28,8 @@ CONFIG = pv.PipelineConfig(
 NARX_CASES = (CaseStudy.CASE2, CaseStudy.CASE3, CaseStudy.CASE4)
 
 
-def run_cases(dataset, profile, day):
-    context = pv.ForecastDay.at(dataset, profile, day, CONFIG)
+def run_cases(dataset, profile, day, config=CONFIG):
+    context = pv.ForecastDay.at(dataset, profile, day, config)
     return context, {cid: pv.run_case(cid, context) for cid in CaseStudy}
 
 
@@ -97,6 +97,32 @@ def test_future_blindness(reference, offset, factor):
     for cid, result in results.items():
         assert np.array_equal(blind[cid].forecast.values, result.forecast.values)
         assert blind[cid].mape == result.mape
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_evening_before(reference, factor):
+    """With one attempt, a forecast is made the evening before: every
+    level's readings over the forecast day's own 24 hours scaled by
+    ``factor`` leave every case's forecast byte-identical, and only the
+    scores and the weather label may move. Nothing is asserted at more
+    attempts, where a retry is decided by scoring against the day."""
+    dataset, profile, context, _ = reference
+    one_attempt = replace(CONFIG, max_retries=1)
+    i0 = context.i0
+
+    def scale_day(values):
+        values = values.copy()
+        values[i0 : i0 + 24] *= factor
+        return values
+
+    _, results = run_cases(dataset, profile, context.day, one_attempt)
+    _, scaled = run_cases(
+        with_levels(dataset, scale_day), profile, context.day, one_attempt
+    )
+    for cid, result in results.items():
+        got = scaled[cid].forecast.values
+        assert got.tobytes() == result.forecast.values.tobytes()
+        assert scaled[cid].mape != result.mape
 
 
 def test_forecast_bounds(reference):

@@ -61,31 +61,37 @@ def reference_loss_and_gradient(model, X, t):
     return loss, grad.theta
 
 
-def reference_hidden_major(model, X, t):
+def reference_hidden_major(model, X, t, weights=None):
     """The kernel's arithmetic written with np.matmul: (input_width + 1,
     rows) batch and (hidden + 1, rows) activations, each with a ones row,
     the residual unscaled through both GEMMs, and w_out and 2/n applied
-    to the finished gradient."""
+    to the finished gradient.
+
+    Given ``weights``, X and t are the rows _merge_zero_rows keeps: the
+    weighted residual wr = w * r stands in for r after the loss's first
+    factor, and n is the full batch's row count, the weights' sum."""
     cfg = model.config
-    h, n = cfg.hidden_width, X.shape[0]
+    h, rows = cfg.hidden_width, X.shape[0]
+    n = rows if weights is None else int(weights.sum())
     # row-major, as the kernel stores it (np.vstack of X.T would not be)
-    XTa = np.empty((cfg.input_width + 1, n))
+    XTa = np.empty((cfg.input_width + 1, rows))
     XTa[:-1] = X.T
     XTa[-1] = 1.0
     theta = model.theta
     Wa = theta[: h * (cfg.input_width + 1)].reshape(h, -1)
     woa = theta[h * (cfg.input_width + 1):]
-    A = np.empty((h + 1, n))
+    A = np.empty((h + 1, rows))
     A[h] = 1.0
     np.matmul(Wa, XTa, A[:h])
     np.tanh(A[:h], A[:h])
     r = np.matmul(woa, A)
     np.subtract(r, t, r)
-    loss = float(np.dot(r, r)) / n
+    wr = r if weights is None else r * weights
+    loss = float(np.dot(r, wr)) / n
     grad = np.empty_like(theta)
     g_Wa = grad[: Wa.size].reshape(Wa.shape)
-    np.matmul(A, r, grad[Wa.size:])
-    g_z = (1.0 - np.square(A[:h])) * r
+    np.matmul(A, wr, grad[Wa.size:])
+    g_z = (1.0 - np.square(A[:h])) * wr
     np.matmul(g_z, XTa.T, g_Wa)
     scale = np.full(theta.shape, 2.0 / n)
     scale[: Wa.size].reshape(Wa.shape)[:] = woa[:h, None] * np.full(Wa.shape, 2.0 / n)
@@ -93,10 +99,12 @@ def reference_hidden_major(model, X, t):
     return loss, grad
 
 
-def reference_train(model, X, t):
+def reference_train(model, X, t, weights=None):
     """Adam as a plain loop: a NarxModel rebuilt from the flat parameters
     every epoch, gradients from the public loss_and_gradient, and a loss
-    improvement counted when it exceeds 1e-9."""
+    improvement counted when it exceeds 1e-9. Given ``weights``, X and t
+    are a merged batch's kept rows and the gradients come from
+    reference_hidden_major with those weights."""
     cfg = model.config
     theta = model.theta
     m = np.zeros_like(theta)
@@ -105,7 +113,10 @@ def reference_train(model, X, t):
     best_loss, best_theta, stall = math.inf, theta.copy(), 0
     work = model
     for epoch in range(1, cfg.max_epochs + 1):
-        loss, grad = loss_and_gradient(work, X, t)
+        if weights is None:
+            loss, grad = loss_and_gradient(work, X, t)
+        else:
+            loss, grad = reference_hidden_major(work, X, t, weights)
         history.append(loss)
         if loss < best_loss - 1e-9:
             best_loss, best_theta, stall = loss, theta.copy(), 0
@@ -674,6 +685,18 @@ class TestTrain:
         # the loss is still the mean over every row, up to rounding
         full_loss, _ = loss_and_gradient(model, X, t)
         assert got_h[0] == pytest.approx(full_loss, rel=1e-14, abs=0.0)
+
+    def test_merged_batch_matches_weighted_reference_bitwise(self):
+        X, t = self.make_night_batch()
+        keep, kept_t, weights = _merge_zero_rows(X, t)
+        assert keep is not None and weights.max() == row_kinds(X, t)[0]
+        cfg = NetworkConfig(delay_d=4, hidden_width=6, seed=5, max_epochs=300,
+                            step_size=1e-2, early_stop_patience=50)
+        model = init_network(cfg)
+        got = train(model, X, t)
+        want = reference_train(model, X[keep], kept_t, weights)
+        assert np.array_equal(got.theta, want.theta)
+        assert got.training_history == want.training_history
 
     @pytest.mark.parametrize(
         "night_hours, zeros",

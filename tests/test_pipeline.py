@@ -350,6 +350,20 @@ def north():
     return (*pv.gen_dataset(scfg, site), config)
 
 
+def test_north_winter_day_stops_compare_cases(north):
+    """At the default MAPE floor, 2 and 10 February are valid forecast
+    days whose day hours all read below a level's floor, so
+    compare_cases stops with AllExcluded instead of reporting the row
+    (ROADMAP item 1 makes such a day a skipped row)."""
+    dataset, profile, config = north
+    config = replace(config, epsilon_fraction=pv.PipelineConfig().epsilon_fraction)
+    days = pv.valid_forecast_days(dataset, profile, config)
+    for day in (date(2024, 2, 2), date(2024, 2, 10)):
+        assert day in days
+        with pytest.raises(pv.AllExcluded, match=r"no actual value at or above 1\.25 kW$"):
+            pv.compare_cases(dataset, profile, [day], config)
+
+
 class TestForecastWindowErrors:
     def test_too_little_history(self, data, fast):
         dataset, profile = data
