@@ -188,11 +188,12 @@ class NarxModel:
 
     ``theta`` is a read-only copy of the parameters, [W_h | b_h]
     row-major, then [w_out, b_out]; the four parts are views of it.
+    ``training_history`` is train's loss per epoch, empty for a net that
+    was never trained.
     """
 
     config: NetworkConfig
     theta: np.ndarray
-    trained: bool = False
     training_history: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -210,9 +211,9 @@ class NarxModel:
 
     @classmethod
     def from_layers(
-        cls, config: NetworkConfig, w_hidden, b_hidden, w_out, b_out: float, **kw
+        cls, config: NetworkConfig, w_hidden, b_hidden, w_out, b_out: float
     ) -> NarxModel:
-        """A model from its four parts; ``kw`` goes to the constructor."""
+        """A model from its four parts."""
         h, w = config.hidden_width, config.input_width
         wh = np.asarray(w_hidden, dtype=np.float64)
         bh = np.asarray(b_hidden, dtype=np.float64)
@@ -225,7 +226,7 @@ class NarxModel:
         theta = np.empty(h * (w + 2) + 1)
         wa, woa = _layers(theta, config)
         wa[:, :-1], wa[:, -1], woa[:-1], woa[-1] = wh, bh, wo, b_out
-        return cls(config, theta, **kw)
+        return cls(config, theta)
 
     @property
     def w_hidden(self) -> np.ndarray:
@@ -581,9 +582,7 @@ def train(model: NarxModel, inputs, targets) -> NarxModel:
         # is not (0 * inf is NaN): one call where isfinite and all are two
         if not isfinite(theta_dot(zeros)):
             raise TrainingFailed(f"parameters became non-finite at epoch {epoch}")
-    return NarxModel(
-        cfg, best_theta, trained=True, training_history=tuple(history)
-    )
+    return NarxModel(cfg, best_theta, training_history=history)
 
 
 def predict_open_loop(model: NarxModel, y, exo: Sequence = ()) -> np.ndarray:
@@ -698,80 +697,56 @@ def fit_nar(series: PreprocessedSeries, config: NetworkConfig) -> FittingModel:
     return FittingModel(level=series.level, net=net, fit_r2=fit_r2, fit_mape=fit_mape)
 
 
-_FORMAT_HEADER = "pvlevels-narx 2"
+_FORMAT_HEADER = "pvlevels-narx 3"
 
 
 def model_to_text(model: NarxModel) -> str:
     """Serialize a model to the versioned flat text format.
 
-    The config block holds one ``name value`` line per NetworkConfig
-    field, in field order. Floats are written with 17 significant digits,
-    which round-trips IEEE doubles exactly.
+    After the header come one ``name value`` line per NetworkConfig
+    field, in field order, then a ``history`` line and a ``theta`` line,
+    each holding its values after the name (theta in its own order,
+    [W_h | b_h] row-major, then [w_out, b_out]). Floats are written with
+    17 significant digits, which round-trips IEEE doubles exactly.
     """
     lines = [_FORMAT_HEADER]
     for f in fields(NetworkConfig):
         value = getattr(model.config, f.name)
         text = f"{value:.17g}" if isinstance(value, float) else str(value)
         lines.append(f"{f.name} {text}")
-    lines.append(f"trained {int(model.trained)}")
-    lines.append(f"history {len(model.training_history)}")
-    lines.extend(f"{v:.17g}" for v in model.training_history)
-    lines.append("params")
-    for row in model.w_hidden:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    lines.append(" ".join(f"{v:.17g}" for v in model.b_hidden))
-    lines.append(" ".join(f"{v:.17g}" for v in model.w_out))
-    lines.append(f"{model.b_out:.17g}")
+    for name, values in (("history", model.training_history), ("theta", model.theta)):
+        lines.append(" ".join([name, *(f"{v:.17g}" for v in values)]))
     return "\n".join(lines) + "\n"
 
 
 def model_from_text(text: str) -> NarxModel:
-    """Parse the flat text format back into a model."""
-    lines = text.splitlines()
-    pos = 0
+    """Parse the flat text format back into a model.
 
-    def next_line() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise InputError("unexpected end of model text")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    def keyed(key: str) -> str:
-        line = next_line()
-        head, _, rest = line.partition(" ")
-        if head != key:
-            raise InputError(f"expected '{key} ...', got {line!r}")
-        return rest
-
-    if next_line() != _FORMAT_HEADER:
+    Raises InputError for any other header (versions 1 and 2 included),
+    for lines other than the config fields, ``history`` and ``theta`` in
+    that order, and for values that do not parse or that NarxModel
+    rejects.
+    """
+    header, *lines = text.splitlines() or [""]
+    if header != _FORMAT_HEADER:
         raise InputError(f"bad header; expected {_FORMAT_HEADER!r}")
+    config_fields = fields(NetworkConfig)
+    keys = [f.name for f in config_fields] + ["history", "theta"]
+    names = [line.partition(" ")[0] for line in lines]
+    if names != keys:
+        raise InputError(f"expected lines {keys}, got {names}")
+    *config_values, history, theta = (line.partition(" ")[2] for line in lines)
     try:
         # each field parses as the type of its default
         config = NetworkConfig(
-            **{f.name: type(f.default)(keyed(f.name)) for f in fields(NetworkConfig)}
+            *(type(f.default)(v) for f, v in zip(config_fields, config_values))
         )
-        trained = bool(int(keyed("trained")))
-        n_history = int(keyed("history"))
-        history = tuple(float(next_line()) for _ in range(n_history))
-        if next_line() != "params":
-            raise InputError("expected 'params' marker")
-        w_hidden = np.array(
-            [[float(v) for v in next_line().split()] for _ in range(config.hidden_width)]
+        return NarxModel(
+            config,
+            [float(v) for v in theta.split()],
+            training_history=[float(v) for v in history.split()],
         )
-        b_hidden = np.array([float(v) for v in next_line().split()])
-        w_out = np.array([float(v) for v in next_line().split()])
-        b_out = float(next_line())
-        if pos != len(lines):
-            raise InputError(f"{len(lines) - pos} trailing lines after parameters")
-        return NarxModel.from_layers(
-            config, w_hidden, b_hidden, w_out, b_out,
-            trained=trained, training_history=history,
-        )
-    except InputError:
-        raise
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise InputError(f"malformed model text: {exc}") from exc
 
 

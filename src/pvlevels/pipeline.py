@@ -551,7 +551,7 @@ def forecast_day_ahead(
 
     e_c, e_f, e_s = (day.baseline(lv)[0].mape for lv in MeasurementLevel)
 
-    best_attempt: tuple[LevelErrors, MetricReport, HourlyPowerSeries, int] | None = None
+    kept: CaseResult | None = None
     for attempt in range(config.max_retries):
         seed = derive_seed(config.seed, _TAG_NARX, i0, attempt)
         # a small committee: tanh nets this size occasionally land in a
@@ -585,24 +585,20 @@ def forecast_day_ahead(
             level=target_level,
         )
         rep = day.score(target_level, forecast.values)
-        errors = LevelErrors(e_c=e_c, e_f=e_f, e_s=e_s, e_n=rep.mape)
         # a later attempt replaces the kept one only when strictly better
-        if best_attempt is None or rep.mape < best_attempt[0].e_n:
-            best_attempt = (errors, rep, forecast, seed)
-        if errors.target_met:
-            break
-
-    errors, final_report, final_forecast, final_seed = best_attempt
-    result = CaseResult(
-        case_id=case_id,
-        weather=day.weather,
-        levels_used=levels_used,
-        forecast=final_forecast,
-        seed=final_seed,
-        report=final_report,
-        level_errors=errors,
-    )
-    return final_forecast, errors, result
+        if kept is None or rep.mape < kept.report.mape:
+            kept = CaseResult(
+                case_id=case_id,
+                weather=day.weather,
+                levels_used=levels_used,
+                forecast=forecast,
+                seed=seed,
+                report=rep,
+                level_errors=LevelErrors(e_c=e_c, e_f=e_f, e_s=e_s, e_n=rep.mape),
+            )
+            if kept.level_errors.target_met:
+                break
+    return kept.forecast, kept.level_errors, kept
 
 
 def run_case(case_id: CaseStudy, day: ForecastDay) -> CaseResult:

@@ -347,7 +347,8 @@ def gen_dataset(
     daylight = profile.power_kw > 0.0
 
     # Each daylight hour's day and its rank within the day. A weather day
-    # is a site-local calendar day, not a UTC one: otherwise every local
+    # is a site-local calendar day, not a UTC one (day k is k days after
+    # the start's UTC date, whatever its hour): otherwise every local
     # afternoon would straddle a regime boundary and the schedule would
     # paint phantom weather fronts at a fixed hour. Stray daylight hours
     # before the first local midnight borrow the first day's regime, and
@@ -355,7 +356,7 @@ def gen_dataset(
     # decreases, so idx is the days' daylight hours joined in day order
     # and one draw of idx.size values per stream is its per-day draws.
     local_day = np.floor(
-        (np.arange(n_hours) + site.tz_offset) / 24.0
+        (np.arange(n_hours) + config.start_utc.hour + site.tz_offset) / 24.0
     ).astype(int)
     local_day = np.clip(local_day, 0, config.days - 1)
     idx = np.flatnonzero(daylight)

@@ -157,7 +157,7 @@ def test_clamp_bounds_a_net_that_leaves_the_range(reference, monkeypatch):
             return train(model, inputs, targets)
         theta = model.theta.copy()
         theta[-1] = 3.0 * pv.KAPPA_MAX + np.abs(model.w_out).sum() + 1.0
-        return replace(model, theta=theta, trained=True)
+        return replace(model, theta=theta)
 
     monkeypatch.setattr(pipeline, "train", out_of_range)
     day_hours = context.day_hours

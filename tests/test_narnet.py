@@ -130,9 +130,7 @@ def reference_train(model, X, t, weights=None):
         v_hat = v / (1.0 - 0.999**epoch)
         theta = theta - cfg.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
         work = NarxModel(cfg, theta)
-    return NarxModel(
-        cfg, best_theta, trained=True, training_history=tuple(history)
-    )
+    return NarxModel(cfg, best_theta, training_history=history)
 
 
 def night_series(night_hours, seed=0):
@@ -235,7 +233,7 @@ class TestInitNetwork:
         assert np.all(np.abs(m.w_hidden) <= limit_h)
         assert np.all(np.abs(m.w_out) <= limit_o)
         assert np.all(m.b_hidden == 0.0) and m.b_out == 0.0
-        assert not m.trained
+        assert m.training_history == ()
 
 
 class TestNarxModel:
@@ -525,7 +523,6 @@ class TestTrain:
         trained = train(model, X, t)
         after, _ = loss_and_gradient(trained, X, t)
         assert after <= before
-        assert trained.trained
         assert len(trained.training_history) >= 1
 
     def test_deterministic(self):
@@ -543,7 +540,7 @@ class TestTrain:
         model = init_network(cfg)
         out = train(model, X, t)
         assert np.array_equal(out.w_hidden, model.w_hidden)
-        assert not out.trained
+        assert out.training_history == ()
 
     def test_early_stop_cuts_epochs(self):
         X, t = self.make_batch()
@@ -613,7 +610,7 @@ class TestTrain:
         assert np.array_equal(got.w_out, want.w_out)
         assert got.b_out == want.b_out
         assert got.training_history == want.training_history
-        assert got.trained
+        assert got.training_history
         stopped_early = len(got.training_history) < cfg.max_epochs
         assert stopped_early == stops_early
 
@@ -961,10 +958,13 @@ class TestFitNar:
         assert fm.level is MeasurementLevel.CUSTOMER
         assert fm.fit_r2 >= 0.999
         assert fm.fit_mape < 0.05
-        assert fm.net.trained
+        assert fm.net.training_history
 
 
 class TestSerialization:
+    KEYS = ["delay_d", "hidden_width", "n_exo_channels", "seed", "max_epochs",
+            "step_size", "early_stop_patience", "history", "theta"]
+
     def build(self):
         cfg = NetworkConfig(
             delay_d=3, hidden_width=4, n_exo_channels=2, seed=9, max_epochs=40
@@ -973,16 +973,37 @@ class TestSerialization:
         t = np.random.default_rng(1).normal(size=30)
         return train(init_network(cfg), X, t)
 
+    def lines(self):
+        return model_to_text(self.build()).splitlines()
+
+    def assert_lines_rejected(self, lines, got):
+        with pytest.raises(InputError) as info:
+            model_from_text("\n".join(lines) + "\n")
+        assert str(info.value) == f"expected lines {self.KEYS}, got {got}"
+
     def test_round_trip_bitwise(self):
         model = self.build()
         back = model_from_text(model_to_text(model))
         assert back.config == model.config
-        assert np.array_equal(back.w_hidden, model.w_hidden)
-        assert np.array_equal(back.b_hidden, model.b_hidden)
-        assert np.array_equal(back.w_out, model.w_out)
-        assert back.b_out == model.b_out
-        assert back.trained == model.trained
-        assert back.training_history == model.training_history
+        assert back.theta.tobytes() == model.theta.tobytes()
+        assert (np.array(back.training_history).tobytes()
+                == np.array(model.training_history).tobytes())
+
+    def test_line_layout(self):
+        model = self.build()
+        assert len(model.training_history) == 40 and model.theta.size == 45
+        assert self.lines() == [
+            "pvlevels-narx 3",
+            "delay_d 3",
+            "hidden_width 4",
+            "n_exo_channels 2",
+            "seed 9",
+            "max_epochs 40",
+            "step_size 0.0050000000000000001",
+            "early_stop_patience 200",
+            " ".join(["history", *(f"{v:.17g}" for v in model.training_history)]),
+            " ".join(["theta", *(f"{v:.17g}" for v in model.theta)]),
+        ]
 
     def test_file_round_trip(self, tmp_path):
         model = self.build()
@@ -993,50 +1014,64 @@ class TestSerialization:
         assert model_to_text(back) == model_to_text(model)
 
     def test_bad_header(self):
-        with pytest.raises(InputError, match="^bad header; expected 'pvlevels-narx 2'$"):
-            model_from_text("some-other-format 9\n")
+        # tiny_model() as the previous format wrote it
+        version_2 = (
+            "pvlevels-narx 2\ndelay_d 1\nhidden_width 1\nn_exo_channels 0\n"
+            "seed 0\nmax_epochs 2000\nstep_size 0.0050000000000000001\n"
+            "early_stop_patience 200\ntrained 0\nhistory 0\nparams\n5\n0\n2\n0\n"
+        )
+        current = model_to_text(tiny_model())
+        assert current.splitlines()[1:8] == version_2.splitlines()[1:8]
+        for text in (version_2, "pvlevels-narx 1\n", "some-other-format 9\n",
+                     "", "\n" + current, current.replace("narx 3", "narx  3")):
+            with pytest.raises(InputError, match="^bad header; expected 'pvlevels-narx 3'$"):
+                model_from_text(text)
 
     def test_truncated(self):
-        text = model_to_text(self.build())
-        lines = text.splitlines()
-        with pytest.raises(InputError, match="^unexpected end of model text$"):
-            model_from_text("\n".join(lines[: len(lines) // 2]))
+        # the theta line is missing
+        self.assert_lines_rejected(self.lines()[:-1], self.KEYS[:-1])
 
     def test_misnamed_line(self):
-        text = model_to_text(init_network(NetworkConfig(delay_d=2, hidden_width=2)))
-        with pytest.raises(InputError, match="^expected 'trained ...', got 'trainee 0'$"):
-            model_from_text(text.replace("\ntrained 0\n", "\ntrainee 0\n"))
-
-    def test_missing_params_marker(self):
-        text = model_to_text(init_network(NetworkConfig(delay_d=2, hidden_width=2)))
-        with pytest.raises(InputError, match="^expected 'params' marker$"):
-            model_from_text(text.replace("\nparams\n", "\nparameters\n"))
+        lines = self.lines()
+        lines[2] = lines[2].replace("hidden_width", "hidden_units")
+        self.assert_lines_rejected(lines, [*self.KEYS[:1], "hidden_units", *self.KEYS[2:]])
 
     def test_trailing_garbage(self):
-        text = model_to_text(self.build())
-        with pytest.raises(InputError, match="^1 trailing lines after parameters$"):
-            model_from_text(text + "extra line\n")
+        self.assert_lines_rejected(self.lines() + ["extra line"], self.KEYS + ["extra"])
 
-    @pytest.mark.parametrize("probe", ["hidden-rows-short", "b_hidden-long"])
-    def test_malformed_parameter_widths(self, probe):
-        # a 2x2 net's parameters: two hidden rows, b_hidden, w_out, b_out
-        model = init_network(NetworkConfig(delay_d=2, hidden_width=2))
-        lines = model_to_text(model).splitlines()
-        at = lines.index("params") + 1
-        if probe == "hidden-rows-short":
-            for i in (at, at + 1):
-                lines[i] = lines[i].rsplit(" ", 1)[0]
+    def test_history_swapped_with_theta(self):
+        lines = self.lines()
+        lines[-2:] = lines[:-3:-1]
+        self.assert_lines_rejected(lines, self.KEYS[:-2] + ["theta", "history"])
+
+    MALFORMED = {
+        "theta-short": r"parameter shape \(44,\) does not fit hidden=4, input=9",
+        "theta-long": r"parameter shape \(46,\) does not fit hidden=4, input=9",
+        "word-in-int": r"invalid literal for int\(\) with base 10: 'four'",
+        "inf-in-theta": "all parameters must be finite",
+    }
+
+    @pytest.mark.parametrize("probe", list(MALFORMED))
+    def test_malformed_values(self, probe):
+        lines = self.lines()
+        if probe == "theta-short":
+            lines[-1] = lines[-1].rsplit(" ", 1)[0]
+        elif probe == "theta-long":
+            lines[-1] += " 0.5"
+        elif probe == "word-in-int":
+            lines[2] = "hidden_width four"
         else:
-            lines[at + 2] += " 0.5"
+            name, _, rest = lines[-1].split(" ", 2)
+            lines[-1] = f"{name} inf {rest}"
         with pytest.raises(
-            InputError,
-            match=r"^malformed model text: parameter shapes .* do not fit "
-            r"hidden=2, input=2$",
+            InputError, match=f"^malformed model text: {self.MALFORMED[probe]}$"
         ):
             model_from_text("\n".join(lines) + "\n")
 
     def test_untrained_round_trip(self):
         model = init_network(NetworkConfig(delay_d=2, hidden_width=2))
-        back = model_from_text(model_to_text(model))
-        assert not back.trained
+        text = model_to_text(model)
+        assert text.splitlines()[-2] == "history"
+        back = model_from_text(text)
         assert back.training_history == ()
+        assert back.theta.tobytes() == model.theta.tobytes()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from datetime import timedelta
 from dataclasses import replace
 
 import numpy as np
@@ -535,6 +536,34 @@ class TestRegimeSeparability:
             counted += 1
         assert counted > 80
         assert hits / counted >= 0.95
+
+    @pytest.mark.parametrize("hour", [0, 5, 12, 23])
+    def test_regime_day_is_site_local_at_any_start_hour(self, hour):
+        # noise-free, so every daylight hour reads its day's regime mean
+        cycle = (Weather.SUNNY, Weather.CLOUDY, Weather.PARTLY_CLOUDY)
+        start = utc_datetime(2023, 3, 1, hour)
+        cfg = replace(
+            ALL_SUNNY,
+            regime_schedule=tuple(cycle[k % 3] for k in range(ALL_SUNNY.days)),
+            sigma_cloudy=0.0,
+            sigma_partly=0.0,
+            start_utc=start,
+        )
+        dataset, profile = gen_dataset(cfg, DEFAULT_SITE)
+        hours = np.flatnonzero(profile.power_kw > 0.0)
+        # day k is the site-local date k days after the start's UTC date;
+        # daylight before the first of them or after the last is clipped
+        tz = timedelta(hours=DEFAULT_SITE.tz_offset)
+        local_days = [
+            ((start + timedelta(hours=int(h)) + tz).date() - start.date()).days
+            for h in hours
+        ]
+        want = [REGIME_MEAN[cfg.regime_schedule[min(max(k, 0), cfg.days - 1)]]
+                for k in local_days]
+        kappa = dataset.customer.values[hours] / (
+            profile.power_kw[hours] / cfg.n_customers
+        )
+        np.testing.assert_allclose(kappa, want, rtol=1e-12, atol=0.0)
 
 
 class TestRandomRegimeSchedule:
