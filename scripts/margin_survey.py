@@ -11,7 +11,8 @@ a config is usable for the pinned-day comparison when every class has
 at least one.
 
 Retries default to the pipeline default (5) so the numbers here are
-bit-identical to what compare_cases produces on the same day list.
+bit-identical to what compare_cases produces on the same day list. The
+training step, MAPE floor and day hours are the package defaults.
 """
 
 import argparse
@@ -33,9 +34,7 @@ def main() -> None:
     ap.add_argument("--delay", type=int, default=3)
     ap.add_argument("--hidden", type=int, default=3)
     ap.add_argument("--epochs", type=int, default=2000)
-    ap.add_argument("--step", type=float, default=0.005)
     ap.add_argument("--patience", type=int, default=200)
-    ap.add_argument("--eps", type=float, default=0.05)
     ap.add_argument("--meter", type=float, default=0.02)
     ap.add_argument("--drift", type=float, default=0.23)
     ap.add_argument("--sigma-sunny", type=float, default=0.2)
@@ -43,7 +42,6 @@ def main() -> None:
     ap.add_argument("--sigma-partly", type=float, default=0.2)
     ap.add_argument("--ncust", type=int, default=72)
     ap.add_argument("--nfeeders", type=int, default=36)
-    ap.add_argument("--thresh", type=float, default=0.10)
     ap.add_argument("--cloudy-th", type=float, default=0.5)
     ap.add_argument("--committee", type=int, default=3)
     ap.add_argument("--retries", type=int, default=5)
@@ -68,14 +66,11 @@ def main() -> None:
         delay_d=args.delay,
         hidden_width=args.hidden,
         max_epochs=args.epochs,
-        step_size=args.step,
         early_stop_patience=args.patience,
     )
     config = pv.PipelineConfig(
         seed=args.pipe_seed,
         capacity_fractions=pv.capacity_fractions(scfg),
-        epsilon_fraction=args.eps,
-        day_threshold_fraction=args.thresh,
         cloudy_threshold=args.cloudy_th,
         max_retries=args.retries,
         narx_committee=args.committee,

@@ -104,14 +104,13 @@ _FIELD_KEYS = {
     "synth.drift_sd": (_SYNTH, "shared_drift_sd"),
 }
 
-# an empty pipeline.fractions is 1.0 per level; empty paths are unset
+# an empty pipeline.fractions is 1.0 per level; an empty paths.input is unset
 _CONFIG_DEFAULTS = {
     **{key: repr(getattr(obj, attr)) for key, (obj, attr) in _FIELD_KEYS.items()},
     "pipeline.target_level": _PIPELINE.target_level.label,
     "pipeline.fractions": "",
     "synth.start": _SYNTH.start_utc.date().isoformat(),
     "paths.input": "",
-    "paths.out": "",
     "seed": str(_PIPELINE.seed),
 }
 
@@ -216,7 +215,7 @@ def build_run_config(
         pipeline=pipeline,
         synth=synth,
         input_path=raw["paths.input"] or None,
-        out_dir=out_override or raw["paths.out"] or None,
+        out_dir=out_override or None,
     )
 
 
@@ -272,7 +271,7 @@ def _table(header: str, rows) -> str:
 
 def _out_dir(run: RunConfig) -> Path:
     if run.out_dir is None:
-        raise ConfigError("--out (or paths.out) is required for this command")
+        raise ConfigError("--out is required for this command")
     path = Path(run.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path

@@ -188,8 +188,8 @@ class NarxModel:
 
     ``theta`` is a read-only copy of the parameters, [W_h | b_h]
     row-major, then [w_out, b_out]; the four parts are views of it.
-    ``training_history`` is train's loss per epoch, empty for a net that
-    was never trained.
+    ``training_history`` is train's loss per epoch, every value finite,
+    empty for a net that was never trained.
     """
 
     config: NetworkConfig
@@ -205,9 +205,12 @@ class NarxModel:
             )
         if not np.all(np.isfinite(theta)):
             raise ValueError("all parameters must be finite")
+        history = tuple(self.training_history)
+        if not all(map(math.isfinite, history)):
+            raise ValueError("every training loss must be finite")
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "training_history", tuple(self.training_history))
+        object.__setattr__(self, "training_history", history)
 
     @classmethod
     def from_layers(

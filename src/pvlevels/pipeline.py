@@ -28,6 +28,7 @@ customer only.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
@@ -344,15 +345,18 @@ def build_fitting_models(
     return models
 
 
-def _fit_channel(model: FittingModel, own_index: np.ndarray) -> np.ndarray:
-    """The fitting model's open-loop output as a full-length input channel.
+def _per_level(fact):
+    """Keep a ``ForecastDay`` fact of one level in the day's memo, under
+    its name and the level, once it is first asked for."""
 
-    The first d hours have no prediction, so the measured values stand in
-    for them; everything after is the model's one-step-ahead output.
-    """
-    d = model.net.config.delay_d
-    preds = predict_open_loop(model.net, own_index)
-    return np.concatenate([own_index[:d], preds])
+    @functools.wraps(fact)
+    def kept(day, level):
+        key = (fact.__name__, level)
+        if key not in day._memo:
+            day._memo[key] = fact(day, level)
+        return day._memo[key]
+
+    return kept
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,10 +368,11 @@ class ForecastDay:
     is the target level's clear-sky profile over the day's 24 hours;
     ``weather`` is the class of the target level's measured day.
 
-    The level histories, baselines and fitting models of the day are kept
-    as they are first asked for, so the cases run on one context
-    preprocess and train each of them once. Preprocessing and training
-    are deterministic, so sharing never changes a result.
+    Each level's facts of the day are kept in one memo as they are first
+    asked for: its ``history``, its ``fit`` model, the fit net's closed-loop
+    ``future`` and open-loop ``fit_channel``, and its ``baseline``. So the
+    cases run on one context preprocess, train and run each of them once.
+    All of them are deterministic, so sharing never changes a result.
     """
 
     dataset: MultiLevelDataset
@@ -378,9 +383,7 @@ class ForecastDay:
     mask: np.ndarray
     day_profile: ClearSkyProfile
     weather: Weather
-    _histories: dict = field(default_factory=dict, init=False, repr=False)
-    _baselines: dict = field(default_factory=dict, init=False, repr=False)
-    _fits: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def at(
@@ -428,28 +431,39 @@ class ForecastDay:
             * config.fraction(level),
         )
 
+    @_per_level
     def history(self, level: MeasurementLevel) -> PreprocessedSeries:
         """The level's clear-sky-index series before the forecast day."""
-        if level not in self._histories:
-            i0, config = self.i0, self.config
-            self._histories[level] = preprocess(
-                self.dataset.series(level).sliced(0, i0),
-                self.profile.sliced(0, i0).scaled(config.fraction(level)),
-                day_mask=self.mask[:i0],
-            )
-        return self._histories[level]
+        return preprocess(
+            self.dataset.series(level).sliced(0, self.i0),
+            self.profile.sliced(0, self.i0).scaled(self.config.fraction(level)),
+            day_mask=self.mask[: self.i0],
+        )
 
-    def fitting_models(self, levels) -> list[FittingModel]:
-        """The history's fitting models of ``levels``, in (C, F, S) order."""
-        levels = sorted(levels, key=int)
-        missing = tuple(lv for lv in levels if lv not in self._fits)
-        if missing:
-            for model in build_fitting_models(
-                [self.history(lv) for lv in missing], self.config
-            ):
-                self._fits[model.level] = model
-        return [self._fits[lv] for lv in levels]
+    @_per_level
+    def fit(self, level: MeasurementLevel) -> FittingModel:
+        """The level's NAR fitting model, trained on its history."""
+        return build_fitting_models([self.history(level)], self.config)[0]
 
+    @_per_level
+    def future(self, level: MeasurementLevel) -> np.ndarray:
+        """The fit net's closed loop over the day's day hours, in
+        [0, KAPPA_MAX]: the level's exogenous future."""
+        net, own = self.fit(level).net, self.history(level).index_values
+        horizon = int(np.count_nonzero(self.day_hours))
+        return predict_closed_loop(
+            net, own[-net.config.delay_d :], horizon=horizon, clamp=(0.0, KAPPA_MAX)
+        )
+
+    @_per_level
+    def fit_channel(self, level: MeasurementLevel) -> np.ndarray:
+        """The fit net's one-step-ahead output over the history as a
+        full-length input channel; the measured values stand in for the
+        first d hours, which have no prediction."""
+        net, own = self.fit(level).net, self.history(level).index_values
+        return np.concatenate([own[: net.config.delay_d], predict_open_loop(net, own)])
+
+    @_per_level
     def baseline(
         self, level: MeasurementLevel
     ) -> tuple[MetricReport, HourlyPowerSeries]:
@@ -464,8 +478,6 @@ class ForecastDay:
         capacity. Hours with zero clear-sky power (the same hours at
         every level) forecast 0 kW, as in every other case.
         """
-        if level in self._baselines:
-            return self._baselines[level]
         config, i0 = self.config, self.i0
         scale = KAPPA_MAX * self.dataset.site.ac_rating_kw * config.fraction(level)
         series = self.dataset.series(level)
@@ -488,8 +500,7 @@ class ForecastDay:
             start=series.timestamp(i0),
             values=values,
         )
-        self._baselines[level] = (self.score(level, forecast.values), forecast)
-        return self._baselines[level]
+        return self.score(level, forecast.values), forecast
 
 
 def forecast_day_ahead(
@@ -514,32 +525,17 @@ def forecast_day_ahead(
     target_level = config.target_level
     i0, mask_day = day.i0, day.day_hours
 
-    fit_models = day.fitting_models(levels_used)
-    best = select_best_fitting(fit_models)
-
-    # channel layout: levels in (C, F, S) order, then the fit channel;
-    # each level's future is its own NAR's closed loop
-    horizon = int(np.count_nonzero(mask_day))
-    exo_hist, exo_future = [], []
-    for fm in fit_models:
-        own = day.history(fm.level).index_values
-        exo_hist.append(own)
-        exo_future.append(
-            predict_closed_loop(
-                fm.net,
-                own[-fm.net.config.delay_d :],
-                horizon=horizon,
-                clamp=(0.0, KAPPA_MAX),
-            )
-        )
-    k = fit_models.index(best)
-    exo_hist.append(_fit_channel(best, exo_hist[k]))
-    exo_future.append(exo_future[k])
+    # channel layout: levels in (C, F, S) order, then the best fit's
+    # open-loop output; each level's future is its own NAR's closed loop
+    levels = sorted(levels_used, key=int)
+    best = select_best_fitting([day.fit(lv) for lv in levels]).level
+    exo_hist = [day.history(lv).index_values for lv in levels]
+    exo_hist.append(day.fit_channel(best))
+    exo_future = [day.future(lv) for lv in levels + [best]]
+    horizon = exo_future[0].size
 
     d = config.narx_net.delay_d
-    narx_cfg_base = replace(
-        config.narx_net, n_exo_channels=len(exo_hist)
-    )
+    narx_cfg_base = replace(config.narx_net, n_exo_channels=len(exo_hist))
     y = day.history(target_level).index_values
     # per-day stretches only: a sample must never regress across the
     # overnight gap, where the weather regime can silently turn over

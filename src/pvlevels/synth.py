@@ -347,16 +347,17 @@ def gen_dataset(
     daylight = profile.power_kw > 0.0
 
     # Each daylight hour's day and its rank within the day. A weather day
-    # is a site-local calendar day, not a UTC one (day k is k days after
-    # the start's UTC date, whatever its hour): otherwise every local
-    # afternoon would straddle a regime boundary and the schedule would
-    # paint phantom weather fronts at a fixed hour. Stray daylight hours
-    # before the first local midnight borrow the first day's regime, and
-    # those after the last one the last day's. The local day never
+    # is a site-local calendar day, not a UTC one (day 0 is the later of
+    # the start's UTC date and its site-local date, whatever its hour):
+    # otherwise every local afternoon would straddle a regime boundary
+    # and the schedule would paint phantom weather fronts at a fixed
+    # hour. Stray daylight hours before day 0 borrow its regime, and
+    # those after the last day the last day's. The local day never
     # decreases, so idx is the days' daylight hours joined in day order
     # and one draw of idx.size values per stream is its per-day draws.
-    local_day = np.floor(
-        (np.arange(n_hours) + config.start_utc.hour + site.tz_offset) / 24.0
+    s = config.start_utc.hour + site.tz_offset
+    local_day = (
+        np.floor((np.arange(n_hours) + s) / 24.0) - max(0, math.floor(s / 24.0))
     ).astype(int)
     local_day = np.clip(local_day, 0, config.days - 1)
     idx = np.flatnonzero(daylight)

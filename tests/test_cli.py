@@ -1769,6 +1769,7 @@ class TestDispatchErrors:
             "net.step_size",
             "pipeline.epsilon_fraction",
             "pipeline.day_threshold_fraction",
+            "paths.out",
         ],
     )
     def test_removed_key_is_unknown(self, tmp_path, capsys, key):

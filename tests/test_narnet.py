@@ -1049,6 +1049,8 @@ class TestSerialization:
         "theta-long": r"parameter shape \(46,\) does not fit hidden=4, input=9",
         "word-in-int": r"invalid literal for int\(\) with base 10: 'four'",
         "inf-in-theta": "all parameters must be finite",
+        "nan-in-history": "every training loss must be finite",
+        "-inf-in-history": "every training loss must be finite",
     }
 
     @pytest.mark.parametrize("probe", list(MALFORMED))
@@ -1061,8 +1063,10 @@ class TestSerialization:
         elif probe == "word-in-int":
             lines[2] = "hidden_width four"
         else:
-            name, _, rest = lines[-1].split(" ", 2)
-            lines[-1] = f"{name} inf {rest}"
+            # the first value of the named line becomes the probe's value
+            value, _, name = probe.partition("-in-")
+            k = -2 if name == "history" else -1
+            lines[k] = " ".join([name, value, lines[k].split(" ", 2)[2]])
         with pytest.raises(
             InputError, match=f"^malformed model text: {self.MALFORMED[probe]}$"
         ):

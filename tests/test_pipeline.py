@@ -595,9 +595,32 @@ class TestRunCase:
         # every level's history was preprocessed once, and its baseline
         # and fit model trained once, then reused
         assert all(shared.history(lv) is shared.history(lv) for lv in (C, F, S))
-        first = shared.fitting_models((C, F, S))
-        assert all(a is b for a, b in zip(first, shared.fitting_models((C, F, S))))
+        assert all(shared.fit(lv) is shared.fit(lv) for lv in (C, F, S))
         assert shared.baseline(F) is shared.baseline(F)
+
+    def test_shared_context_runs_each_level_future_once(
+        self, data, fast, monkeypatch
+    ):
+        """All four cases on one context run 9 closed loops: the three
+        baselines, the three level futures and one NARX member per case
+        (each case running its levels' futures again would make 12)."""
+        calls = []
+        closed_loop = pv.pipeline.predict_closed_loop
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return closed_loop(*args, **kwargs)
+
+        monkeypatch.setattr("pvlevels.pipeline.predict_closed_loop", counting)
+        dataset, profile = data
+        shared = context(dataset, profile, local_day(39), fast)
+        for cid in CaseStudy:
+            pv.run_case(cid, shared)
+        assert len(calls) == 9
+        assert all(shared.future(lv) is shared.future(lv) for lv in (C, F, S))
+        assert all(
+            shared.fit_channel(lv) is shared.fit_channel(lv) for lv in (C, F, S)
+        )
 
 
 class TestCompareCases:

@@ -537,8 +537,18 @@ class TestRegimeSeparability:
         assert counted > 80
         assert hits / counted >= 0.95
 
-    @pytest.mark.parametrize("hour", [0, 5, 12, 23])
-    def test_regime_day_is_site_local_at_any_start_hour(self, hour):
+    @pytest.mark.parametrize(
+        "site, hour",
+        [pytest.param(DEFAULT_SITE, h, id=str(h)) for h in (0, 5, 12, 23)]
+        + [
+            pytest.param(
+                replace(DEFAULT_SITE, longitude=150.0, tz_offset=10.0), h,
+                id=f"east-{h}",
+            )
+            for h in (0, 14, 23)
+        ],
+    )
+    def test_regime_day_is_site_local_at_any_start_hour(self, site, hour):
         # noise-free, so every daylight hour reads its day's regime mean
         cycle = (Weather.SUNNY, Weather.CLOUDY, Weather.PARTLY_CLOUDY)
         start = utc_datetime(2023, 3, 1, hour)
@@ -549,13 +559,15 @@ class TestRegimeSeparability:
             sigma_partly=0.0,
             start_utc=start,
         )
-        dataset, profile = gen_dataset(cfg, DEFAULT_SITE)
+        dataset, profile = gen_dataset(cfg, site)
         hours = np.flatnonzero(profile.power_kw > 0.0)
-        # day k is the site-local date k days after the start's UTC date;
-        # daylight before the first of them or after the last is clipped
-        tz = timedelta(hours=DEFAULT_SITE.tz_offset)
+        # day k is the site-local date k days after the later of the
+        # start's UTC and site-local dates; daylight before the first of
+        # them or after the last is clipped
+        tz = timedelta(hours=site.tz_offset)
+        day0 = max(start.date(), (start + tz).date())
         local_days = [
-            ((start + timedelta(hours=int(h)) + tz).date() - start.date()).days
+            ((start + timedelta(hours=int(h)) + tz).date() - day0).days
             for h in hours
         ]
         want = [REGIME_MEAN[cfg.regime_schedule[min(max(k, 0), cfg.days - 1)]]
