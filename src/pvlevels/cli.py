@@ -411,20 +411,24 @@ def cmd_forecast(run: RunConfig, args) -> int:
     dataset = _dataset_from_csv(run, args.trim_to_overlap)
     profile = _profile_for(run, dataset)
     day = _parse_date(args.day, "--day")
+    # one context per case, so no case reuses another's nets: the
+    # benchmark's day-ahead-cli workload pins these train counts
+    results = [
+        run_case(cid, ForecastDay.at(dataset, profile, day, run.pipeline))
+        for cid in _case_ids(args.case)
+    ]
     out = _out_dir(run)
     rows = []
-    for cid in _case_ids(args.case):
-        # one context per case, so no case reuses another's nets: the
-        # benchmark's day-ahead-cli workload pins these train counts
-        result = run_case(cid, ForecastDay.at(dataset, profile, day, run.pipeline))
-        _write_text(out / f"forecast_{cid.label}.csv", _day_series_file(result, dataset))
+    for result in results:
+        label = result.case_id.label
+        _write_text(out / f"forecast_{label}.csv", _day_series_file(result, dataset))
         rep = result.report
         if rep is None:
             rep = result.per_level_reports[run.pipeline.target_level]
         errors = result.level_errors
         met = None if errors is None else int(errors.target_met)
         rows.append(
-            (cid.label, result.weather.label, rep.mape, rep.rmse, rep.r_squared, met)
+            (label, result.weather.label, rep.mape, rep.rmse, rep.r_squared, met)
         )
     _write_tables(
         out,

@@ -12,7 +12,10 @@ autoregressive lags, most recent first within each block:
 With no exogenous channels this is a NAR net; with them, a NARX.
 Training rows (make_training_set) and closed-loop steps
 (predict_closed_loop) read u(t) from the same lag windows, so the
-layout lives in one function, _lag_windows.
+layout lives in one function, _lag_windows. A series of day hours glued
+across nights comes with its hourly day mask, and a training row is
+kept only when its d lags are the d hours right before its target on
+that grid: the one gap rule, for a night or a gap of any length.
 Training is full-batch gradient descent on mean squared error with
 per-parameter adaptive moments (decay 0.9/0.999, bias correction),
 teacher-forced (open-loop): measured lags in, one-step-ahead target out.
@@ -121,7 +124,7 @@ from .core import MeasurementLevel, check_seed, make_generator
 from .errors import InputError, TrainingFailed, Unforecastable
 from .metrics import mape as _mape
 from .metrics import r_squared as _r_squared
-from .preprocess import KAPPA_MAX, PreprocessedSeries, day_run_lengths
+from .preprocess import KAPPA_MAX, PreprocessedSeries
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -303,19 +306,19 @@ def _lag_windows(channels: np.ndarray, d: int) -> np.ndarray:
 
 
 def make_training_set(
-    y, exo: Sequence, d: int, segments: Sequence[int] | None = None
+    y, exo: Sequence, d: int, day_mask=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Teacher-forced samples from measured series.
 
-    Returns (inputs, targets) with one row per t in d..L-1: the row is
-    u(t) and the target is y(t). All series must be 1-d and share length
-    L > d, else ValueError.
-
-    When the series is a concatenation of disjoint stretches (daylight
-    hours glued across nights, say), pass their lengths as ``segments``:
-    rows are then built within each stretch only, so no sample regresses
-    a value onto lags from the other side of a gap. Stretches no longer
-    than d contribute nothing; at least one row must survive overall.
+    The series hold, in order, the values at the True hours of
+    ``day_mask``, an hourly mask (daylight hours glued across nights,
+    say); None means L consecutive hours. Returns (inputs, targets) with
+    one row per t in d..L-1 whose d lags are the d hours right before
+    t's hour on that grid: the row is u(t) and the target is y(t). So no
+    sample regresses a value onto lags from the other side of a gap, of
+    any length. All series must be 1-d and share length L > d, the mask
+    must be 1-d with L True hours, and at least one row must survive,
+    else ValueError.
     """
     channels = [np.asarray(x, dtype=np.float64) for x in exo]
     channels.append(np.asarray(y, dtype=np.float64))
@@ -325,21 +328,17 @@ def make_training_set(
             raise ValueError(
                 f"channel length {c.size} != {L} or not 1-d"
             )
-    if segments is None:
-        if L <= d:
-            raise ValueError(f"series length {L} must exceed delay {d}")
-        segments = [L]
-    segs = [int(s) for s in segments]
-    if any(s <= 0 for s in segs) or sum(segs) != L:
-        raise ValueError(
-            f"segment lengths {segs} must be positive and sum to {L}"
-        )
-    # row t is kept when t-d lies in t's own stretch
-    offsets = np.arange(L) - np.repeat(np.cumsum([0] + segs)[:-1], segs)
-    keep = offsets[d:] >= d
+    if L <= d:
+        raise ValueError(f"series length {L} must exceed delay {d}")
+    mask = np.ones(L, bool) if day_mask is None else np.asarray(day_mask, bool)
+    hours = np.flatnonzero(mask)
+    if mask.ndim != 1 or hours.size != L:
+        raise ValueError(f"day mask must be 1-d with {L} True hours")
+    # row t is kept when its d lags are the d hours before its target
+    keep = hours[d:] - hours[: L - d] == d
     if not keep.any():
         raise ValueError(
-            f"no segment of {segs} exceeds delay {d}; nothing to train on"
+            f"no run of day hours exceeds delay {d}; nothing to train on"
         )
     series = np.stack(channels)
     lags = _lag_windows(series[:, :-1], d)[keep]
@@ -672,11 +671,13 @@ def predict_closed_loop(
 def fit_nar(series: PreprocessedSeries, config: NetworkConfig) -> FittingModel:
     """Train a NAR net on one level's index series and score the fit.
 
-    Training samples never straddle the overnight gap: the index chain is
-    split back into per-day stretches, so no morning value is regressed
-    on the previous evening's lags. (Weather can turn over during the
-    night; teaching the net that jump as if it were an hourly transition
-    drags every in-day prediction toward the climatological mean.)
+    Training samples never straddle the overnight gap: make_training_set
+    reads the series' day mask and keeps a row only when its d lags are
+    the d hours right before its target, so no morning value is
+    regressed on the previous evening's lags. (Weather can turn over
+    during the night; teaching the net that jump as if it were an hourly
+    transition drags every in-day prediction toward the climatological
+    mean.)
 
     Quality is in-sample: one-step predictions on those same rows against
     the measured index, summarized as R^2 and MAPE (exact-zero actuals
@@ -690,9 +691,7 @@ def fit_nar(series: PreprocessedSeries, config: NetworkConfig) -> FittingModel:
             f"{y.size} day hours; need at least "
             f"{max(MIN_FIT_DAY_HOURS, config.delay_d + 1)}"
         )
-    inputs, targets = make_training_set(
-        y, (), config.delay_d, segments=day_run_lengths(series.day_mask)
-    )
+    inputs, targets = make_training_set(y, (), config.delay_d, series.day_mask)
     net = train(init_network(config), inputs, targets)
     preds = _predict_batch(net, inputs)
     fit_r2 = _r_squared(targets, preds)

@@ -61,7 +61,6 @@ from .narnet import (
 from .preprocess import (
     KAPPA_MAX,
     PreprocessedSeries,
-    day_run_lengths,
     median,
     normalize_and_mask,
     preprocess,
@@ -451,9 +450,7 @@ class ForecastDay:
         [0, KAPPA_MAX]: the level's exogenous future."""
         net, own = self.fit(level).net, self.history(level).index_values
         horizon = int(np.count_nonzero(self.day_hours))
-        return predict_closed_loop(
-            net, own[-net.config.delay_d :], horizon=horizon, clamp=(0.0, KAPPA_MAX)
-        )
+        return predict_closed_loop(net, own[-net.config.delay_d :], horizon=horizon)
 
     @_per_level
     def fit_channel(self, level: MeasurementLevel) -> np.ndarray:
@@ -536,12 +533,11 @@ def forecast_day_ahead(
 
     d = config.narx_net.delay_d
     narx_cfg_base = replace(config.narx_net, n_exo_channels=len(exo_hist))
-    y = day.history(target_level).index_values
-    # per-day stretches only: a sample must never regress across the
+    history = day.history(target_level)
+    y = history.index_values
+    # rows within a day only: a sample must never regress across the
     # overnight gap, where the weather regime can silently turn over
-    inputs, targets = make_training_set(
-        y, exo_hist, d, segments=day_run_lengths(day.mask[:i0])
-    )
+    inputs, targets = make_training_set(y, exo_hist, d, history.day_mask)
     y_seed = y[-d:]
     exo_seed = [ch[-d:] for ch in exo_hist]
 
@@ -564,12 +560,7 @@ def forecast_day_ahead(
             )
             member_preds.append(
                 predict_closed_loop(
-                    net,
-                    y_seed,
-                    exo_future,
-                    horizon=horizon,
-                    exo_seed=exo_seed,
-                    clamp=(0.0, KAPPA_MAX),
+                    net, y_seed, exo_future, horizon=horizon, exo_seed=exo_seed
                 )
             )
         pred_index = median(member_preds)

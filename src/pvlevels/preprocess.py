@@ -83,23 +83,6 @@ class PreprocessedSeries:
         return np.flatnonzero(self.day_mask)
 
 
-def day_run_lengths(day_mask) -> list[int]:
-    """Lengths of each unbroken run of True in an hourly day mask.
-
-    The sum equals the mask's True count, so the result partitions a
-    compressed day-hour chain back into its per-day stretches.
-    """
-    mask = np.asarray(day_mask, dtype=bool)
-    if mask.ndim != 1:
-        raise ValueError("day_mask must be 1-d")
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    bounds = np.concatenate([[0], breaks + 1, [idx.size]])
-    return [int(x) for x in np.diff(bounds)]
-
-
 def _require_aligned(series: HourlyPowerSeries, profile: ClearSkyProfile) -> None:
     if series.start != profile.start or series.n != profile.n:
         raise InputError(

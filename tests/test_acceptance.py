@@ -26,7 +26,7 @@ from pvlevels.narnet import (
     model_to_text,
 )
 from pvlevels.cli import cmd_dispatch
-from pvlevels.preprocess import day_run_lengths, postprocess, preprocess
+from pvlevels.preprocess import postprocess, preprocess
 
 
 def _line(capsys, num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -227,16 +227,16 @@ class TestLearnability:
         profile = pv.clearsky_profile(pv.DEFAULT_SITE, utc_datetime(2023, 3, 1),
                                       24 * 60)
         mask = profile.power_kw >= 0.10 * float(profile.power_kw.max())
-        runs = day_run_lengths(mask)
-        chunks = []
-        for j, run in enumerate(runs):
-            v = 0.1 + 0.8 * ((j * 7) % 11) / 11.0
-            vals = []
-            for _ in range(run):
-                vals.append(v)
-                v = 0.7 * v + 0.25
-            chunks.append(vals)
-        index = np.concatenate(chunks)
+        hours = np.flatnonzero(mask)
+        restarts = np.concatenate([[True], np.diff(hours) > 1])
+        index = np.empty(hours.size)
+        j = -1
+        for k, restart in enumerate(restarts):
+            if restart:
+                j += 1
+                v = 0.1 + 0.8 * ((j * 7) % 11) / 11.0
+            index[k] = v
+            v = 0.7 * v + 0.25
         series = pv.PreprocessedSeries(
             level=pv.MeasurementLevel.CUSTOMER,
             index_values=index,

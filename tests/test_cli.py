@@ -1140,6 +1140,18 @@ class TestForecastCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_failure_creates_no_out_dir(self, workspace, tmp_path, capsys):
+        # every case runs before --out is made, so a failed run leaves no
+        # empty or partial directory behind
+        _, config, _ = workspace
+        out = tmp_path / "out"
+        code = cmd_dispatch(
+            ["--config", str(config), "--out", str(out), "forecast", "--day", "2030-01-01"]
+        )
+        assert code == 1
+        assert "not fully inside the dataset" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def fit_dir(workspace, tmp_path_factory):

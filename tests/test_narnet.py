@@ -346,16 +346,25 @@ class TestMakeTrainingSet:
             make_training_set([1.0, 2.0, 3.0], [[[1.0, 2.0, 3.0]]], 1)
 
     @pytest.mark.parametrize(
-        "y,segments", [([], None), ([], []), (np.arange(5.0), [2, 2, 1])]
+        "y,day_mask",
+        [
+            ([], None),
+            # stretches of 2, 2 and 1 hours at d = 2, gaps of 3 and 1 hours
+            (np.arange(5.0), [0, 1, 1, 0, 0, 0, 1, 1, 0, 1]),
+            # d >= L
+            (np.arange(2.0), [1, 1]),
+        ],
     )
-    def test_no_row_survives(self, y, segments):
+    def test_no_row_survives(self, y, day_mask):
         with pytest.raises(ValueError, match=TOO_SHORT):
-            make_training_set(y, (), 2, segments=segments)
+            make_training_set(y, (), 2, day_mask)
 
-    @pytest.mark.parametrize("segments", [[2, 2], [3, 0, 2], [6, -1]])
-    def test_bad_segments(self, segments):
-        with pytest.raises(ValueError, match="must be positive and sum to 5"):
-            make_training_set(np.arange(5.0), (), 1, segments=segments)
+    @pytest.mark.parametrize(
+        "day_mask", [[1, 1, 0, 1, 1], [1, 1, 1, 0, 1, 1, 1], [[1, 1, 1], [0, 1, 1]]]
+    )
+    def test_bad_day_mask(self, day_mask):
+        with pytest.raises(ValueError, match="day mask must be 1-d with 5 True hours"):
+            make_training_set(np.arange(5.0), (), 1, day_mask)
 
     @given(
         n=st.integers(5, 40),
@@ -371,17 +380,28 @@ class TestMakeTrainingSet:
         y = rng.normal(size=n)
         exo = [rng.normal(size=n) for _ in range(n_exo)]
         channels = exo + [y]
-        cuts = rng.choice(n - 1, size=int(rng.integers(0, 4)), replace=False) + 1
+        cuts = rng.choice(n - 1, size=int(rng.integers(0, min(6, n))), replace=False) + 1
         bounds = [0, *sorted(int(c) for c in cuts), n]
-        segments = [b - a for a, b in zip(bounds, bounds[1:])]
-        # every t whose d lags stay inside t's own stretch, in order
+        # the stretches on an hourly grid: each after a gap of 1-3 night
+        # hours (0-2 before the first), with 0-2 more after the last
+        gaps = rng.integers(1, 4, size=len(bounds) - 1)
+        gaps[0] -= 1
+        mask = np.concatenate(
+            [
+                np.concatenate([np.zeros(g, bool), np.ones(b - a, bool)])
+                for g, a, b in zip(gaps, bounds, bounds[1:])
+            ]
+            + [np.zeros(int(rng.integers(0, 3)), bool)]
+        )
+        # every t whose d lags are the d hours right before it on the
+        # grid, i.e. stay inside t's own stretch, in order
         inside = [t for a, b in zip(bounds, bounds[1:]) for t in range(a + d, b)]
-        for segs, ts in ((None, range(d, n)), (segments, inside)):
+        for day_mask, ts in ((None, range(d, n)), (mask, inside)):
             if not ts:
                 with pytest.raises(ValueError, match=TOO_SHORT):
-                    make_training_set(y, exo, d, segments=segs)
+                    make_training_set(y, exo, d, day_mask)
                 continue
-            inputs, targets = make_training_set(y, exo, d, segments=segs)
+            inputs, targets = make_training_set(y, exo, d, day_mask)
             assert inputs.shape == (len(ts), d * len(channels))
             for row, t in enumerate(ts):
                 assert targets[row] == y[t]

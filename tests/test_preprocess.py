@@ -10,7 +10,6 @@ from pvlevels.errors import InputError, Unforecastable
 from pvlevels.preprocess import (
     KAPPA_MAX,
     PreprocessedSeries,
-    day_run_lengths,
     median,
     normalize_and_mask,
     postprocess,
@@ -230,40 +229,6 @@ class TestRoundTrip:
                 site_id="t",
                 level=MeasurementLevel.CUSTOMER,
             )
-
-
-class TestDayRunLengths:
-    def test_partitions_true_count(self, profile):
-        mask = profile.power_kw > 0
-        runs = day_run_lengths(mask)
-        assert sum(runs) == int(mask.sum())
-        # 96 hours starting mid-local-day: a 1-hour tail of the first
-        # afternoon, three full days, and a truncated last day
-        assert runs == [1, 12, 12, 12, 11]
-
-    def test_empty_and_all_false(self):
-        assert day_run_lengths(np.zeros(0, dtype=bool)) == []
-        assert day_run_lengths(np.zeros(5, dtype=bool)) == []
-
-    def test_explicit_pattern(self):
-        mask = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1], dtype=bool)
-        assert day_run_lengths(mask) == [2, 1, 3]
-
-    def test_edges_touching_both_ends(self):
-        mask = np.array([1, 1, 0, 1], dtype=bool)
-        assert day_run_lengths(mask) == [2, 1]
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            day_run_lengths(np.ones((2, 3), dtype=bool))
-
-    @given(st.lists(st.booleans(), max_size=60))
-    @settings(max_examples=40, deadline=None)
-    def test_sum_invariant(self, bits):
-        mask = np.array(bits, dtype=bool)
-        runs = day_run_lengths(mask)
-        assert sum(runs) == int(mask.sum())
-        assert all(r >= 1 for r in runs)
 
 
 class TestPreprocessedSeries:
